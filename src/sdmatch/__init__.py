@@ -15,7 +15,7 @@ from .graph import (
     validate_graph,
     verify_spair,
 )
-from .matching import ACTIVE_KERNEL, HallCertificate, max_matching, x_saturating_certificate
+from .matching import HallCertificate, max_matching, x_saturating_certificate
 from .flow import Arc, DegreeBounds, feasible_flow, gf_factor
 from .coloring import EdgeColoring, konig_color, two_color_with_anchor
 from .lebensold import LebensoldVerdict, k_disjoint_saturating, lebensold_condition

@@ -1,4 +1,4 @@
-"""Timing tables: compiled vs pure matching kernel, and solver workloads."""
+"""Timing table for the solver workloads."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import random
 import time
 from typing import IO, Callable
 
-from . import _matchpy
 from .graph import BipartiteGraph, SdmInstance
-from .matching import ACTIVE_KERNEL, _csr
-
-try:
-    from . import _matchcore  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    _matchcore = None
 
 
 def _random_graph(rng: random.Random, nx: int, ny: int, density: float) -> BipartiteGraph:
@@ -28,23 +21,6 @@ def _time(fn: Callable[[], object], repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _bench_kernels(out: IO[str]) -> None:
-    rng = random.Random(20240611)
-    sizes = [(50, 50, 0.2), (200, 200, 0.1), (400, 400, 0.05)]
-    out.write(f"active kernel: {ACTIVE_KERNEL}\n")
-    out.write(f"{'size':>12} {'python_ms':>10} {'cython_ms':>10} {'speedup':>8}\n")
-    for nx, ny, density in sizes:
-        g = _random_graph(rng, nx, ny, density)
-        indptr, indices = _csr(g)
-        t_py = _time(lambda: _matchpy.max_matching_csr(nx, ny, indptr, indices))
-        if _matchcore is not None:
-            t_cy = _time(lambda: _matchcore.max_matching_csr(nx, ny, indptr, indices))
-            ratio = f"{t_py / t_cy:8.1f}" if t_cy > 0 else "     inf"
-            out.write(f"{nx}x{ny:>6} {t_py * 1e3:10.2f} {t_cy * 1e3:10.2f} {ratio}\n")
-        else:
-            out.write(f"{nx}x{ny:>6} {t_py * 1e3:10.2f} {'n/a':>10} {'n/a':>8}\n")
 
 
 def _bench_solvers(out: IO[str]) -> None:
@@ -78,7 +54,6 @@ def _bench_solvers(out: IO[str]) -> None:
 
 
 SUITES = {
-    "kernels": _bench_kernels,
     "solvers": _bench_solvers,
 }
 

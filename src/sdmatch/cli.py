@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from typing import IO, Optional, Sequence
 
 from . import bench as bench_mod
@@ -245,6 +246,10 @@ def run(argv: Sequence[str], stdin: Optional[IO[str]] = None,
         return _HANDLERS[args.command](args, out)
     except (_CliError, FormatError, ValueError) as exc:
         err.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except Exception as exc:  # a crash must never read as "no"
+        err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=err)
         return EXIT_ERROR
 
 

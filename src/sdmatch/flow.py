@@ -3,12 +3,12 @@
 The factor problem is reduced to feasible flow: source -> each X vertex with
 bounds [g(x), f(x)], each graph edge as a unit-capacity arc, each Y vertex ->
 sink with bounds [g(y), f(y)]. Lower bounds are removed via the standard
-excess/deficit super-source and super-sink transformation.
+excess/deficit super-source and super-sink transformation. The max flow
+underneath is Dinic's algorithm, with no recursion in either phase.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,7 +54,13 @@ class DegreeBounds:
 
 
 class _MaxFlow:
-    """Edmonds-Karp with arcs explored in insertion order (deterministic)."""
+    """Dinic's max flow on paired arcs (arc i and its reverse i ^ 1).
+
+    Arcs are explored in insertion order, so the flow found is deterministic.
+    Both phases are iterative: a BFS builds the level graph, then a DFS with
+    an explicit path and one current-arc pointer per node finds a blocking
+    flow in it.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -73,33 +79,57 @@ class _MaxFlow:
         return idx
 
     def run(self, s: int, t: int) -> int:
+        head, cap, out = self.head, self.cap, self.out
         total = 0
         while True:
-            parent_arc = [-1] * self.n
-            parent_arc[s] = -2
-            queue = deque([s])
-            while queue and parent_arc[t] == -1:
-                u = queue.popleft()
-                for idx in self.out[u]:
-                    v = self.head[idx]
-                    if self.cap[idx] > 0 and parent_arc[v] == -1:
-                        parent_arc[v] = idx
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                next_level = level[u] + 1
+                for idx in out[u]:
+                    v = head[idx]
+                    if cap[idx] > 0 and level[v] < 0:
+                        level[v] = next_level
                         queue.append(v)
-            if parent_arc[t] == -1:
+            if level[t] < 0:
                 return total
-            bottleneck = _INF
-            v = t
-            while v != s:
-                idx = parent_arc[v]
-                bottleneck = min(bottleneck, self.cap[idx])
-                v = self.head[idx ^ 1]
-            v = t
-            while v != s:
-                idx = parent_arc[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                v = self.head[idx ^ 1]
-            total += bottleneck
+            total += self._blocking_flow(s, t, level)
+
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        head, cap, out = self.head, self.cap, self.out
+        ptr = [0] * self.n
+        path: list[int] = []  # arcs from s to u
+        u = s
+        pushed = 0
+        while True:
+            if u == t:
+                bottleneck = min(cap[idx] for idx in path)
+                for idx in path:
+                    cap[idx] -= bottleneck
+                    cap[idx ^ 1] += bottleneck
+                pushed += bottleneck
+                # retreat to the tail of the first saturated arc
+                cut = next(k for k, idx in enumerate(path) if cap[idx] == 0)
+                u = head[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = out[u]
+            i = ptr[u]
+            next_level = level[u] + 1
+            while i < len(arcs) and not (cap[arcs[i]] > 0 and level[head[arcs[i]]] == next_level):
+                i += 1
+            ptr[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+                continue
+            # dead end: drop u from the level graph and retreat one arc
+            if u == s:
+                return pushed
+            level[u] = -1
+            u = head[path.pop() ^ 1]
+            ptr[u] += 1
 
 
 def feasible_flow(num_nodes: int, arcs: Sequence[Arc],

@@ -115,9 +115,6 @@ class Matching:
         return len(self.edges)
 
 
-EMPTY_MATCHING = Matching(())
-
-
 def is_matching(graph: BipartiteGraph, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the edges are pairwise endpoint-disjoint and all lie in the graph."""
     pairs = list(edges)

@@ -1,7 +1,11 @@
 """Maximum bipartite matching and Hall-condition certificates.
 
-The augmenting-path kernel is compiled (Cython) when the extension built;
-otherwise the pure-Python twin is used. Both produce identical matchings.
+Matchings come from Hopcroft-Karp (Dinic's algorithm on the unit-capacity
+network) over a CSR adjacency: a greedy start, then phases of a BFS that
+layers X from the free X vertices and a DFS, with an explicit stack and one
+arc pointer per X vertex, that augments along shortest alternating paths.
+Nothing recurses, so path length is bounded by memory, not by the Python
+stack. Scan orders are fixed, so the matching is deterministic.
 """
 
 from __future__ import annotations
@@ -11,13 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import BipartiteGraph, Matching
-
-try:
-    from . import _matchcore as _kernel  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _matchpy as _kernel
-
-ACTIVE_KERNEL: str = _kernel.KERNEL_NAME
 
 
 @dataclass(frozen=True)
@@ -37,10 +34,77 @@ def _csr(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
     return indptr, indices
 
 
+def _hopcroft_karp(nx: int, ny: int, indptr: list[int], indices: list[int]) -> list[int]:
+    """Maximum matching on a CSR adjacency; returns match_x (y index or -1)."""
+    match_x = [-1] * nx
+    match_y = [-1] * ny
+    for x in range(nx):
+        for i in range(indptr[x], indptr[x + 1]):
+            y = indices[i]
+            if match_y[y] == -1:
+                match_x[x] = y
+                match_y[y] = x
+                break
+    free = [x for x in range(nx) if match_x[x] == -1]
+    while free:
+        # BFS: layer X by alternating distance from the free X vertices and
+        # stop after the first layer that reaches a free Y vertex
+        dist = [-1] * nx
+        for x in free:
+            dist[x] = 0
+        layer = free
+        found = False
+        while layer and not found:
+            next_layer = []
+            for x in layer:
+                d = dist[x] + 1
+                for i in range(indptr[x], indptr[x + 1]):
+                    x2 = match_y[indices[i]]
+                    if x2 == -1:
+                        found = True
+                    elif dist[x2] == -1:
+                        dist[x2] = d
+                        next_layer.append(x2)
+            layer = next_layer
+        if not found:
+            break
+        for x in layer:  # beyond the shortest augmenting path length
+            dist[x] = -1
+        # DFS: ptr[x] is the arc x is trying; a dead X vertex leaves the layers
+        ptr = indptr[:-1]
+        for root in free:
+            stack = [root]
+            while stack:
+                x = stack[-1]
+                i, end, d = ptr[x], indptr[x + 1], dist[x] + 1
+                while i < end:
+                    x2 = match_y[indices[i]]
+                    if x2 == -1 or dist[x2] == d:
+                        break
+                    i += 1
+                ptr[x] = i
+                if i == end:
+                    dist[x] = -1
+                    stack.pop()
+                    if stack:
+                        ptr[stack[-1]] += 1
+                elif x2 != -1:
+                    stack.append(x2)
+                else:
+                    # augment: each stacked x takes the Y vertex of its arc
+                    for x in stack:
+                        y = indices[ptr[x]]
+                        match_x[x] = y
+                        match_y[y] = x
+                    break
+        free = [x for x in free if match_x[x] == -1]
+    return match_x
+
+
 def match_x_array(graph: BipartiteGraph) -> list[int]:
-    """Per-X-vertex mate array (-1 for unmatched) from the active kernel."""
+    """Per-X-vertex mate array (-1 for unmatched) of a maximum matching."""
     indptr, indices = _csr(graph)
-    return _kernel.max_matching_csr(graph.nx, graph.ny, indptr, indices)
+    return _hopcroft_karp(graph.nx, graph.ny, indptr, indices)
 
 
 def max_matching(graph: BipartiteGraph) -> Matching:

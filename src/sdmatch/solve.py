@@ -85,13 +85,16 @@ def _complete_m1(graph: BipartiteGraph, m2_edges: list[tuple[int, int]]) -> Opti
     return m1 if len(m1) == graph.nx else None
 
 
-def solve_bounded_s(instance: SdmInstance,
-                    cap: int = DEFAULT_BOUNDED_S_CAP) -> Optional[SPair]:
-    """Enumerate injective S -> Y partner choices; check the residual for M1."""
+def solve_bounded_s(instance: SdmInstance, cap: int = DEFAULT_BOUNDED_S_CAP,
+                    budget: Optional[int] = None) -> Optional[SPair]:
+    """Enumerate injective S -> Y partner choices; check the residual for M1.
+
+    Raises BudgetExhausted after `budget` search steps (distinct from "no").
+    """
     s = instance.s_set
     if len(s) > cap:
         raise ValueError(f"|S|={len(s)} exceeds bounded-S cap {cap}")
-    return _search_m2(instance, prune=False, budget=None)
+    return _search_m2(instance, prune=False, budget=budget)
 
 
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:
@@ -106,6 +109,13 @@ def _search_m2(instance: SdmInstance, prune: bool,
                budget: Optional[int]) -> Optional[SPair]:
     g = instance.graph
     s = instance.s_set
+    # Hall pre-check: without an X-saturating matching of G there is no M1;
+    # with an empty S that matching is already the answer
+    m1 = max_matching(g)
+    if len(m1) < g.nx:
+        return None
+    if not s:
+        return SPair(m1, Matching(()))
     chosen: list[tuple[int, int]] = []
     used_y: set[int] = set()
     steps = [0]
@@ -218,5 +228,5 @@ def solve(instance: SdmInstance, budget: Optional[int] = None,
     if ns >= nx - 1:
         return SolveOutcome(solve_poly_large_s(instance), Method.POLY_LARGE_S)
     if ns <= bounded_cap:
-        return SolveOutcome(solve_bounded_s(instance, bounded_cap), Method.BOUNDED_S)
+        return SolveOutcome(solve_bounded_s(instance, bounded_cap, budget), Method.BOUNDED_S)
     return SolveOutcome(solve_exact(instance, budget), Method.EXACT_BACKTRACK)

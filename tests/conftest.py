@@ -12,6 +12,13 @@ def random_graph(rng: random.Random, nx: int, ny: int, density: float = 0.5) -> 
     return BipartiteGraph.from_edges(nx, ny, edges)
 
 
+def chain_graph(n: int) -> BipartiteGraph:
+    """x0:{y0}, xi:{y(i-1), yi}: a recursive augmenting-path search goes one
+    level deeper per link."""
+    edges = [(0, 0)] + [e for i in range(1, n) for e in ((i, i - 1), (i, i))]
+    return BipartiteGraph.from_edges(n, n, edges)
+
+
 def all_graphs_3x3():
     """All 512 bipartite graphs with nx = ny = 3."""
     for mask in range(1 << 9):

@@ -5,6 +5,7 @@ import pytest
 from sdmatch import SdmInstance, parse_instance, serialize_instance, validate_graph
 from sdmatch.cli import run
 from sdmatch.reductions import GadgetMap
+from conftest import chain_graph
 
 
 def invoke(argv):
@@ -159,7 +160,61 @@ def test_format_violation_exits_2(tmp_path):
 
 
 def test_bench_suites_run():
-    for suite in ("kernels", "solvers"):
-        code, out, _ = invoke(["bench", "--suite", suite])
-        assert code == 0
-        assert out
+    code, out, _ = invoke(["bench", "--suite", "solvers"])
+    assert code == 0
+    assert out
+
+
+def complete_instance(nx, ny, s_size):
+    g = validate_graph(nx, ny, [(x, y) for x in range(nx) for y in range(ny)])
+    return serialize_instance(SdmInstance.make(g, range(s_size)))
+
+
+def test_bounded_s_surplus_x_is_no_after_hall_check(tmp_path):
+    # |X| > |Y|: no X-saturating matching, so the budget is never touched
+    path = write(tmp_path, "surplus.sdm", complete_instance(12, 11, 8))
+    code, out, _ = invoke(["solve", path, "--budget", "100"])
+    assert code == 1
+    assert "c method BoundedS" in out
+    assert "RESULT no" in out
+
+
+def test_bounded_s_honours_budget(tmp_path):
+    path = write(tmp_path, "k1212.sdm", complete_instance(12, 12, 8))
+    code, out, _ = invoke(["solve", path, "--budget", "5"])
+    assert code == 3
+    assert "budget 5 exhausted" in out
+    code, out, _ = invoke(["solve", path])
+    assert code == 0
+    assert "c method BoundedS" in out
+
+
+def test_solve_chain_1500_yes(tmp_path):
+    # a recursive matching kernel overflowed the Python stack here
+    path = write(tmp_path, "chain.sdm", serialize_instance(SdmInstance.make(chain_graph(1500), [])))
+    code, out, _ = invoke(["solve", path])
+    assert code == 0
+    assert "RESULT yes" in out
+
+
+def test_crash_exits_2_not_no(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("sdmatch.cli.solve_instance", crash)
+    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    code, out, err = invoke(["solve", path])
+    assert code == 2
+    assert "RESULT" not in out
+    assert err.startswith("error: internal: RuntimeError: boom\n")
+    assert "Traceback" in err
+
+
+def test_keyboard_interrupt_propagates(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("sdmatch.cli.solve_instance", interrupt)
+    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    with pytest.raises(KeyboardInterrupt):
+        invoke(["solve", path])

@@ -107,3 +107,49 @@ def test_bounds_validation():
         DegreeBounds.make([2], [1], [], [])
     with pytest.raises(ValueError, match="nonnegative"):
         DegreeBounds.make([-1], [1], [], [])
+
+
+def networkx_factor_exists(g, bounds):
+    """Hoffman feasibility via a networkx max flow on the lower-bound reduction:
+    each arc u->v with bounds [l, c] becomes capacity c - l, l moves to the
+    excess of v and the deficit of u, and a circulation arc t->s closes the
+    network. A factor exists iff the super source can saturate every excess."""
+    import networkx
+    arcs = [("s", ("x", x), bounds.g_x[x], bounds.f_x[x]) for x in range(g.nx)]
+    arcs += [(("x", x), ("y", y), 0, 1) for x, y in g.edges()]
+    arcs += [(("y", y), "t", bounds.g_y[y], bounds.f_y[y]) for y in range(g.ny)]
+    net = networkx.DiGraph()
+    net.add_nodes_from(("S*", "T*"))
+    excess: dict = {}
+    for u, v, low, up in arcs:
+        net.add_edge(u, v, capacity=up - low)
+        excess[v] = excess.get(v, 0) + low
+        excess[u] = excess.get(u, 0) - low
+    net.add_edge("t", "s", capacity=sum(bounds.f_x) + 1)
+    required = 0
+    for node, e in excess.items():
+        if e > 0:
+            net.add_edge("S*", node, capacity=e)
+            required += e
+        elif e < 0:
+            net.add_edge(node, "T*", capacity=-e)
+    return networkx.maximum_flow_value(net, "S*", "T*") == required
+
+
+def test_factor_verdict_matches_networkx_flow():
+    pytest.importorskip("networkx")
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 60), rng.randint(1, 60), rng.choice((0.05, 0.1, 0.2)))
+        # lower bounds no higher than the degree, so both verdicts are common
+        gx = [rng.randint(0, min(2, g.degree_x(x))) for x in range(g.nx)]
+        gy = [rng.randint(0, min(1, g.degree_y(y))) for y in range(g.ny)]
+        bounds = DegreeBounds.make(gx, [v + rng.randint(0, 2) for v in gx],
+                                   gy, [v + rng.randint(0, 2) for v in gy])
+        factor = gf_factor(g, bounds)
+        assert (factor is not None) == networkx_factor_exists(g, bounds)
+        if factor is not None:
+            assert factor_degrees_ok(g, bounds, factor)
+        verdicts.add(factor is not None)
+    assert verdicts == {True, False}

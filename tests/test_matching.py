@@ -1,9 +1,10 @@
 import random
 
+import pytest
+
 from sdmatch import BipartiteGraph, max_matching, validate_graph, x_saturating_certificate
-from sdmatch import _matchpy
-from sdmatch.matching import ACTIVE_KERNEL, _csr, match_x_array
-from conftest import random_graph
+from sdmatch.matching import has_x_saturating_matching
+from conftest import chain_graph, random_graph
 
 
 def brute_force_max_matching_size(g: BipartiteGraph) -> int:
@@ -79,13 +80,55 @@ def test_certificate_exactly_one_arm_and_violator_checks():
             assert cert.saturating_matching.covered_x == frozenset(range(g.nx))
 
 
-def test_kernel_twins_agree():
-    rng = random.Random(9)
-    for _ in range(100):
-        g = random_graph(rng, rng.randint(0, 8), rng.randint(0, 8), 0.3)
-        indptr, indices = _csr(g)
-        assert match_x_array(g) == _matchpy.max_matching_csr(g.nx, g.ny, indptr, indices)
+def sparse_random_graphs(seed: int, count: int):
+    """Seeded random graphs with up to 300 vertices per side and mixed density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nx, ny = rng.randint(0, 300), rng.randint(0, 300)
+        degree = rng.choice((1, 2, 3, 5))
+        edges = [(x, rng.randrange(ny)) for x in range(nx) for _ in range(degree)] if ny else []
+        yield BipartiteGraph.from_edges(nx, ny, edges)
 
 
-def test_active_kernel_named():
-    assert ACTIVE_KERNEL in ("cython", "python")
+def test_max_matching_size_matches_networkx():
+    nxb = pytest.importorskip("networkx.algorithms.bipartite")
+    import networkx
+    for g in sparse_random_graphs(9, 30):
+        m = max_matching(g)
+        assert m.covered_x <= frozenset(range(g.nx))
+        assert all(g.has_edge(x, y) for x, y in m.edges)
+        h = networkx.Graph()
+        h.add_nodes_from(("x", x) for x in range(g.nx))
+        h.add_nodes_from(("y", y) for y in range(g.ny))
+        h.add_edges_from((("x", x), ("y", y)) for x, y in g.edges())
+        oracle = nxb.hopcroft_karp_matching(h, top_nodes=[("x", x) for x in range(g.nx)])
+        assert 2 * len(m) == len(oracle)
+
+
+def test_max_matching_size_matches_scipy():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    for g in sparse_random_graphs(10, 30):
+        if g.nx == 0 or g.ny == 0:
+            continue
+        rows = [x for x, _ in g.edges()]
+        cols = [y for _, y in g.edges()]
+        biadj = sparse.csr_matrix(([1] * len(rows), (rows, cols)), shape=(g.nx, g.ny))
+        oracle = csgraph.maximum_bipartite_matching(biadj, perm_type="column")
+        assert len(max_matching(g)) == int((oracle != -1).sum())
+
+
+def test_chain_of_100000_matched_without_recursion():
+    n = 100_000
+    m = max_matching(chain_graph(n))
+    assert len(m) == n
+
+
+def test_single_augmenting_path_through_100000_vertices():
+    # xi:{yi, y(i+1)} for i < n-1 and x(n-1):{y0}: the greedy start matches
+    # xi-yi, leaving one augmenting path of length 2n-1 for x(n-1)
+    n = 100_000
+    edges = [e for i in range(n - 1) for e in ((i, i), (i, i + 1))] + [(n - 1, 0)]
+    g = BipartiteGraph.from_edges(n, n, edges)
+    assert has_x_saturating_matching(g)
+    assert len(max_matching(g)) == n

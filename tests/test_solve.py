@@ -70,6 +70,23 @@ def test_bounded_cap_enforced():
         solve_bounded_s(inst, cap=8)
 
 
+def test_bounded_hall_precheck_answers_before_any_step():
+    g = validate_graph(12, 11, [(x, y) for x in range(12) for y in range(11)])
+    inst = SdmInstance.make(g, range(8))
+    assert solve_bounded_s(inst, budget=0) is None
+    assert solve_exact(inst, budget=0) is None
+
+
+def test_bounded_budget_exhausted():
+    g = validate_graph(12, 12, [(x, y) for x in range(12) for y in range(12)])
+    inst = SdmInstance.make(g, range(8))
+    with pytest.raises(BudgetExhausted):
+        solve_bounded_s(inst, budget=5)
+    with pytest.raises(BudgetExhausted):
+        solve(inst, budget=5)
+    assert verify_spair(inst, solve_bounded_s(inst))[0]
+
+
 def test_exact_c8(c8_gadget):
     inst, _ = c8_gadget
     spair = solve_exact(inst)
