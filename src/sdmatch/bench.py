@@ -6,12 +6,7 @@ import random
 import time
 from typing import IO, Callable
 
-from .graph import BipartiteGraph, SdmInstance
-
-
-def _random_graph(rng: random.Random, nx: int, ny: int, density: float) -> BipartiteGraph:
-    edges = [(x, y) for x in range(nx) for y in range(ny) if rng.random() < density]
-    return BipartiteGraph.from_edges(nx, ny, edges)
+from .graph import SdmInstance, random_graph
 
 
 def _time(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -30,7 +25,7 @@ def _bench_solvers(out: IO[str]) -> None:
     rng = random.Random(7)
     out.write(f"{'workload':<32} {'ms':>10}\n")
 
-    graphs = [_random_graph(rng, 5, 5, 0.6) for _ in range(50)]
+    graphs = [random_graph(rng, 5, 5, 0.6) for _ in range(50)]
 
     def oracle_sweep() -> None:
         for g in graphs:

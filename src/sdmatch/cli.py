@@ -7,6 +7,7 @@ Exit codes: 0 = yes/valid/holds, 1 = no/invalid/violated, 2 = error,
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import traceback
@@ -55,7 +56,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lebensold", help="k disjoint saturating matchings")
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--subset-limit", type=int, default=20)
 
     p = sub.add_parser("reduce-3sat", help="reduce a DIMACS CNF to SDM")
     p.add_argument("cnf")
@@ -125,15 +125,13 @@ def _cmd_verify(args, out: IO[str]) -> int:
 def _cmd_lebensold(args, out: IO[str]) -> int:
     instance = _load_instance(args.graph)
     g = instance.graph
-    verdict = lmod.lebensold_condition(g, args.k, args.subset_limit)
+    verdict = lmod.lebensold_condition(g, args.k)
     if not verdict.holds:
         witness = " ".join(str(x + 1) for x in verdict.violating_set)
         out.write(f"VIOLATED {witness}\n")
         return EXIT_NO
     out.write("HOLDS\n")
-    matchings = lmod.k_disjoint_saturating(g, args.k)
-    if matchings is None:
-        raise _CliError("internal: condition holds but construction failed")
+    matchings = lmod.k_disjoint_saturating(g, args.k, verdict)
     for idx, m in enumerate(matchings, start=1):
         out.write(gmod._format_matching_line(f"M{idx}", m) + "\n")
     return EXIT_YES
@@ -193,11 +191,9 @@ def generate_instance(nx: int, ny: int, density: float,
     if not 0 <= s_size <= nx:
         raise ValueError("s-size must lie in [0, nx]")
     rng = random.Random(seed)
-    edges = [
-        (x, y) for x in range(nx) for y in range(ny) if rng.random() < density
-    ]
+    graph = gmod.random_graph(rng, nx, ny, density)
     s_set = sorted(rng.sample(range(nx), s_size))
-    return SdmInstance.make(gmod.BipartiteGraph.from_edges(nx, ny, edges), s_set)
+    return SdmInstance.make(graph, s_set)
 
 
 def _cmd_gen(args, out: IO[str]) -> int:
@@ -247,6 +243,8 @@ def run(argv: Sequence[str], stdin: Optional[IO[str]] = None,
     except (_CliError, FormatError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except BrokenPipeError:  # the reader closed stdout, e.g. `| head`
+        return EXIT_ERROR
     except Exception as exc:  # a crash must never read as "no"
         err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         traceback.print_exc(file=err)
@@ -254,7 +252,15 @@ def run(argv: Sequence[str], stdin: Optional[IO[str]] = None,
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left for the closed pipe would fail again at exit and print
+        # "Exception ignored"; hand it to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -96,6 +96,21 @@ class _MaxFlow:
                 return total
             total += self._blocking_flow(s, t, level)
 
+    def reachable(self, s: int) -> list[bool]:
+        """Nodes reachable from s along arcs with residual capacity; after
+        ``run(s, t)`` they form the source side of a minimum s-t cut."""
+        head, cap, out = self.head, self.cap, self.out
+        seen = [False] * self.n
+        seen[s] = True
+        queue = [s]
+        for u in queue:
+            for idx in out[u]:
+                v = head[idx]
+                if cap[idx] > 0 and not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        return seen
+
     def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
         head, cap, out = self.head, self.cap, self.out
         ptr = [0] * self.n

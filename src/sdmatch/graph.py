@@ -7,6 +7,7 @@ Indices are 0-based in memory and 1-based in the text format.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -77,6 +78,13 @@ class BipartiteGraph:
         return BipartiteGraph.from_edges(
             self.nx, self.ny, (e for e in self.edges() if e not in gone)
         )
+
+
+def random_graph(rng: random.Random, nx: int, ny: int, density: float) -> BipartiteGraph:
+    """Each of the nx*ny edges independently with probability density, drawn
+    in (x, y) order, so one seed always gives the same graph."""
+    edges = [(x, y) for x in range(nx) for y in range(ny) if rng.random() < density]
+    return BipartiteGraph.from_edges(nx, ny, edges)
 
 
 def validate_graph(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:

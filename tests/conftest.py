@@ -1,15 +1,10 @@
 import itertools
-import random
 
 import pytest
 
 from sdmatch import BipartiteGraph, SdmInstance
+from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.reductions import GadgetMap
-
-
-def random_graph(rng: random.Random, nx: int, ny: int, density: float = 0.5) -> BipartiteGraph:
-    edges = [(x, y) for x in range(nx) for y in range(ny) if rng.random() < density]
-    return BipartiteGraph.from_edges(nx, ny, edges)
 
 
 def chain_graph(n: int) -> BipartiteGraph:
@@ -50,6 +45,17 @@ def brute_force_spair_presence(graph: BipartiteGraph, s_set) -> bool:
             if not (m1 & m2) and want_s <= x2:
                 return True
     return False
+
+
+def lebensold_brute_force(graph: BipartiteGraph, k: int) -> bool:
+    """Independent oracle: Lebensold's condition sum_y min(k, |N(y) & W|) >=
+    k|W|, checked over all 2^|X| subsets W."""
+    for mask in range(1 << graph.nx):
+        total = sum(min(k, sum(1 for x in graph.y_adj[y] if mask >> x & 1))
+                    for y in range(graph.ny))
+        if total < k * bin(mask).count("1"):
+            return False
+    return True
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from sdmatch.solve import (
     solve_exact,
     solve_poly_large_s,
 )
-from conftest import all_graphs_3x3, all_s_subsets, random_graph
+from conftest import all_graphs_3x3, all_s_subsets, lebensold_brute_force, random_graph
 
 
 def report(name: str, ok: bool, started: float) -> None:
@@ -84,14 +84,17 @@ def test_criterion_3_lebensold_equivalence():
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 5), rng.randint(1, 5), rng.random())
         for k in (1, 2, 3):
-            holds = lebensold_condition(g, k).holds
-            if holds != (k_disjoint_saturating(g, k) is not None):
+            expected = lebensold_brute_force(g, k)
+            if lebensold_condition(g, k).holds != expected:
+                ok = False
+            if (k_disjoint_saturating(g, k) is not None) != expected:
                 ok = False
         hall = x_saturating_certificate(g).saturating_matching is not None
-        if hall != lebensold_condition(g, 1).holds:
+        if hall != lebensold_brute_force(g, 1):
             ok = False
     ok = ok and time.time() - started < 30
-    report("criterion 3: counting condition matches construction, k=1..3", ok, started)
+    report("criterion 3: counting condition and construction match brute force, k=1..3",
+           ok, started)
 
 
 def test_criterion_4_sat_round_trip():

@@ -1,8 +1,14 @@
 import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sdmatch import SdmInstance, parse_instance, serialize_instance, validate_graph
+import sdmatch
+from sdmatch import SdmInstance, is_matching, parse_instance, serialize_instance, validate_graph
 from sdmatch.cli import run
 from sdmatch.reductions import GadgetMap
 from conftest import chain_graph
@@ -91,6 +97,27 @@ def test_lebensold_violated(tmp_path):
     assert out == "VIOLATED 1 2\n"
 
 
+def test_lebensold_k4_on_150_x_vertices(tmp_path):
+    # a 2^|X| check could not run at this size; the flow route answers
+    rng = random.Random(5)
+    g = validate_graph(150, 225, [(x, y) for x in range(150) for y in rng.sample(range(225), 8)])
+    path = write(tmp_path, "roomy.sdm", serialize_instance(SdmInstance.make(g, [])))
+    code, out, _ = invoke(["lebensold", path, "-k", "4"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "HOLDS" and len(lines) == 5
+    seen = set()
+    for idx, line in enumerate(lines[1:], start=1):
+        label, *pairs = line.split()
+        assert label == f"M{idx}"
+        edges = {(int(a) - 1, int(b) - 1) for a, b in (p.split(":") for p in pairs)}
+        assert is_matching(g, edges)
+        assert {x for x, _ in edges} == set(range(150))
+        assert not (edges & seen)
+        seen |= edges
+    assert invoke(["lebensold", path, "-k", "4"])[1] == out
+
+
 def test_gen_reproducible():
     code1, out1, _ = invoke(["gen", "--nx", "5", "--ny", "5", "--seed", "7", "--s-size", "2"])
     code2, out2, _ = invoke(["gen", "--nx", "5", "--ny", "5", "--seed", "7", "--s-size", "2"])
@@ -98,6 +125,17 @@ def test_gen_reproducible():
     assert out1 == out2
     assert out1.startswith("c seed 7\n")
     parse_instance("\n".join(out1.splitlines()[1:]) + "\n")
+
+
+def test_gen_output_pinned():
+    code, out, _ = invoke(["gen", "--nx", "5", "--ny", "5", "--density", "0.6",
+                           "--s-size", "2", "--seed", "99"])
+    assert code == 0
+    assert out == (
+        "c seed 99\np sdm 5 5 15\n"
+        "e 1 1\ne 1 2\ne 1 3\ne 1 4\ne 2 1\ne 2 2\ne 2 4\ne 3 1\n"
+        "e 3 2\ne 3 4\ne 4 1\ne 4 2\ne 4 4\ne 5 2\ne 5 4\ns 3 4\n"
+    )
 
 
 def test_pipeline_3sat_solve_decode(tmp_path):
@@ -218,3 +256,36 @@ def test_keyboard_interrupt_propagates(tmp_path, monkeypatch):
     path = write(tmp_path, "c8.sdm", c8_instance_text())
     with pytest.raises(KeyboardInterrupt):
         invoke(["solve", path])
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    err = io.StringIO()
+    assert run(["solve", path], stdout=ClosedPipe(), stderr=err) == 2
+    assert "Traceback" not in err.getvalue()
+    assert "internal" not in err.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    c8_instance_text(),  # output stays buffered until main() flushes it
+    serialize_instance(SdmInstance.make(chain_graph(1500), [])),  # a write inside run() fails
+])
+def test_main_on_closed_pipe_is_quiet(tmp_path, text):
+    path = write(tmp_path, "i.sdm", text)
+    src = str(Path(sdmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as it is for users
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sdmatch.cli", "solve", path],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""

@@ -101,7 +101,7 @@ def test_verify_spair_star():
 def test_serialization_round_trip_random():
     rng = random.Random(13)
     for _ in range(100):
-        g = random_graph(rng, rng.randint(0, 6), rng.randint(0, 6))
+        g = random_graph(rng, rng.randint(0, 6), rng.randint(0, 6), 0.5)
         s_size = rng.randint(0, g.nx)
         inst = SdmInstance.make(g, rng.sample(range(g.nx), s_size))
         assert parse_instance(serialize_instance(inst)) == inst

@@ -9,7 +9,7 @@ from sdmatch import (
     validate_graph,
     x_saturating_certificate,
 )
-from conftest import random_graph
+from conftest import lebensold_brute_force, random_graph
 
 
 def k22():
@@ -23,6 +23,7 @@ def test_k1_equals_hall():
         verdict = lebensold_condition(g, 1)
         cert = x_saturating_certificate(g)
         assert verdict.holds == (cert.saturating_matching is not None)
+        assert verdict.holds == lebensold_brute_force(g, 1)
 
 
 def test_c8_two_disjoint_matchings(c8_gadget):
@@ -59,20 +60,11 @@ def test_equivalence_random():
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
         for k in (1, 2, 3):
+            expected = lebensold_brute_force(g, k)
             verdict = lebensold_condition(g, k)
-            matchings = k_disjoint_saturating(g, k)
-            assert verdict.holds == (matchings is not None)
-            if matchings is not None:
-                degree = {}
-                seen = set()
-                for m in matchings:
-                    assert is_matching(g, m.edges)
-                    assert m.covered_x == frozenset(range(g.nx))
-                    assert not (m.edge_set & seen)
-                    seen |= m.edge_set
-                    for e in m.edges:
-                        degree[e[0]] = degree.get(e[0], 0) + 1
-                assert all(d <= k for d in degree.values())
+            assert verdict.holds == expected
+            assert (k_disjoint_saturating(g, k) is not None) == expected
+            assert_verdict_certified(g, k, verdict)
 
 
 def test_violating_set_certified():
@@ -89,15 +81,82 @@ def test_monotonicity_in_k():
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 5), rng.randint(1, 5), 0.6)
         holds = [lebensold_condition(g, k).holds for k in (1, 2, 3)]
+        assert holds == [lebensold_brute_force(g, k) for k in (1, 2, 3)]
         for lo, hi in ((0, 1), (1, 2)):
             if holds[hi]:
                 assert holds[lo]
 
 
-def test_subset_limit_enforced():
-    g = random_graph(random.Random(0), 21, 3, 0.2)
-    with pytest.raises(ValueError, match="subset limit"):
-        lebensold_condition(g, 1)
+def deficit(graph, k, w):
+    """k|W| - sum_y min(k, |N(y) & W|), counted from the X-side lists."""
+    hits = [0] * graph.ny
+    for x in set(w):
+        for y in graph.adj[x]:
+            hits[y] += 1
+    return k * len(set(w)) - sum(min(k, h) for h in hits)
+
+
+def assert_verdict_certified(g, k, verdict):
+    """A "no" carries a nonempty W inside X with positive deficit; a "yes"
+    yields k pairwise disjoint X-saturating matchings."""
+    if verdict.holds:
+        matchings = k_disjoint_saturating(g, k, verdict)
+        assert len(matchings) == k
+        seen = set()
+        for m in matchings:
+            assert is_matching(g, m.edges)
+            assert m.covered_x == frozenset(range(g.nx))
+            assert not (m.edge_set & seen)
+            seen |= m.edge_set
+    else:
+        w = verdict.violating_set
+        assert w and len(set(w)) == len(w)
+        assert all(0 <= x < g.nx for x in w)
+        assert deficit(g, k, w) > 0
+
+
+def test_every_witness_has_positive_deficit():
+    rng = random.Random(24)
+    violated = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 7), rng.randint(1, 7), rng.random())
+        for k in (1, 2, 3):
+            verdict = lebensold_condition(g, k)
+            violated += not verdict.holds
+            assert_verdict_certified(g, k, verdict)
+    assert violated > 100
+
+
+def d_out_graph(rng, nx, ny, d):
+    """Each X vertex gets d distinct random neighbours."""
+    return validate_graph(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
+
+
+def flow_value_networkx(g, k):
+    nx_mod = pytest.importorskip("networkx")
+    net = nx_mod.DiGraph()
+    for x in range(g.nx):
+        net.add_edge("s", ("x", x), capacity=k)
+    for x, y in g.edges():
+        net.add_edge(("x", x), ("y", y), capacity=1)
+    for y in range(g.ny):
+        net.add_edge(("y", y), "t", capacity=k)
+    return nx_mod.maximum_flow_value(net, "s", "t")
+
+
+def test_lebensold_above_old_subset_limit():
+    rng = random.Random(25)
+    outcomes = set()
+    for nx in (21, 60, 150):
+        for k in (2, 3, 4):
+            # roomy: |Y| = 1.5|X|, degree 2k; tight: |Y| = |X|, degree k+1
+            for ny, d in ((nx * 3 // 2, 2 * k), (nx, k + 1)):
+                g = d_out_graph(rng, nx, ny, d)
+                verdict = lebensold_condition(g, k)
+                assert verdict.holds == (flow_value_networkx(g, k) == k * nx)
+                assert_verdict_certified(g, k, verdict)
+                outcomes.add(verdict.holds)
+    assert outcomes == {True, False}
 
 
 def test_k_must_be_positive():

@@ -46,7 +46,7 @@ def test_maximum_against_brute_force():
 def test_determinism_under_reserialization():
     rng = random.Random(6)
     for _ in range(50):
-        g = random_graph(rng, 5, 5)
+        g = random_graph(rng, 5, 5, 0.5)
         g2 = BipartiteGraph.from_edges(g.nx, g.ny, reversed(g.edges()))
         assert max_matching(g) == max_matching(g2)
 
