@@ -12,7 +12,6 @@ from .graph import (
     parse_solution,
     serialize_instance,
     serialize_solution,
-    validate_graph,
     verify_spair,
 )
 from .matching import HallCertificate, max_matching, x_saturating_certificate

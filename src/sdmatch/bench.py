@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from typing import IO, Callable
 
-from .graph import SdmInstance, random_graph
+from .graph import BipartiteGraph, SdmInstance, random_graph
 
 
 def _time(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -20,6 +21,7 @@ def _time(fn: Callable[[], object], repeats: int = 3) -> float:
 
 def _bench_solvers(out: IO[str]) -> None:
     from .lebensold import k_disjoint_saturating, lebensold_condition
+    from .reductions import CnfFormula, GadgetMap, reduce_3sat_to_sdm
     from .solve import count_spairs_exact, solve
 
     rng = random.Random(7)
@@ -42,9 +44,24 @@ def _bench_solvers(out: IO[str]) -> None:
         for g in graphs:
             solve(SdmInstance.make(g, range(g.nx - 1, g.nx)))
 
+    # the exact search: the C8 variable gadget, and the 8 formulas that each
+    # take 7 of the 8 full clauses over 3 variables (ExactBacktrack, |X| = 49)
+    gm = GadgetMap(2, 1)
+    c8 = SdmInstance.make(
+        BipartiteGraph.from_edges(4, 4, [gm.cycle_edge(1, j) for j in range(1, 9)]),
+        [gm.cycle_x(1, j) for j in (2, 6)])
+    clauses = list(itertools.product((1, -1), (2, -2), (3, -3)))
+    reduced = [reduce_3sat_to_sdm(CnfFormula.make(3, chosen))[0]
+               for chosen in itertools.combinations(clauses, 7)]
+
+    def search_sweep() -> None:
+        for instance in [c8] + reduced:
+            solve(instance)
+
     for name, fn in [("oracle count, 50 graphs", oracle_sweep),
                      ("lebensold k=1..3, 50 graphs", lebensold_sweep),
-                     ("solve dispatch, 50 graphs", dispatch_sweep)]:
+                     ("solve dispatch, 50 graphs", dispatch_sweep),
+                     ("exact search, C8 + 8 formulas", search_sweep)]:
         out.write(f"{name:<32} {_time(fn, repeats=1) * 1e3:10.2f}\n")
 
 

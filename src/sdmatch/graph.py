@@ -87,11 +87,6 @@ def random_graph(rng: random.Random, nx: int, ny: int, density: float) -> Bipart
     return BipartiteGraph.from_edges(nx, ny, edges)
 
 
-def validate_graph(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-    """Canonicalize a raw edge list into a BipartiteGraph (alias helper)."""
-    return BipartiteGraph.from_edges(nx, ny, edges)
-
-
 @dataclass(frozen=True)
 class Matching:
     """A set of pairwise endpoint-disjoint edges, stored sorted by x."""

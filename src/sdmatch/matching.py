@@ -6,6 +6,9 @@ layers X from the free X vertices and a DFS, with an explicit stack and one
 arc pointer per X vertex, that augments along shortest alternating paths.
 Nothing recurses, so path length is bounded by memory, not by the Python
 stack. Scan orders are fixed, so the matching is deterministic.
+
+`rematch` is the incremental step of the exact search: after one matched
+edge leaves the graph, a single alternating BFS repairs the matching.
 """
 
 from __future__ import annotations
@@ -99,6 +102,42 @@ def _hopcroft_karp(nx: int, ny: int, indptr: list[int], indices: list[int]) -> l
                     break
         free = [x for x in free if match_x[x] == -1]
     return match_x
+
+
+def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
+            match_y: list[int], banned_y: list[int]) -> bool:
+    """Drop x0's matched edge and re-saturate x0 by one augmenting path.
+
+    The residual graph is adj less the edge (x, banned_y[x]) of each x
+    (-1 bans nothing), and banned_y[x0] must be x0's current mate. If the
+    matching saturated X before, the residual has an X-saturating matching
+    exactly when one alternating BFS from the freed x0 finds a free Y vertex
+    (Berge 1957). Then the path is flipped into match_x/match_y and True is
+    returned; otherwise the matching is left as it was and False is returned.
+    """
+    y0 = match_x[x0]
+    match_x[x0] = match_y[y0] = -1
+    via = {x0: -1}  # X vertex -> the X vertex whose BFS scan reached it
+    queue = [x0]
+    for x in queue:
+        banned = banned_y[x]
+        for y in adj[x]:
+            if y == banned:
+                continue
+            x2 = match_y[y]
+            if x2 == -1:
+                # flip: each x on the path takes the Y vertex it reached next
+                while x != -1:
+                    y_prev = match_x[x]
+                    match_x[x] = y
+                    match_y[y] = x
+                    x, y = via[x], y_prev
+                return True
+            if x2 not in via:
+                via[x2] = x
+                queue.append(x2)
+    match_x[x0], match_y[y0] = y0, x0
+    return False
 
 
 def match_x_array(graph: BipartiteGraph) -> list[int]:

@@ -1,9 +1,14 @@
 """SDM decision and construction algorithms.
 
-Three routes: the polynomial factor-and-color algorithm for |S| >= |X|-1,
-injective-partner enumeration for small S, and pruned exact backtracking for
-the general (NP-hard) case. An exhaustive pair counter and an exact solver
-for the two-graph variant serve as oracles for cross-checks.
+Two algorithms behind three labels. |S| >= |X|-1 takes the polynomial
+factor-and-color algorithm (PolyLargeS). Every smaller S takes one exact
+search, labelled BoundedS when |S| is within the cap and ExactBacktrack
+otherwise (the general case is NP-hard). The search picks the M2 partner of
+each S vertex in turn, depth first with an explicit stack, and keeps one
+X-saturating matching of the residual graph G - M2: a pick that removes a
+matched edge is repaired by a single augmenting path, or pruned when there is
+none. An exhaustive pair counter and an exact solver for the two-graph
+variant serve as oracles for cross-checks.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional
 from .coloring import two_color_with_anchor
 from .flow import DegreeBounds, gf_factor
 from .graph import BipartiteGraph, DmInstance, Matching, SdmInstance, SPair
-from .matching import has_x_saturating_matching, max_matching
+from .matching import max_matching, rematch
 
 DEFAULT_BOUNDED_S_CAP = 8
 DEFAULT_COUNT_EDGE_LIMIT = 16
@@ -79,34 +84,27 @@ def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
     return SPair(coloring.color_class(1), coloring.color_class(2))
 
 
-def _complete_m1(graph: BipartiteGraph, m2_edges: list[tuple[int, int]]) -> Optional[Matching]:
-    residual = graph.without_edges(m2_edges)
-    m1 = max_matching(residual)
-    return m1 if len(m1) == graph.nx else None
-
-
 def solve_bounded_s(instance: SdmInstance, cap: int = DEFAULT_BOUNDED_S_CAP,
                     budget: Optional[int] = None) -> Optional[SPair]:
-    """Enumerate injective S -> Y partner choices; check the residual for M1.
+    """The exact search, for |S| <= cap.
 
     Raises BudgetExhausted after `budget` search steps (distinct from "no").
     """
     s = instance.s_set
     if len(s) > cap:
         raise ValueError(f"|S|={len(s)} exceeds bounded-S cap {cap}")
-    return _search_m2(instance, prune=False, budget=budget)
+    return _search_m2(instance, budget)
 
 
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:
-    """Complete backtracking with Hall-certificate pruning on the residual.
+    """The exact search, for any S.
 
     Raises BudgetExhausted after `budget` search steps (distinct from "no").
     """
-    return _search_m2(instance, prune=True, budget=budget)
+    return _search_m2(instance, budget)
 
 
-def _search_m2(instance: SdmInstance, prune: bool,
-               budget: Optional[int]) -> Optional[SPair]:
+def _search_m2(instance: SdmInstance, budget: Optional[int]) -> Optional[SPair]:
     g = instance.graph
     s = instance.s_set
     # Hall pre-check: without an X-saturating matching of G there is no M1;
@@ -116,39 +114,60 @@ def _search_m2(instance: SdmInstance, prune: bool,
         return None
     if not s:
         return SPair(m1, Matching(()))
-    chosen: list[tuple[int, int]] = []
-    used_y: set[int] = set()
-    steps = [0]
+    adj = g.adj
+    match_x = [-1] * g.nx
+    match_y = [-1] * g.ny
+    for x, y in m1.edges:
+        match_x[x] = y
+        match_y[y] = x
+    m2_y = [-1] * g.nx  # the M2 partner chosen for x, -1 if none yet
+    used_y = [False] * g.ny
+    steps = 0
 
     def step() -> None:
-        steps[0] += 1
-        if budget is not None and steps[0] > budget:
+        nonlocal steps
+        steps += 1
+        if budget is not None and steps > budget:
             raise BudgetExhausted(f"step budget {budget} exhausted")
 
-    def recurse(i: int) -> Optional[SPair]:
-        step()
-        if prune and chosen:
-            if not has_x_saturating_matching(g.without_edges(chosen)):
-                return None
-        if i == len(s):
-            m1 = _complete_m1(g, chosen)
-            if m1 is not None:
-                return SPair(m1, Matching.from_edges(chosen))
-            return None
+    # Depth i picks the partner of s[i]; nxt[i] is the next index into its
+    # neighbor list. Every search node costs one step, the root included.
+    # match_x/match_y stays X-saturating in G - M2: a pick that leaves it
+    # alone is free, a pick of a matched edge needs one augmenting path, and
+    # undoing a pick only puts an edge back.
+    step()
+    nxt = [0] * len(s)
+    i = 0
+    while i >= 0:
         x = s[i]
-        for y in g.adj[x]:
-            if y in used_y:
+        y = m2_y[x]
+        if y != -1:  # back from the subtree of this pick: undo it
+            m2_y[x] = -1
+            used_y[y] = False
+        neighbors = adj[x]
+        while nxt[i] < len(neighbors):
+            y = neighbors[nxt[i]]
+            nxt[i] += 1
+            if used_y[y]:
                 continue
-            chosen.append((x, y))
-            used_y.add(y)
-            result = recurse(i + 1)
-            chosen.pop()
-            used_y.discard(y)
-            if result is not None:
-                return result
-        return None
-
-    return recurse(0)
+            m2_y[x] = y
+            used_y[y] = True
+            step()
+            if match_x[x] != y or rematch(x, adj, match_x, match_y, m2_y):
+                break
+            m2_y[x] = -1
+            used_y[y] = False
+        else:
+            i -= 1
+            continue
+        i += 1
+        if i == len(s):
+            # M1 from a fresh Hopcroft-Karp, not the repaired matching, so the
+            # output does not depend on the order of the repairs
+            chosen = [(x, m2_y[x]) for x in s]
+            return SPair(max_matching(g.without_edges(chosen)), Matching.from_edges(chosen))
+        nxt[i] = 0
+    return None
 
 
 def _saturating_matchings(graph: BipartiteGraph):
@@ -221,8 +240,8 @@ def solve_dm_exact(instance: DmInstance,
 
 def solve(instance: SdmInstance, budget: Optional[int] = None,
           bounded_cap: int = DEFAULT_BOUNDED_S_CAP) -> SolveOutcome:
-    """Dispatch: polynomial route when |S| >= |X|-1, bounded-S when S is
-    small, exact backtracking otherwise."""
+    """Dispatch: the polynomial route when |S| >= |X|-1, else the exact
+    search, labelled BoundedS when |S| <= bounded_cap."""
     nx = instance.graph.nx
     ns = len(instance.s_set)
     if ns >= nx - 1:

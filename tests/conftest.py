@@ -2,9 +2,16 @@ import itertools
 
 import pytest
 
-from sdmatch import BipartiteGraph, SdmInstance
+from sdmatch import BipartiteGraph, Matching, SdmInstance, SPair
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
+from sdmatch.matching import has_x_saturating_matching, max_matching
 from sdmatch.reductions import GadgetMap
+from sdmatch.solve import (
+    DEFAULT_BOUNDED_S_CAP,
+    BudgetExhausted,
+    Method,
+    solve_poly_large_s,
+)
 
 
 def chain_graph(n: int) -> BipartiteGraph:
@@ -56,6 +63,61 @@ def lebensold_brute_force(graph: BipartiteGraph, k: int) -> bool:
         if total < k * bin(mask).count("1"):
             return False
     return True
+
+
+def reference_search(instance: SdmInstance, prune: bool, budget=None):
+    """Reference for the exact search: the recursive search that copies the
+    residual graph and reruns a full matching at every node. With prune it
+    checks every non-root node (ExactBacktrack), without it only the leaves
+    (BoundedS). Same step count per node and same budget rule."""
+    g = instance.graph
+    s = instance.s_set
+    m1 = max_matching(g)
+    if len(m1) < g.nx:
+        return None
+    if not s:
+        return SPair(m1, Matching(()))
+    chosen: list[tuple[int, int]] = []
+    used_y: set[int] = set()
+    steps = [0]
+
+    def recurse(i: int):
+        steps[0] += 1
+        if budget is not None and steps[0] > budget:
+            raise BudgetExhausted(f"step budget {budget} exhausted")
+        if prune and chosen:
+            if not has_x_saturating_matching(g.without_edges(chosen)):
+                return None
+        if i == len(s):
+            m1 = max_matching(g.without_edges(chosen))
+            if len(m1) == g.nx:
+                return SPair(m1, Matching.from_edges(chosen))
+            return None
+        x = s[i]
+        for y in g.adj[x]:
+            if y in used_y:
+                continue
+            chosen.append((x, y))
+            used_y.add(y)
+            result = recurse(i + 1)
+            chosen.pop()
+            used_y.discard(y)
+            if result is not None:
+                return result
+        return None
+
+    return recurse(0)
+
+
+def reference_solve(instance: SdmInstance, budget=None,
+                    bounded_cap: int = DEFAULT_BOUNDED_S_CAP):
+    """`solve` dispatch over `reference_search`: (method, spair)."""
+    nx, ns = instance.graph.nx, len(instance.s_set)
+    if ns >= nx - 1:
+        return Method.POLY_LARGE_S, solve_poly_large_s(instance)
+    if ns <= bounded_cap:
+        return Method.BOUNDED_S, reference_search(instance, False, budget)
+    return Method.EXACT_BACKTRACK, reference_search(instance, True, budget)
 
 
 @pytest.fixture

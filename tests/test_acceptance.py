@@ -18,7 +18,6 @@ from sdmatch import (
     reduce_3sat_to_sdm,
     reduce_sdm_to_dm,
     true_false_pairs,
-    validate_graph,
     verify_spair,
     x_saturating_certificate,
 )

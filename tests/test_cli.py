@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sdmatch
-from sdmatch import SdmInstance, is_matching, parse_instance, serialize_instance, validate_graph
+from sdmatch import BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance
 from sdmatch.cli import run
 from sdmatch.reductions import GadgetMap
 from conftest import chain_graph
@@ -29,7 +29,7 @@ def write(tmp_path, name, text):
 def c8_instance_text():
     gm = GadgetMap(2, 1)
     edges = [gm.cycle_edge(1, j) for j in range(1, 9)]
-    g = validate_graph(4, 4, edges)
+    g = BipartiteGraph.from_edges(4, 4, edges)
     s_set = [gm.cycle_x(1, j) for j in (2, 6)]
     return serialize_instance(SdmInstance.make(g, s_set))
 
@@ -50,7 +50,7 @@ def test_solve_single_edge_no(tmp_path):
 
 def test_solve_budget_exhausted(tmp_path):
     # force the exact route with a tiny budget
-    g = validate_graph(12, 12, [(x, y) for x in range(12) for y in range(12)])
+    g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
     inst = SdmInstance.make(g, range(10))
     path = write(tmp_path, "big.sdm", serialize_instance(inst))
     code, out, _ = invoke(["solve", path, "--budget", "2"])
@@ -100,7 +100,7 @@ def test_lebensold_violated(tmp_path):
 def test_lebensold_k4_on_150_x_vertices(tmp_path):
     # a 2^|X| check could not run at this size; the flow route answers
     rng = random.Random(5)
-    g = validate_graph(150, 225, [(x, y) for x in range(150) for y in rng.sample(range(225), 8)])
+    g = BipartiteGraph.from_edges(150, 225, [(x, y) for x in range(150) for y in rng.sample(range(225), 8)])
     path = write(tmp_path, "roomy.sdm", serialize_instance(SdmInstance.make(g, [])))
     code, out, _ = invoke(["lebensold", path, "-k", "4"])
     assert code == 0
@@ -204,7 +204,7 @@ def test_bench_suites_run():
 
 
 def complete_instance(nx, ny, s_size):
-    g = validate_graph(nx, ny, [(x, y) for x in range(nx) for y in range(ny)])
+    g = BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in range(ny)])
     return serialize_instance(SdmInstance.make(g, range(s_size)))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdmatch import konig_color, two_color_with_anchor, validate_graph
+from sdmatch import konig_color, two_color_with_anchor
 from sdmatch import BipartiteGraph, SdmInstance, is_matching
 from sdmatch.coloring import is_proper, max_degree
 from sdmatch.flow import gf_factor
@@ -23,7 +23,7 @@ def test_c8_cycle_two_colors(c8_gadget):
 
 
 def test_star_k13_three_colors():
-    g = validate_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)])
     coloring = konig_color(g)
     assert coloring.palette_size == 3
     assert sorted(coloring.colors.values()) == [1, 2, 3]
@@ -43,7 +43,7 @@ def test_konig_random_delta_four():
 
 
 def test_konig_edgeless():
-    g = validate_graph(3, 3, [])
+    g = BipartiteGraph.from_edges(3, 3, [])
     assert konig_color(g).palette_size == 0
 
 
@@ -61,7 +61,7 @@ def test_color_classes_are_matchings():
 
 
 def test_two_color_path():
-    g = validate_graph(1, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
     coloring = two_color_with_anchor(g)
     assert sorted(coloring.colors.values()) == [1, 2]
 
@@ -69,20 +69,20 @@ def test_two_color_path():
 def test_two_color_anchor_forced():
     # a pendant edge at x0 plus a separate 4-cycle
     edges = [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
-    g = validate_graph(3, 3, edges)
+    g = BipartiteGraph.from_edges(3, 3, edges)
     coloring = two_color_with_anchor(g, anchor_x=0)
     assert coloring.colors[(0, 0)] == 1
     assert is_proper(g, coloring)
 
 
 def test_two_color_anchor_degree_two_rejected():
-    g = validate_graph(1, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
     with pytest.raises(ValueError, match="degree 2"):
         two_color_with_anchor(g, anchor_x=0)
 
 
 def test_two_color_rejects_high_degree():
-    g = validate_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)])
     with pytest.raises(ValueError, match="max degree"):
         two_color_with_anchor(g)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdmatch import Arc, DegreeBounds, feasible_flow, gf_factor, validate_graph
+from sdmatch import Arc, BipartiteGraph, DegreeBounds, feasible_flow, gf_factor
 from sdmatch.flow import factor_degrees_ok
 from sdmatch.matching import has_x_saturating_matching
 from conftest import random_graph
@@ -24,7 +24,7 @@ def brute_force_factor_exists(g, gx, fx, gy, fy):
 
 
 def k22():
-    return validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    return BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def test_single_arc_zero_flow():
@@ -76,7 +76,7 @@ def test_unit_bounds_match_saturating_matching():
 
 
 def test_spair_factor_bounds_single_edge_infeasible():
-    g = validate_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
     bounds = DegreeBounds.make([2], [2], [0], [2])
     assert gf_factor(g, bounds) is None
 

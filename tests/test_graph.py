@@ -13,31 +13,30 @@ from sdmatch import (
     parse_solution,
     serialize_instance,
     serialize_solution,
-    validate_graph,
     verify_spair,
 )
 from conftest import random_graph
 
 
 def test_validate_empty_graph():
-    g = validate_graph(1, 1, [])
+    g = BipartiteGraph.from_edges(1, 1, [])
     assert g.num_edges() == 0
 
 
 def test_validate_dedupes():
-    g = validate_graph(2, 2, [(0, 0), (0, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 0), (1, 1)])
     assert g.edge_set == {(0, 0), (1, 1)}
 
 
 def test_validate_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        validate_graph(1, 1, [(0, 5)])
+        BipartiteGraph.from_edges(1, 1, [(0, 5)])
     with pytest.raises(ValueError, match="negative"):
-        validate_graph(-1, 1, [])
+        BipartiteGraph.from_edges(-1, 1, [])
 
 
 def test_adjacency_sorted_and_symmetric():
-    g = validate_graph(2, 3, [(0, 2), (0, 0), (1, 1), (0, 1)])
+    g = BipartiteGraph.from_edges(2, 3, [(0, 2), (0, 0), (1, 1), (0, 1)])
     assert g.adj[0] == (0, 1, 2)
     for x in range(g.nx):
         for y in g.adj[x]:
@@ -54,17 +53,17 @@ def test_is_matching_c8(c8_gadget):
 
 
 def test_is_matching_shared_endpoint():
-    g = validate_graph(1, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
     assert not is_matching(g, [(0, 0), (0, 1)])
 
 
 def test_is_matching_k22_perfect():
-    g = validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert is_matching(g, [(0, 0), (1, 1)])
 
 
 def test_is_matching_edge_not_in_graph():
-    g = validate_graph(2, 2, [(0, 0)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0)])
     assert not is_matching(g, [(1, 1)])
 
 
@@ -82,7 +81,7 @@ def test_verify_spair_true_pair(c8_gadget):
 
 
 def test_verify_spair_not_disjoint():
-    g = validate_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
     inst = SdmInstance.make(g, [0])
     m = Matching.from_edges([(0, 0)])
     ok, why = verify_spair(inst, SPair(m, m))
@@ -91,7 +90,7 @@ def test_verify_spair_not_disjoint():
 
 
 def test_verify_spair_star():
-    g = validate_graph(1, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
     inst = SdmInstance.make(g, [0])
     pair = SPair(Matching.from_edges([(0, 0)]), Matching.from_edges([(0, 1)]))
     ok, _ = verify_spair(inst, pair)
@@ -108,8 +107,8 @@ def test_serialization_round_trip_random():
 
 
 def test_canonical_serialization():
-    a = validate_graph(2, 2, [(1, 1), (0, 0), (0, 0)])
-    b = validate_graph(2, 2, [(0, 0), (1, 1)])
+    a = BipartiteGraph.from_edges(2, 2, [(1, 1), (0, 0), (0, 0)])
+    b = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
     assert serialize_instance(SdmInstance(a, ())) == serialize_instance(SdmInstance(b, ()))
 
 

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from sdmatch import (
+    BipartiteGraph,
     is_matching,
     k_disjoint_saturating,
     lebensold_condition,
-    validate_graph,
     x_saturating_certificate,
 )
 from conftest import lebensold_brute_force, random_graph
 
 
 def k22():
-    return validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    return BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def test_k1_equals_hall():
@@ -35,7 +35,7 @@ def test_c8_two_disjoint_matchings(c8_gadget):
 
 
 def test_k23_k3_holds():
-    g = validate_graph(2, 3, [(x, y) for x in range(2) for y in range(3)])
+    g = BipartiteGraph.from_edges(2, 3, [(x, y) for x in range(2) for y in range(3)])
     verdict = lebensold_condition(g, 3)
     assert verdict.holds
     # direct evaluation at S = X: sum_y min(3, 2) = 6 >= 3 * 2
@@ -50,7 +50,7 @@ def test_k22_decomposition():
 
 
 def test_single_edge_k2_absent():
-    g = validate_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
     assert k_disjoint_saturating(g, 2) is None
     assert not lebensold_condition(g, 2).holds
 
@@ -68,7 +68,7 @@ def test_equivalence_random():
 
 
 def test_violating_set_certified():
-    g = validate_graph(2, 1, [(0, 0), (1, 0)])
+    g = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
     verdict = lebensold_condition(g, 1)
     assert not verdict.holds
     w = verdict.violating_set
@@ -129,7 +129,7 @@ def test_every_witness_has_positive_deficit():
 
 def d_out_graph(rng, nx, ny, d):
     """Each X vertex gets d distinct random neighbours."""
-    return validate_graph(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
+    return BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
 
 
 def flow_value_networkx(g, k):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdmatch import BipartiteGraph, max_matching, validate_graph, x_saturating_certificate
+from sdmatch import BipartiteGraph, max_matching, x_saturating_certificate
 from sdmatch.matching import has_x_saturating_matching
 from conftest import chain_graph, random_graph
 
@@ -20,12 +20,12 @@ def brute_force_max_matching_size(g: BipartiteGraph) -> int:
 
 
 def test_empty_graph():
-    g = validate_graph(3, 3, [])
+    g = BipartiteGraph.from_edges(3, 3, [])
     assert max_matching(g).edges == ()
 
 
 def test_k22_perfect():
-    g = validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert len(max_matching(g)) == 2
 
 
@@ -52,14 +52,14 @@ def test_determinism_under_reserialization():
 
 
 def test_certificate_violator_simple():
-    g = validate_graph(2, 1, [(0, 0), (1, 0)])
+    g = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
     cert = x_saturating_certificate(g)
     assert cert.saturating_matching is None
     assert cert.violator == (0, 1)
 
 
 def test_certificate_saturating_k22():
-    g = validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     cert = x_saturating_certificate(g)
     assert cert.violator is None
     assert len(cert.saturating_matching) == 2

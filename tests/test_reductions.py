@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sdmatch import (
+    BipartiteGraph,
     CnfFormula,
     FormatError,
     SdmInstance,
@@ -17,7 +18,6 @@ from sdmatch import (
     solve_dm_exact,
     solve_exact,
     true_false_pairs,
-    validate_graph,
     verify_spair,
 )
 from sdmatch.reductions import parse_gadget_map, serialize_gadget_map
@@ -177,14 +177,14 @@ def test_gadget_map_sidecar_round_trip():
 
 
 def test_reduce_dm_edgeless():
-    g = validate_graph(3, 3, [])
+    g = BipartiteGraph.from_edges(3, 3, [])
     dm = reduce_sdm_to_dm(SdmInstance.make(g, []))
     assert dm.g1.num_edges() == 0
     assert dm.g2.num_edges() == 9
 
 
 def test_reduce_dm_keeps_s_rows():
-    g = validate_graph(3, 3, [(0, 0)])
+    g = BipartiteGraph.from_edges(3, 3, [(0, 0)])
     dm = reduce_sdm_to_dm(SdmInstance.make(g, [0]))
     assert dm.g2.adj[0] == (0,)
     assert dm.g2.adj[1] == (0, 1, 2)
@@ -192,7 +192,7 @@ def test_reduce_dm_keeps_s_rows():
 
 
 def test_reduce_dm_precondition():
-    g = validate_graph(2, 2, [(0, 0)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0)])
     with pytest.raises(ValueError, match="polynomial"):
         reduce_sdm_to_dm(SdmInstance.make(g, [0]))
 
@@ -241,7 +241,7 @@ def test_extend_builds_dm_solution():
 
 
 def test_extend_rejects_narrow_y():
-    g = validate_graph(3, 2, [(0, 0), (1, 1), (2, 0)])
+    g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 1), (2, 0)])
     inst = SdmInstance.make(g, [])
     with pytest.raises(ValueError):
         # no S-pair exists here at all, so verify fails or |Y| < |X| trips

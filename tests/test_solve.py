@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sdmatch import (
+    BipartiteGraph,
     BudgetExhausted,
     DmInstance,
     Method,
@@ -13,14 +14,13 @@ from sdmatch import (
     solve_dm_exact,
     solve_exact,
     solve_poly_large_s,
-    validate_graph,
     verify_spair,
 )
 from conftest import brute_force_spair_presence, random_graph
 
 
 def single_edge_instance(s_members=(0,)):
-    g = validate_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
     return SdmInstance.make(g, s_members)
 
 
@@ -29,7 +29,7 @@ def test_poly_single_edge_absent():
 
 
 def test_poly_star_deterministic():
-    g = validate_graph(1, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
     inst = SdmInstance.make(g, [0])
     spair = solve_poly_large_s(inst)
     assert spair.m1.edges == ((0, 0),)
@@ -47,13 +47,13 @@ def test_poly_c8_full_s(c8_gadget):
 
 
 def test_poly_precondition():
-    g = validate_graph(3, 3, [(x, y) for x in range(3) for y in range(3)])
+    g = BipartiteGraph.from_edges(3, 3, [(x, y) for x in range(3) for y in range(3)])
     with pytest.raises(ValueError, match=r"\|S\| >= \|X\|-1"):
         solve_poly_large_s(SdmInstance.make(g, [0]))
 
 
 def test_bounded_empty_s():
-    g = validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     spair = solve_bounded_s(SdmInstance.make(g, []))
     assert spair is not None
     assert spair.m2.edges == ()
@@ -71,14 +71,14 @@ def test_bounded_cap_enforced():
 
 
 def test_bounded_hall_precheck_answers_before_any_step():
-    g = validate_graph(12, 11, [(x, y) for x in range(12) for y in range(11)])
+    g = BipartiteGraph.from_edges(12, 11, [(x, y) for x in range(12) for y in range(11)])
     inst = SdmInstance.make(g, range(8))
     assert solve_bounded_s(inst, budget=0) is None
     assert solve_exact(inst, budget=0) is None
 
 
 def test_bounded_budget_exhausted():
-    g = validate_graph(12, 12, [(x, y) for x in range(12) for y in range(12)])
+    g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
     inst = SdmInstance.make(g, range(8))
     with pytest.raises(BudgetExhausted):
         solve_bounded_s(inst, budget=5)
@@ -110,7 +110,7 @@ def test_count_single_edge_empty_s():
 
 
 def test_count_k22_full_s():
-    g = validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert count_spairs_exact(SdmInstance.make(g, [0, 1])) == 2
 
 
@@ -121,7 +121,7 @@ def test_count_size_limit():
 
 
 def test_dm_k22_present():
-    g = validate_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     result = solve_dm_exact(DmInstance(g, g))
     assert result is not None
     m1, m2 = result
@@ -129,7 +129,7 @@ def test_dm_k22_present():
 
 
 def test_dm_single_matching_absent():
-    g = validate_graph(2, 2, [(0, 0), (1, 1)])
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
     assert solve_dm_exact(DmInstance(g, g)) is None
 
 
@@ -143,7 +143,7 @@ def test_dispatch_rule():
 
 
 def test_degenerate_empty_x():
-    g = validate_graph(0, 3, [])
+    g = BipartiteGraph.from_edges(0, 3, [])
     outcome = solve(SdmInstance.make(g, []))
     assert outcome.spair is not None
     assert outcome.spair.m1.edges == () and outcome.spair.m2.edges == ()
