@@ -16,7 +16,7 @@ from .graph import (
 )
 from .matching import HallCertificate, max_matching, x_saturating_certificate
 from .flow import Arc, DegreeBounds, feasible_flow, gf_factor
-from .coloring import EdgeColoring, konig_color, two_color_with_anchor
+from .coloring import EdgeColoring, konig_color
 from .lebensold import LebensoldVerdict, k_disjoint_saturating, lebensold_condition
 from .solve import (
     BudgetExhausted,
@@ -24,7 +24,6 @@ from .solve import (
     SolveOutcome,
     count_spairs_exact,
     solve,
-    solve_bounded_s,
     solve_dm_exact,
     solve_exact,
     solve_poly_large_s,

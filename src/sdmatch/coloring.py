@@ -2,8 +2,8 @@
 
 konig_color inserts edges one at a time and repairs conflicts by flipping a
 two-color alternating chain (the constructive content of the line-coloring
-theorem). two_color_with_anchor handles the max-degree-2 case by component
-traversal, with an optional X vertex whose edge is forced to color 1.
+theorem). It splits the degree factors of the polynomial S-pair route and of
+k disjoint X-saturating matchings into their matchings.
 
 Vertices are ordered globally: X vertex i has id i, Y vertex j has id nx + j.
 Color indices are 1-based.
@@ -12,7 +12,6 @@ Color indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graph import BipartiteGraph, Matching
 
@@ -86,65 +85,3 @@ def konig_color(graph: BipartiteGraph) -> EdgeColoring:
         used[u][a] = v
         used[v][a] = u
     return EdgeColoring(colors, delta)
-
-
-def two_color_with_anchor(graph: BipartiteGraph,
-                          anchor_x: Optional[int] = None) -> EdgeColoring:
-    """Proper 2-coloring of a max-degree-2 graph.
-
-    If anchor_x is given, its incident edge (if any) receives color 1; the
-    anchor must have degree at most 1.
-    """
-    if max_degree(graph) > 2:
-        raise ValueError("two_color_with_anchor requires max degree <= 2")
-    if anchor_x is not None and graph.degree_x(anchor_x) > 1:
-        raise ValueError("anchor vertex has degree 2")
-    nx = graph.nx
-    n = nx + graph.ny
-    # incident edges per global vertex
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x, y in graph.edges():
-        inc[x].append((x, y))
-        inc[nx + y].append((x, y))
-
-    colors: dict[tuple[int, int], int] = {}
-    comp_seen = [False] * n
-    palette = max_degree(graph)
-    for start in range(n):
-        if comp_seen[start] or not inc[start]:
-            continue
-        # collect the component and pick its canonical start vertex
-        stack, comp = [start], []
-        comp_seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for x, y in inc[v]:
-                for w in (x, nx + y):
-                    if not comp_seen[w]:
-                        comp_seen[w] = True
-                        stack.append(w)
-        comp.sort()
-        deg1 = [v for v in comp if len(inc[v]) == 1]
-        head = deg1[0] if deg1 else comp[0]
-        # walk the path/cycle, alternating colors from 1
-        comp_edges: list[tuple[int, int]] = []
-        cur, color = head, 1
-        done: set[tuple[int, int]] = set()
-        while True:
-            nxt_edges = [e for e in sorted(inc[cur]) if e not in done]
-            if not nxt_edges:
-                break
-            e = nxt_edges[0]
-            done.add(e)
-            colors[e] = color
-            comp_edges.append(e)
-            color = 3 - color
-            ex, ey = e
-            cur = nx + ey if cur == ex else ex
-        if anchor_x is not None and anchor_x in comp:
-            anchor_edges = inc[anchor_x]
-            if anchor_edges and colors[anchor_edges[0]] == 2:
-                for e in comp_edges:
-                    colors[e] = 3 - colors[e]
-    return EdgeColoring(colors, palette)

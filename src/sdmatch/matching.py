@@ -1,11 +1,15 @@
 """Maximum bipartite matching and Hall-condition certificates.
 
 Matchings come from Hopcroft-Karp (Dinic's algorithm on the unit-capacity
-network) over a CSR adjacency: a greedy start, then phases of a BFS that
-layers X from the free X vertices and a DFS, with an explicit stack and one
-arc pointer per X vertex, that augments along shortest alternating paths.
-Nothing recurses, so path length is bounded by memory, not by the Python
-stack. Scan orders are fixed, so the matching is deterministic.
+network) over the graph's own X-side adjacency lists: a greedy start, then
+phases of a BFS that layers X from the free X vertices and a DFS, with an
+explicit stack and one arc pointer per X vertex, that augments along shortest
+alternating paths. Nothing recurses, so path length is bounded by memory, not
+by the Python stack. Scan orders are fixed, so the matching is deterministic.
+
+When X is not saturated, the last BFS found no augmenting path, so the X
+vertices it reached form a Hall violator; the certificate reads it off
+without a search of its own.
 
 `rematch` is the incremental step of the exact search: after one matched
 edge leaves the graph, a single alternating BFS repairs the matching.
@@ -13,7 +17,6 @@ edge leaves the graph, a single alternating BFS repairs the matching.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,27 +31,26 @@ class HallCertificate:
     violator: Optional[tuple[int, ...]]
 
 
-def _csr(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
-    indptr = [0]
-    indices: list[int] = []
-    for x in range(graph.nx):
-        indices.extend(graph.adj[x])
-        indptr.append(len(indices))
-    return indptr, indices
+def _hopcroft_karp(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """Maximum matching as match_x (y index or -1), plus the alternating
+    distance of each X vertex in the last BFS (-1 where it did not reach).
 
-
-def _hopcroft_karp(nx: int, ny: int, indptr: list[int], indices: list[int]) -> list[int]:
-    """Maximum matching on a CSR adjacency; returns match_x (y index or -1)."""
+    The distances matter only when match_x leaves X unsaturated: then the
+    last BFS found no augmenting path and reached every X vertex that an
+    alternating path from a free X vertex reaches.
+    """
+    adj = graph.adj
+    nx = graph.nx
     match_x = [-1] * nx
-    match_y = [-1] * ny
+    match_y = [-1] * graph.ny
     for x in range(nx):
-        for i in range(indptr[x], indptr[x + 1]):
-            y = indices[i]
+        for y in adj[x]:
             if match_y[y] == -1:
                 match_x[x] = y
                 match_y[y] = x
                 break
     free = [x for x in range(nx) if match_x[x] == -1]
+    dist: list[int] = []
     while free:
         # BFS: layer X by alternating distance from the free X vertices and
         # stop after the first layer that reaches a free Y vertex
@@ -61,8 +63,8 @@ def _hopcroft_karp(nx: int, ny: int, indptr: list[int], indices: list[int]) -> l
             next_layer = []
             for x in layer:
                 d = dist[x] + 1
-                for i in range(indptr[x], indptr[x + 1]):
-                    x2 = match_y[indices[i]]
+                for y in adj[x]:
+                    x2 = match_y[y]
                     if x2 == -1:
                         found = True
                     elif dist[x2] == -1:
@@ -74,14 +76,15 @@ def _hopcroft_karp(nx: int, ny: int, indptr: list[int], indices: list[int]) -> l
         for x in layer:  # beyond the shortest augmenting path length
             dist[x] = -1
         # DFS: ptr[x] is the arc x is trying; a dead X vertex leaves the layers
-        ptr = indptr[:-1]
+        ptr = [0] * nx
         for root in free:
             stack = [root]
             while stack:
                 x = stack[-1]
-                i, end, d = ptr[x], indptr[x + 1], dist[x] + 1
+                neighbors = adj[x]
+                i, end, d = ptr[x], len(neighbors), dist[x] + 1
                 while i < end:
-                    x2 = match_y[indices[i]]
+                    x2 = match_y[neighbors[i]]
                     if x2 == -1 or dist[x2] == d:
                         break
                     i += 1
@@ -96,12 +99,12 @@ def _hopcroft_karp(nx: int, ny: int, indptr: list[int], indices: list[int]) -> l
                 else:
                     # augment: each stacked x takes the Y vertex of its arc
                     for x in stack:
-                        y = indices[ptr[x]]
+                        y = adj[x][ptr[x]]
                         match_x[x] = y
                         match_y[y] = x
                     break
         free = [x for x in free if match_x[x] == -1]
-    return match_x
+    return match_x, dist
 
 
 def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
@@ -140,50 +143,23 @@ def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
     return False
 
 
-def match_x_array(graph: BipartiteGraph) -> list[int]:
-    """Per-X-vertex mate array (-1 for unmatched) of a maximum matching."""
-    indptr, indices = _csr(graph)
-    return _hopcroft_karp(graph.nx, graph.ny, indptr, indices)
-
-
 def max_matching(graph: BipartiteGraph) -> Matching:
     """Deterministic maximum matching (ascending x, ascending neighbor scan)."""
-    mx = match_x_array(graph)
-    return Matching.from_edges((x, y) for x, y in enumerate(mx) if y != -1)
+    match_x, _ = _hopcroft_karp(graph)
+    return Matching.from_edges((x, y) for x, y in enumerate(match_x) if y != -1)
 
 
 def has_x_saturating_matching(graph: BipartiteGraph) -> bool:
-    return all(y != -1 for y in match_x_array(graph))
+    return -1 not in _hopcroft_karp(graph)[0]
 
 
 def x_saturating_certificate(graph: BipartiteGraph) -> HallCertificate:
-    """An X-saturating matching, or a Hall violator built from alternating paths."""
-    mx = match_x_array(graph)
-    unmatched = [x for x, y in enumerate(mx) if y == -1]
-    if not unmatched:
-        return HallCertificate(
-            Matching.from_edges((x, y) for x, y in enumerate(mx)), None
-        )
-    my = [-1] * graph.ny
-    for x, y in enumerate(mx):
-        if y != -1:
-            my[y] = x
-    # X vertices reachable from the lowest unmatched one by alternating paths:
-    # unmatched edge into Y, matched edge back into X.
-    root = unmatched[0]
-    seen_x = {root}
-    seen_y: set[int] = set()
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in graph.adj[x]:
-            if y in seen_y:
-                continue
-            seen_y.add(y)
-            x2 = my[y]
-            if x2 != -1 and x2 not in seen_x:
-                seen_x.add(x2)
-                queue.append(x2)
-    # Every y in seen_y is matched (else an augmenting path would exist),
-    # and N(seen_x) = seen_y, so |N(W)| = |W| - 1 < |W|.
-    return HallCertificate(None, tuple(sorted(seen_x)))
+    """An X-saturating matching, or the Hall violator W of Hopcroft-Karp's
+    last BFS, with |W| - |N(W)| = |X| - nu(G)."""
+    match_x, dist = _hopcroft_karp(graph)
+    if -1 not in match_x:
+        return HallCertificate(Matching.from_edges(enumerate(match_x)), None)
+    # W holds the free X vertices and every X vertex an alternating path
+    # reaches from them. Each y in N(W) is matched (else the BFS would have
+    # found an augmenting path) to a mate in W, so |N(W)| = |W| - #free.
+    return HallCertificate(None, tuple(x for x in range(graph.nx) if dist[x] >= 0))

@@ -180,15 +180,21 @@ def reduce_3sat_to_sdm(formula: CnfFormula) -> tuple[SdmInstance, GadgetMap]:
     return SdmInstance.make(graph, gm.s_set()), gm
 
 
-def true_false_pairs(gm: GadgetMap, i: int) -> tuple[SPair, SPair]:
-    """The two possible pairs on cycle i: value-true and value-false."""
-    if not 1 <= i <= gm.t:
-        raise ValueError(f"variable index out of range: {i}")
+def _true_false_edges(gm: GadgetMap, i: int) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The (M1, M2) edge lists of the value-true and the value-false pair on cycle i."""
     n = gm.cycle_len()
     true_m1 = [gm.cycle_edge(i, j) for j in range(1, n + 1, 2)]
     true_m2 = [gm.cycle_edge(i, 4 * j - 2) for j in range(1, gm.s + 1)]
     false_m1 = [gm.cycle_edge(i, j) for j in range(2, n + 1, 2)]
     false_m2 = [gm.cycle_edge(i, 4 * j - 3) for j in range(1, gm.s + 1)]
+    return (true_m1, true_m2), (false_m1, false_m2)
+
+
+def true_false_pairs(gm: GadgetMap, i: int) -> tuple[SPair, SPair]:
+    """The two possible pairs on cycle i: value-true and value-false."""
+    if not 1 <= i <= gm.t:
+        raise ValueError(f"variable index out of range: {i}")
+    (true_m1, true_m2), (false_m1, false_m2) = _true_false_edges(gm, i)
     return (
         SPair(Matching.from_edges(true_m1), Matching.from_edges(true_m2)),
         SPair(Matching.from_edges(false_m1), Matching.from_edges(false_m2)),
@@ -197,15 +203,13 @@ def true_false_pairs(gm: GadgetMap, i: int) -> tuple[SPair, SPair]:
 
 def decode_spair_to_assignment(gm: GadgetMap, spair: SPair) -> dict[int, bool]:
     """Read off the variable values from which pair each cycle carries."""
+    m1, m2 = spair.m1.edge_set, spair.m2.edge_set
     values: dict[int, bool] = {}
     for i in range(1, gm.t + 1):
-        true_pair, false_pair = true_false_pairs(gm, i)
-        if true_pair.m1.edge_set <= spair.m1.edge_set and \
-                true_pair.m2.edge_set <= spair.m2.edge_set:
-            values[i] = True
-        elif false_pair.m1.edge_set <= spair.m1.edge_set and \
-                false_pair.m2.edge_set <= spair.m2.edge_set:
-            values[i] = False
+        for value, (pair_m1, pair_m2) in zip((True, False), _true_false_edges(gm, i)):
+            if m1.issuperset(pair_m1) and m2.issuperset(pair_m2):
+                values[i] = value
+                break
         else:
             raise ValueError(f"cycle {i} carries neither the true nor the false pair")
     return values

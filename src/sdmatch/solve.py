@@ -1,9 +1,12 @@
 """SDM decision and construction algorithms.
 
 Two algorithms behind three labels. |S| >= |X|-1 takes the polynomial
-factor-and-color algorithm (PolyLargeS). Every smaller S takes one exact
-search, labelled BoundedS when |S| is within the cap and ExactBacktrack
-otherwise (the general case is NP-hard). The search picks the M2 partner of
+algorithm (PolyLargeS): a (g,f)-factor with degree 2 on S, 1 on the rest of X
+and at most 2 on Y is exactly a union M1 | M2, and konig_color splits it into
+two color classes, M1 being the one that holds the edge of the X vertex
+outside S. Every smaller S takes one exact search, labelled BoundedS when |S|
+is within the cap and ExactBacktrack otherwise (the general case is NP-hard),
+with the same step budget under both labels. The search picks the M2 partner of
 each S vertex in turn, depth first with an explicit stack, and keeps one
 X-saturating matching of the residual graph G - M2: a pick that removes a
 matched edge is repaired by a single augmenting path, or pruned when there is
@@ -17,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import two_color_with_anchor
+from .coloring import konig_color
 from .flow import DegreeBounds, gf_factor
 from .graph import BipartiteGraph, DmInstance, Matching, SdmInstance, SPair
 from .matching import max_matching, rematch
@@ -51,49 +54,24 @@ def spair_factor_bounds(instance: SdmInstance) -> DegreeBounds:
     return DegreeBounds.make(f_x, f_x, [0] * g.ny, [2] * g.ny)
 
 
-def _solve_tiny_x(instance: SdmInstance) -> Optional[SPair]:
-    # |X| <= 1: settle by direct inspection
-    g = instance.graph
-    if g.nx == 0:
-        return SPair(Matching(()), Matching(()))
-    neighbors = g.adj[0]
-    if not neighbors:
-        return None
-    m1 = Matching(((0, neighbors[0]),))
-    if 0 not in instance.s_set:
-        return SPair(m1, Matching(()))
-    if len(neighbors) < 2:
-        return None
-    return SPair(m1, Matching(((0, neighbors[1]),)))
-
-
 def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
-    """Polynomial algorithm for |S| >= |X|-1 via degree factor + 2-coloring."""
+    """Polynomial algorithm for |S| >= |X|-1: a degree factor, split by a
+    proper 2-edge-coloring into M1 and M2."""
     g = instance.graph
     if len(instance.s_set) < g.nx - 1:
         raise ValueError("solve_poly_large_s requires |S| >= |X|-1")
-    if g.nx <= 1:
-        return _solve_tiny_x(instance)
     factor = gf_factor(g, spair_factor_bounds(instance))
     if factor is None:
         return None
     sub = BipartiteGraph.from_edges(g.nx, g.ny, factor)
+    coloring = konig_color(sub)
+    # Each S vertex has degree 2 in the factor and so sees both colors; the
+    # X vertex outside S, if any, has degree 1, and M1 is the class of its
+    # edge, so M1 saturates X and M2 saturates S.
     in_s = set(instance.s_set)
     anchor = next((x for x in range(g.nx) if x not in in_s), None)
-    coloring = two_color_with_anchor(sub, anchor)
-    return SPair(coloring.color_class(1), coloring.color_class(2))
-
-
-def solve_bounded_s(instance: SdmInstance, cap: int = DEFAULT_BOUNDED_S_CAP,
-                    budget: Optional[int] = None) -> Optional[SPair]:
-    """The exact search, for |S| <= cap.
-
-    Raises BudgetExhausted after `budget` search steps (distinct from "no").
-    """
-    s = instance.s_set
-    if len(s) > cap:
-        raise ValueError(f"|S|={len(s)} exceeds bounded-S cap {cap}")
-    return _search_m2(instance, budget)
+    m1_color = 1 if anchor is None else coloring.colors[(anchor, sub.adj[anchor][0])]
+    return SPair(coloring.color_class(m1_color), coloring.color_class(3 - m1_color))
 
 
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:
@@ -101,10 +79,6 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
 
     Raises BudgetExhausted after `budget` search steps (distinct from "no").
     """
-    return _search_m2(instance, budget)
-
-
-def _search_m2(instance: SdmInstance, budget: Optional[int]) -> Optional[SPair]:
     g = instance.graph
     s = instance.s_set
     # Hall pre-check: without an X-saturating matching of G there is no M1;
@@ -246,6 +220,5 @@ def solve(instance: SdmInstance, budget: Optional[int] = None,
     ns = len(instance.s_set)
     if ns >= nx - 1:
         return SolveOutcome(solve_poly_large_s(instance), Method.POLY_LARGE_S)
-    if ns <= bounded_cap:
-        return SolveOutcome(solve_bounded_s(instance, bounded_cap, budget), Method.BOUNDED_S)
-    return SolveOutcome(solve_exact(instance, budget), Method.EXACT_BACKTRACK)
+    method = Method.BOUNDED_S if ns <= bounded_cap else Method.EXACT_BACKTRACK
+    return SolveOutcome(solve_exact(instance, budget), method)

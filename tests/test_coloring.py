@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from sdmatch import konig_color, two_color_with_anchor
+from sdmatch import konig_color
 from sdmatch import BipartiteGraph, SdmInstance, is_matching
 from sdmatch.coloring import is_proper, max_degree
 from sdmatch.flow import gf_factor
@@ -60,33 +58,6 @@ def test_color_classes_are_matchings():
         assert union == g.edge_set
 
 
-def test_two_color_path():
-    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
-    coloring = two_color_with_anchor(g)
-    assert sorted(coloring.colors.values()) == [1, 2]
-
-
-def test_two_color_anchor_forced():
-    # a pendant edge at x0 plus a separate 4-cycle
-    edges = [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
-    g = BipartiteGraph.from_edges(3, 3, edges)
-    coloring = two_color_with_anchor(g, anchor_x=0)
-    assert coloring.colors[(0, 0)] == 1
-    assert is_proper(g, coloring)
-
-
-def test_two_color_anchor_degree_two_rejected():
-    g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
-    with pytest.raises(ValueError, match="degree 2"):
-        two_color_with_anchor(g, anchor_x=0)
-
-
-def test_two_color_rejects_high_degree():
-    g = BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)])
-    with pytest.raises(ValueError, match="max degree"):
-        two_color_with_anchor(g)
-
-
 def test_factor_coloring_uses_both_colors_at_s_vertices():
     rng = random.Random(14)
     checked = 0
@@ -99,7 +70,8 @@ def test_factor_coloring_uses_both_colors_at_s_vertices():
             continue
         checked += 1
         sub = BipartiteGraph.from_edges(g.nx, g.ny, factor)
-        coloring = two_color_with_anchor(sub, anchor_x=0)
+        coloring = konig_color(sub)
+        assert coloring.palette_size == 2
         for x in s_set:
             incident = {coloring.colors[(x, y)] for y in sub.adj[x]}
             assert incident == {1, 2}

@@ -80,6 +80,24 @@ def test_certificate_exactly_one_arm_and_violator_checks():
             assert cert.saturating_matching.covered_x == frozenset(range(g.nx))
 
 
+def test_violator_deficiency_equals_matching_deficiency():
+    # the violator holds every X vertex that an alternating path reaches from
+    # a free X vertex, so it is short by |X| - nu(G) neighbors, not just one
+    rng = random.Random(15)
+    deficiencies = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.randint(1, 7), rng.uniform(0.1, 0.5))
+        cert = x_saturating_certificate(g)
+        deficiency = g.nx - len(max_matching(g))
+        if cert.violator is None:
+            assert deficiency == 0
+            continue
+        neigh = {y for x in cert.violator for y in g.adj[x]}
+        assert len(cert.violator) - len(neigh) == deficiency
+        deficiencies.add(deficiency)
+    assert max(deficiencies) >= 3
+
+
 def sparse_random_graphs(seed: int, count: int):
     """Seeded random graphs with up to 300 vertices per side and mixed density."""
     rng = random.Random(seed)

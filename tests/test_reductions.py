@@ -7,6 +7,7 @@ from sdmatch import (
     CnfFormula,
     FormatError,
     SdmInstance,
+    SPair,
     decode_spair_to_assignment,
     encode_assignment_to_spair,
     extend_spair_to_dm,
@@ -134,6 +135,15 @@ def test_decode_reads_cycle_value():
     spair = solve_exact(inst)
     values = decode_spair_to_assignment(gm, spair)
     assert values == {1: True}
+
+
+def test_decode_rejects_a_cycle_with_neither_pair(c8_gadget):
+    _, gm = c8_gadget
+    true_pair, false_pair = true_false_pairs(gm, 1)
+    for mixed in (SPair(true_pair.m1, false_pair.m2), SPair(false_pair.m1, true_pair.m2)):
+        with pytest.raises(ValueError, match="cycle 1 carries neither"):
+            decode_spair_to_assignment(gm, mixed)
+    assert decode_spair_to_assignment(gm, false_pair) == {1: False}
 
 
 def test_encode_clause_witness_rule():

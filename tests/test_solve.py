@@ -10,12 +10,14 @@ from sdmatch import (
     SdmInstance,
     count_spairs_exact,
     solve,
-    solve_bounded_s,
     solve_dm_exact,
     solve_exact,
     solve_poly_large_s,
     verify_spair,
 )
+from sdmatch.coloring import konig_color
+from sdmatch.flow import gf_factor
+from sdmatch.solve import spair_factor_bounds
 from conftest import brute_force_spair_presence, random_graph
 
 
@@ -46,6 +48,45 @@ def test_poly_c8_full_s(c8_gadget):
     assert verify_spair(full, spair)[0]
 
 
+def test_poly_tiny_x_matches_brute_force():
+    # every graph with |X| <= 1 and |Y| <= 3, with S empty or S = X
+    checked = 0
+    for nx in (0, 1):
+        for ny in range(4):
+            for mask in range(1 << (nx * ny)):
+                g = BipartiteGraph.from_edges(nx, ny, [(0, y) for y in range(ny) if mask >> y & 1])
+                for s_set in ([], [0])[:nx + 1]:
+                    inst = SdmInstance.make(g, s_set)
+                    spair = solve_poly_large_s(inst)
+                    assert (spair is not None) == brute_force_spair_presence(g, s_set)
+                    if spair is not None:
+                        assert verify_spair(inst, spair)[0]
+                    checked += 1
+    assert checked == 4 + 2 * (1 + 2 + 4 + 8)
+
+
+def test_poly_anchor_edge_in_either_konig_color():
+    # |S| = |X|-1: M1 must be the color class that holds the edge of the one
+    # X vertex outside S, whichever color konig_color gives that edge
+    rng = random.Random(41)
+    anchor_colors = []
+    for _ in range(300):
+        nx = rng.randint(2, 7)
+        g = random_graph(rng, nx, rng.randint(2, 8), rng.uniform(0.3, 0.8))
+        anchor = rng.randrange(nx)
+        inst = SdmInstance.make(g, [x for x in range(nx) if x != anchor])
+        spair = solve_poly_large_s(inst)
+        factor = gf_factor(g, spair_factor_bounds(inst))
+        assert (spair is None) == (factor is None)
+        if spair is None:
+            continue
+        assert verify_spair(inst, spair)[0]
+        coloring = konig_color(BipartiteGraph.from_edges(g.nx, g.ny, factor))
+        (edge,) = [e for e in factor if e[0] == anchor]
+        anchor_colors.append(coloring.colors[edge])
+    assert anchor_colors.count(2) >= 1 and anchor_colors.count(1) >= 1
+
+
 def test_poly_precondition():
     g = BipartiteGraph.from_edges(3, 3, [(x, y) for x in range(3) for y in range(3)])
     with pytest.raises(ValueError, match=r"\|S\| >= \|X\|-1"):
@@ -54,37 +95,30 @@ def test_poly_precondition():
 
 def test_bounded_empty_s():
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    spair = solve_bounded_s(SdmInstance.make(g, []))
+    spair = solve_exact(SdmInstance.make(g, []))
     assert spair is not None
     assert spair.m2.edges == ()
 
 
 def test_bounded_single_edge_absent():
-    assert solve_bounded_s(single_edge_instance()) is None
-
-
-def test_bounded_cap_enforced():
-    g = random_graph(random.Random(0), 9, 9, 0.8)
-    inst = SdmInstance.make(g, range(9))
-    with pytest.raises(ValueError, match="cap"):
-        solve_bounded_s(inst, cap=8)
+    assert solve_exact(single_edge_instance()) is None
 
 
 def test_bounded_hall_precheck_answers_before_any_step():
     g = BipartiteGraph.from_edges(12, 11, [(x, y) for x in range(12) for y in range(11)])
     inst = SdmInstance.make(g, range(8))
-    assert solve_bounded_s(inst, budget=0) is None
     assert solve_exact(inst, budget=0) is None
+    assert solve(inst, budget=0).spair is None
 
 
 def test_bounded_budget_exhausted():
     g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
     inst = SdmInstance.make(g, range(8))
     with pytest.raises(BudgetExhausted):
-        solve_bounded_s(inst, budget=5)
+        solve_exact(inst, budget=5)
     with pytest.raises(BudgetExhausted):
         solve(inst, budget=5)
-    assert verify_spair(inst, solve_bounded_s(inst))[0]
+    assert verify_spair(inst, solve_exact(inst))[0]
 
 
 def test_exact_c8(c8_gadget):
@@ -155,9 +189,8 @@ def test_methods_agree_on_overlap():
         g = random_graph(rng, rng.randint(2, 5), rng.randint(1, 5), 0.5)
         inst = SdmInstance.make(g, range(g.nx - 1))
         a = solve_poly_large_s(inst) is not None
-        b = solve_bounded_s(inst) is not None
-        c = solve_exact(inst) is not None
-        assert a == b == c
+        b = solve_exact(inst) is not None
+        assert a == b
 
 
 def test_oracle_agreement_random_sample():
