@@ -1,0 +1,98 @@
+"""Byte-for-byte pins of `sdmatch solve` on PolyLargeS instances and of
+`sdmatch lebensold`.
+
+Each case is a seeded graph; the pin is the exit code and a digest of the
+whole stdout. Any change to the order in which the flow network is built or
+explored, or to which color class becomes M1, changes the printed matchings
+and so the digest. Rebuild a pin only for a change that means to alter the
+output, and say so where the change is described.
+"""
+
+import hashlib
+import io
+import random
+
+from sdmatch import SdmInstance, serialize_instance
+from sdmatch.cli import run
+from sdmatch.graph import random_graph
+
+# seed -> (exit code, sha256 prefix of stdout); S = X on even seeds, X - 1 on odd
+SOLVE_PINS = {
+    0: (1, '225cd4cd1b90dd46'),
+    1: (0, 'b8620a4fdb52ac49'),
+    2: (1, '225cd4cd1b90dd46'),
+    3: (0, '0c8f0aa9c6debf86'),
+    4: (1, '225cd4cd1b90dd46'),
+    5: (1, '225cd4cd1b90dd46'),
+    6: (0, 'ed064332a2a53365'),
+    7: (0, '4fa03b384fbcf830'),
+    8: (0, 'd8daafa0ccad5a6f'),
+    9: (0, 'd86b3abee9e8bc93'),
+    10: (0, '38a3408d75c6cded'),
+    11: (0, '33caf203c9aefef1'),
+    12: (0, '890c1c13f18f8aec'),
+    13: (1, '225cd4cd1b90dd46'),
+    14: (0, 'db3ef2e5138f0e2e'),
+    15: (1, '225cd4cd1b90dd46'),
+    16: (0, 'f2e921fb8adf3eb5'),
+    17: (0, 'f99b23e2dcf6ef9f'),
+    18: (0, 'e0840aff8a923c39'),
+    19: (0, '22e0851ff1fad2a4'),
+}
+
+# seed -> (k, exit code, sha256 prefix of stdout)
+LEBENSOLD_PINS = {
+    0: (4, 1, '2f9194e98c5d2403'),
+    1: (2, 0, 'b3156f27e2e048fb'),
+    2: (3, 1, '9b734e4f3d527738'),
+    3: (3, 1, '156a5e2671b72887'),
+    4: (4, 0, 'bba1f62dd24d8c28'),
+    5: (4, 1, '32f3424345850724'),
+    6: (2, 1, '9a194563cadaffb8'),
+    7: (2, 0, 'd7a8694948f30f18'),
+    8: (3, 1, '51d81d3a900b5d55'),
+    9: (3, 1, '77fa9c5ca5379bbb'),
+}
+
+
+def solve_case(seed):
+    rng = random.Random(seed)
+    nx = rng.randint(8, 40)
+    ny = nx + rng.randint(0, 8)
+    g = random_graph(rng, nx, ny, rng.choice((3, 5, 7, 9)) / ny)
+    outside = rng.randrange(nx) if seed % 2 else -1
+    return SdmInstance.make(g, [x for x in range(nx) if x != outside])
+
+
+def lebensold_case(seed):
+    rng = random.Random(1000 + seed)
+    nx = rng.randint(6, 30)
+    ny = nx + rng.randint(0, 10)
+    k = rng.randint(2, 4)
+    return k, SdmInstance.make(random_graph(rng, nx, ny, (k + rng.choice((1, 3, 6))) / ny), ())
+
+
+def pin(tmp_path, argv, text):
+    path = tmp_path / "case.sdm"
+    path.write_text(text)
+    out = io.StringIO()
+    code = run(argv[:1] + [str(path)] + argv[1:], stdout=out)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+def test_solve_output_pinned(tmp_path):
+    got = {seed: pin(tmp_path, ["solve"], serialize_instance(solve_case(seed)))
+           for seed in SOLVE_PINS}
+    assert got == SOLVE_PINS
+    # both verdicts under S = X and under S = X - 1
+    assert {(seed % 2, code) for seed, (code, _) in got.items()} == \
+        {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_lebensold_output_pinned(tmp_path):
+    got = {}
+    for seed in LEBENSOLD_PINS:
+        k, instance = lebensold_case(seed)
+        got[seed] = (k,) + pin(tmp_path, ["lebensold", "-k", str(k)], serialize_instance(instance))
+    assert got == LEBENSOLD_PINS
+    assert {code for _, code, _ in got.values()} == {0, 1}
