@@ -13,7 +13,6 @@ import sys
 import traceback
 from typing import IO, Optional, Sequence
 
-from . import bench as bench_mod
 from . import graph as gmod
 from . import lebensold as lmod
 from . import reductions as rmod
@@ -81,9 +80,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exact S-pair count (size-limited)")
     p.add_argument("instance")
     p.add_argument("--limit", type=int, default=DEFAULT_COUNT_EDGE_LIMIT)
-
-    p = sub.add_parser("bench", help="timing table for a named suite")
-    p.add_argument("--suite", required=True, choices=sorted(bench_mod.SUITES))
     return parser
 
 
@@ -214,11 +210,6 @@ def _cmd_oracle(args, out: IO[str]) -> int:
     return EXIT_YES
 
 
-def _cmd_bench(args, out: IO[str]) -> int:
-    bench_mod.run_suite(args.suite, out)
-    return EXIT_YES
-
-
 _HANDLERS = {
     "solve": _cmd_solve,
     "verify": _cmd_verify,
@@ -228,7 +219,6 @@ _HANDLERS = {
     "reduce-dm": _cmd_reduce_dm,
     "gen": _cmd_gen,
     "oracle": _cmd_oracle,
-    "bench": _cmd_bench,
 }
 
 

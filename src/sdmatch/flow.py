@@ -2,23 +2,25 @@
 
 The factor problem is reduced to feasible flow: source -> each X vertex with
 bounds [g(x), f(x)], each graph edge as a unit-capacity arc, each Y vertex ->
-sink with bounds [g(y), f(y)]. Lower bounds are removed via the standard
-excess/deficit super-source and super-sink transformation. The max flow
-underneath is Dinic's algorithm, with no recursion in either phase.
+sink with bounds [g(y), f(y)]. Arcs are plain (tail, head, low, up) tuples.
+Lower bounds are removed via the standard excess/deficit super-source and
+super-sink transformation; a fixed arc (low == up) only shifts excess and
+never enters the network, so under the S-pair bounds, where g = f on X, no
+source -> X arc does. The max flow underneath is Dinic's algorithm, with no
+recursion in either phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph import BipartiteGraph
 
 _INF = 1 << 30
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
     low: int
@@ -70,11 +72,9 @@ class _MaxFlow:
 
     def add(self, u: int, v: int, cap: int) -> int:
         idx = len(self.head)
-        self.head.append(v)
-        self.cap.append(cap)
+        self.head += (v, u)
+        self.cap += (cap, 0)
         self.out[u].append(idx)
-        self.head.append(u)
-        self.cap.append(0)
         self.out[v].append(idx + 1)
         return idx
 
@@ -119,25 +119,30 @@ class _MaxFlow:
         pushed = 0
         while True:
             if u == t:
-                bottleneck = min(cap[idx] for idx in path)
+                # the first arc of least capacity is the first one saturated
+                cut, bottleneck = 0, cap[path[0]]
+                for k, idx in enumerate(path):
+                    if cap[idx] < bottleneck:
+                        cut, bottleneck = k, cap[idx]
                 for idx in path:
                     cap[idx] -= bottleneck
                     cap[idx ^ 1] += bottleneck
                 pushed += bottleneck
-                # retreat to the tail of the first saturated arc
-                cut = next(k for k, idx in enumerate(path) if cap[idx] == 0)
+                # retreat to its tail
                 u = head[path[cut] ^ 1]
                 del path[cut:]
                 continue
             arcs = out[u]
-            i = ptr[u]
-            next_level = level[u] + 1
-            while i < len(arcs) and not (cap[arcs[i]] > 0 and level[head[arcs[i]]] == next_level):
+            i, end, next_level = ptr[u], len(arcs), level[u] + 1
+            while i < end:
+                idx = arcs[i]
+                if cap[idx] and level[head[idx]] == next_level:
+                    break
                 i += 1
             ptr[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = head[arcs[i]]
+            if i < end:
+                path.append(idx)
+                u = head[idx]
                 continue
             # dead end: drop u from the level graph and retreat one arc
             if u == s:
@@ -147,30 +152,33 @@ class _MaxFlow:
             ptr[u] += 1
 
 
-def feasible_flow(num_nodes: int, arcs: Sequence[Arc],
+def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
                   source: int, sink: int) -> Optional[list[int]]:
     """A feasible integral flow meeting all arc bounds, or None.
 
-    Returns per-arc flow values in input order. Raises ValueError on a
-    malformed network (dangling endpoints, low > up).
+    Each arc is a (tail, head, low, up) tuple, such as an Arc. Returns
+    per-arc flow values in input order; a fixed arc (low == up) shifts its
+    bound between the excesses of its ends, stays out of the max-flow
+    network, and reports up. Raises ValueError on a malformed network
+    (dangling endpoints, low > up, low < 0).
     """
-    for a in arcs:
-        if not (0 <= a.tail < num_nodes and 0 <= a.head < num_nodes):
-            raise ValueError(f"dangling arc endpoint: {a}")
-        if a.low > a.up:
-            raise ValueError(f"lower bound exceeds capacity: {a}")
-        if a.low < 0:
-            raise ValueError(f"negative lower bound: {a}")
-    if not (0 <= source < num_nodes and 0 <= sink < num_nodes):
-        raise ValueError("source or sink out of range")
-
     ss, tt = num_nodes, num_nodes + 1
     net = _MaxFlow(num_nodes + 2)
-    arc_idx = [net.add(a.tail, a.head, a.up - a.low) for a in arcs]
     excess = [0] * num_nodes
+    arc_idx = []  # the network arc of each arc, -1 for a fixed one
     for a in arcs:
-        excess[a.head] += a.low
-        excess[a.tail] -= a.low
+        tail, head, low, up = a
+        if not (0 <= tail < num_nodes and 0 <= head < num_nodes):
+            raise ValueError(f"dangling arc endpoint: {a}")
+        if low > up:
+            raise ValueError(f"lower bound exceeds capacity: {a}")
+        if low < 0:
+            raise ValueError(f"negative lower bound: {a}")
+        excess[head] += low
+        excess[tail] -= low
+        arc_idx.append(net.add(tail, head, up - low) if low < up else -1)
+    if not (0 <= source < num_nodes and 0 <= sink < num_nodes):
+        raise ValueError("source or sink out of range")
     net.add(sink, source, _INF)
     required = 0
     for v in range(num_nodes):
@@ -181,33 +189,27 @@ def feasible_flow(num_nodes: int, arcs: Sequence[Arc],
             net.add(v, tt, -excess[v])
     if net.run(ss, tt) != required:
         return None
-    # flow on an original arc = lower bound + used reduced capacity
-    return [arcs[i].low + (arcs[i].up - arcs[i].low - net.cap[arc_idx[i]])
-            for i in range(len(arcs))]
+    # flow on a network arc = its upper bound less the capacity left over
+    cap = net.cap
+    return [a[3] if idx < 0 else a[3] - cap[idx] for a, idx in zip(arcs, arc_idx)]
 
 
 def gf_factor(graph: BipartiteGraph, bounds: DegreeBounds) -> Optional[frozenset[tuple[int, int]]]:
     """Edge set of a subgraph H with g(v) <= d_H(v) <= f(v) for all v, or None."""
-    if len(bounds.g_x) != graph.nx or len(bounds.g_y) != graph.ny:
+    nx = graph.nx
+    if len(bounds.g_x) != nx or len(bounds.g_y) != graph.ny:
         raise ValueError("bounds must cover every vertex of the graph")
     # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
     src = 0
-    snk = graph.nx + graph.ny + 1
-    arcs: list[Arc] = []
-    for x in range(graph.nx):
-        arcs.append(Arc(src, 1 + x, bounds.g_x[x], bounds.f_x[x]))
-    edge_arc_start = len(arcs)
+    snk = nx + graph.ny + 1
+    arcs = [(src, 1 + x, g, f) for x, (g, f) in enumerate(zip(bounds.g_x, bounds.f_x))]
     edges = graph.edges()
-    for x, y in edges:
-        arcs.append(Arc(1 + x, 1 + graph.nx + y, 0, 1))
-    for y in range(graph.ny):
-        arcs.append(Arc(1 + graph.nx + y, snk, bounds.g_y[y], bounds.f_y[y]))
+    arcs += [(1 + x, 1 + nx + y, 0, 1) for x, y in edges]
+    arcs += [(1 + nx + y, snk, g, f) for y, (g, f) in enumerate(zip(bounds.g_y, bounds.f_y))]
     flow = feasible_flow(snk + 1, arcs, src, snk)
     if flow is None:
         return None
-    return frozenset(
-        edges[i] for i in range(len(edges)) if flow[edge_arc_start + i] == 1
-    )
+    return frozenset(e for e, used in zip(edges, flow[nx:]) if used)
 
 
 def factor_degrees_ok(graph: BipartiteGraph, bounds: DegreeBounds,

@@ -149,10 +149,6 @@ def max_matching(graph: BipartiteGraph) -> Matching:
     return Matching.from_edges((x, y) for x, y in enumerate(match_x) if y != -1)
 
 
-def has_x_saturating_matching(graph: BipartiteGraph) -> bool:
-    return -1 not in _hopcroft_karp(graph)[0]
-
-
 def x_saturating_certificate(graph: BipartiteGraph) -> HallCertificate:
     """An X-saturating matching, or the Hall violator W of Hopcroft-Karp's
     last BFS, with |W| - |N(W)| = |X| - nu(G)."""

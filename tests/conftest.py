@@ -4,7 +4,7 @@ import pytest
 
 from sdmatch import BipartiteGraph, Matching, SdmInstance, SPair
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
-from sdmatch.matching import has_x_saturating_matching, max_matching
+from sdmatch.matching import max_matching
 from sdmatch.reductions import GadgetMap
 from sdmatch.solve import (
     DEFAULT_BOUNDED_S_CAP,
@@ -86,7 +86,7 @@ def reference_search(instance: SdmInstance, prune: bool, budget=None):
         if budget is not None and steps[0] > budget:
             raise BudgetExhausted(f"step budget {budget} exhausted")
         if prune and chosen:
-            if not has_x_saturating_matching(g.without_edges(chosen)):
+            if len(max_matching(g.without_edges(chosen))) < g.nx:
                 return None
         if i == len(s):
             m1 = max_matching(g.without_edges(chosen))

@@ -197,12 +197,6 @@ def test_format_violation_exits_2(tmp_path):
     assert "unknown directive" in err
 
 
-def test_bench_suites_run():
-    code, out, _ = invoke(["bench", "--suite", "solvers"])
-    assert code == 0
-    assert out
-
-
 def complete_instance(nx, ny, s_size):
     g = BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in range(ny)])
     return serialize_instance(SdmInstance.make(g, range(s_size)))

@@ -4,7 +4,7 @@ import pytest
 
 from sdmatch import Arc, BipartiteGraph, DegreeBounds, feasible_flow, gf_factor
 from sdmatch.flow import factor_degrees_ok
-from sdmatch.matching import has_x_saturating_matching
+from sdmatch.matching import max_matching
 from conftest import random_graph
 
 
@@ -72,7 +72,7 @@ def test_unit_bounds_match_saturating_matching():
         g = random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5)
         bounds = DegreeBounds.uniform(g, 1, 1, 0, 1)
         factor = gf_factor(g, bounds)
-        assert (factor is not None) == has_x_saturating_matching(g)
+        assert (factor is not None) == (len(max_matching(g)) == g.nx)
 
 
 def test_spair_factor_bounds_single_edge_infeasible():
@@ -109,31 +109,45 @@ def test_bounds_validation():
         DegreeBounds.make([-1], [1], [], [])
 
 
-def networkx_factor_exists(g, bounds):
+def networkx_feasible(num_nodes, arcs, source, sink):
     """Hoffman feasibility via a networkx max flow on the lower-bound reduction:
-    each arc u->v with bounds [l, c] becomes capacity c - l, l moves to the
-    excess of v and the deficit of u, and a circulation arc t->s closes the
-    network. A factor exists iff the super source can saturate every excess."""
+    each arc u->v with bounds [l, c] becomes capacity c - l (parallel arcs
+    add up), l moves to the excess of v and the deficit of u, and a
+    circulation arc sink->source closes the network. A feasible flow exists
+    iff the super source can saturate every excess."""
     import networkx
-    arcs = [("s", ("x", x), bounds.g_x[x], bounds.f_x[x]) for x in range(g.nx)]
-    arcs += [(("x", x), ("y", y), 0, 1) for x, y in g.edges()]
-    arcs += [(("y", y), "t", bounds.g_y[y], bounds.f_y[y]) for y in range(g.ny)]
     net = networkx.DiGraph()
     net.add_nodes_from(("S*", "T*"))
-    excess: dict = {}
+
+    def add(u, v, capacity):
+        if net.has_edge(u, v):
+            net[u][v]["capacity"] += capacity
+        else:
+            net.add_edge(u, v, capacity=capacity)
+
+    excess = [0] * num_nodes
     for u, v, low, up in arcs:
-        net.add_edge(u, v, capacity=up - low)
-        excess[v] = excess.get(v, 0) + low
-        excess[u] = excess.get(u, 0) - low
-    net.add_edge("t", "s", capacity=sum(bounds.f_x) + 1)
+        add(u, v, up - low)
+        excess[v] += low
+        excess[u] -= low
+    add(sink, source, sum(a[3] for a in arcs) + 1)
     required = 0
-    for node, e in excess.items():
+    for node, e in enumerate(excess):
         if e > 0:
-            net.add_edge("S*", node, capacity=e)
+            add("S*", node, e)
             required += e
         elif e < 0:
-            net.add_edge(node, "T*", capacity=-e)
+            add(node, "T*", -e)
     return networkx.maximum_flow_value(net, "S*", "T*") == required
+
+
+def networkx_factor_exists(g, bounds):
+    """networkx_feasible on the factor network: source -> x, x -> y, y -> sink."""
+    snk = g.nx + g.ny + 1
+    arcs = [(0, 1 + x, bounds.g_x[x], bounds.f_x[x]) for x in range(g.nx)]
+    arcs += [(1 + x, 1 + g.nx + y, 0, 1) for x, y in g.edges()]
+    arcs += [(1 + g.nx + y, snk, bounds.g_y[y], bounds.f_y[y]) for y in range(g.ny)]
+    return networkx_feasible(snk + 1, arcs, 0, snk)
 
 
 def test_factor_verdict_matches_networkx_flow():
@@ -153,3 +167,57 @@ def test_factor_verdict_matches_networkx_flow():
             assert factor_degrees_ok(g, bounds, factor)
         verdicts.add(factor is not None)
     assert verdicts == {True, False}
+
+
+def random_network(rng):
+    """A random network on n nodes (source 0, sink n-1, no self-loops) with
+    one fixed arc (low == up > 0) out of the source, one between inner
+    nodes and one into the sink, each at a random position."""
+    n = rng.randint(4, 9)
+    sink = n - 1
+    arcs = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        low = rng.choice((0, 0, 1, 2))
+        arcs.append((u, v, low, low + rng.choice((0, 1, 2, 3))))
+    inner = rng.sample(range(1, sink), 2)
+    for u, v in ((0, rng.randint(1, sink)), inner, (rng.randint(0, sink - 1), sink)):
+        c = rng.randint(1, 3)
+        arcs.insert(rng.randrange(len(arcs) + 1), (u, v, c, c))
+    return n, arcs
+
+
+def test_feasible_flow_matches_networkx_on_general_networks():
+    pytest.importorskip("networkx")
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(300):
+        n, arcs = random_network(rng)
+        flow = feasible_flow(n, arcs, 0, n - 1)
+        assert feasible_flow(n, [Arc(*a) for a in arcs], 0, n - 1) == flow
+        assert (flow is not None) == networkx_feasible(n, arcs, 0, n - 1)
+        verdicts.add(flow is not None)
+        if flow is None:
+            continue
+        net = [0] * n
+        for (u, v, low, up), f in zip(arcs, flow):
+            assert low <= f <= up
+            if low == up:
+                assert f == low
+            net[u] -= f
+            net[v] += f
+        assert all(net[v] == 0 for v in range(1, n - 1))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("arc, message", [
+    ((0, 5, 0, 1), "dangling arc endpoint: {}"),
+    ((0, 1, 2, 1), "lower bound exceeds capacity: {}"),
+    ((0, 1, -1, 1), "negative lower bound: {}"),
+])
+def test_malformed_arc_messages(arc, message):
+    for given in (arc, Arc(*arc)):
+        with pytest.raises(ValueError) as info:
+            feasible_flow(2, [(0, 1, 0, 1), given], 0, 1)
+        assert str(info.value) == message.format(given)
+    assert repr(Arc(*arc)) == "Arc(tail={}, head={}, low={}, up={})".format(*arc)
