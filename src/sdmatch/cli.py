@@ -91,6 +91,14 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_instance(path: str) -> SdmInstance:
     return gmod.parse_instance(_read(path))
 
@@ -142,8 +150,7 @@ def _cmd_reduce_3sat(args, out: IO[str]) -> int:
     out.write(gmod.serialize_instance(instance))
     mapping = rmod.serialize_gadget_map(gm)
     if args.map_path is not None:
-        with open(args.map_path, "w", encoding="ascii") as handle:
-            handle.write(mapping)
+        _write(args.map_path, mapping)
     else:
         out.write(mapping)
     return EXIT_YES
@@ -167,13 +174,11 @@ def _cmd_reduce_dm(args, out: IO[str]) -> int:
     g1_text = gmod.serialize_graph(dm.g1)
     g2_text = gmod.serialize_graph(dm.g2)
     if args.g1_path is not None:
-        with open(args.g1_path, "w", encoding="ascii") as handle:
-            handle.write(g1_text)
+        _write(args.g1_path, g1_text)
     else:
         out.write("c G1\n" + g1_text)
     if args.g2_path is not None:
-        with open(args.g2_path, "w", encoding="ascii") as handle:
-            handle.write(g2_text)
+        _write(args.g2_path, g2_text)
     else:
         out.write("c G2\n" + g2_text)
     return EXIT_YES

@@ -10,15 +10,16 @@ with the same step budget under both labels. The search picks the M2 partner of
 each S vertex in turn, depth first with an explicit stack, and keeps one
 X-saturating matching of the residual graph G - M2: a pick that removes a
 matched edge is repaired by a single augmenting path, or pruned when there is
-none. An exhaustive pair counter and an exact solver for the two-graph
-variant serve as oracles for cross-checks.
+none, and a "yes" prints that repaired matching as M1. An exhaustive pair
+counter and an exact solver for the two-graph variant serve as oracles for
+cross-checks; both walk one iterative enumerator of matchings.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Container, Optional, Sequence
 
 from .coloring import konig_color
 from .flow import DegreeBounds, gf_factor
@@ -135,34 +136,43 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
             i -= 1
             continue
         i += 1
-        if i == len(s):
-            # M1 from a fresh Hopcroft-Karp, not the repaired matching, so the
-            # output does not depend on the order of the repairs
-            chosen = [(x, m2_y[x]) for x in s]
-            return SPair(max_matching(g.without_edges(chosen)), Matching.from_edges(chosen))
+        if i == len(s):  # the repaired matching avoids M2, so it is M1
+            return SPair(Matching.from_edges(enumerate(match_x)),
+                         Matching.from_edges((x, m2_y[x]) for x in s))
         nxt[i] = 0
     return None
 
 
-def _saturating_matchings(graph: BipartiteGraph):
-    """Yield every X-saturating matching, X ascending, neighbors ascending."""
+def _matchings(adj: tuple[tuple[int, ...], ...], xs: Sequence[int],
+               banned: Container[tuple[int, int]] = frozenset()):
+    """Yield every matching that gives each x in xs one neighbor, using no
+    edge in banned, as (x, y) pairs: depth first with an explicit stack, xs
+    in sequence, neighbors ascending."""
+    picks = [-1] * len(xs)  # the Y vertex held by xs[i], -1 if none yet
+    nxt = [0] * len(xs)  # the next index into the neighbor list of xs[i]
     used_y: set[int] = set()
-    picks: list[tuple[int, int]] = []
-
-    def recurse(x: int):
-        if x == graph.nx:
-            yield Matching.from_edges(picks)
-            return
-        for y in graph.adj[x]:
-            if y in used_y:
-                continue
-            used_y.add(y)
-            picks.append((x, y))
-            yield from recurse(x + 1)
-            picks.pop()
+    i = 0
+    while i >= 0:
+        if i == len(xs):
+            yield tuple(zip(xs, picks))
+            i -= 1
+            continue
+        x, y = xs[i], picks[i]
+        if y != -1:  # back from the subtree of this pick: undo it
+            picks[i] = -1
             used_y.discard(y)
-
-    yield from recurse(0)
+        neighbors = adj[x]
+        while nxt[i] < len(neighbors):
+            y = neighbors[nxt[i]]
+            nxt[i] += 1
+            if y not in used_y and (x, y) not in banned:
+                picks[i] = y
+                used_y.add(y)
+                i += 1
+                break
+        else:
+            nxt[i] = 0
+            i -= 1
 
 
 def count_spairs_exact(instance: SdmInstance,
@@ -176,26 +186,8 @@ def count_spairs_exact(instance: SdmInstance,
     g = instance.graph
     if g.num_edges() > size_limit:
         raise ValueError(f"instance too large: {g.num_edges()} edges > {size_limit}")
-    s = instance.s_set
-    total = 0
-    for m1 in _saturating_matchings(g):
-        banned = m1.edge_set
-
-        def count_m2(i: int, used_y: set[int]) -> int:
-            if i == len(s):
-                return 1
-            x = s[i]
-            subtotal = 0
-            for y in g.adj[x]:
-                if y in used_y or (x, y) in banned:
-                    continue
-                used_y.add(y)
-                subtotal += count_m2(i + 1, used_y)
-                used_y.discard(y)
-            return subtotal
-
-        total += count_m2(0, set())
-    return total
+    return sum(1 for m1 in _matchings(g.adj, range(g.nx))
+               for _ in _matchings(g.adj, instance.s_set, set(m1)))
 
 
 def solve_dm_exact(instance: DmInstance,
@@ -204,11 +196,10 @@ def solve_dm_exact(instance: DmInstance,
     g1, g2 = instance.g1, instance.g2
     if max(g1.num_edges(), g2.num_edges()) > size_limit:
         raise ValueError("instance too large for exact DM search")
-    for m1 in _saturating_matchings(g1):
-        residual = g2.without_edges(m1.edges)
-        m2 = max_matching(residual)
+    for m1 in _matchings(g1.adj, range(g1.nx)):
+        m2 = max_matching(g2.without_edges(m1))
         if len(m2) == g2.nx:
-            return m1, m2
+            return Matching.from_edges(m1), m2
     return None
 
 

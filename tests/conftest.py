@@ -33,8 +33,9 @@ def all_s_subsets(nx: int):
         yield from itertools.combinations(range(nx), r)
 
 
-def brute_force_spair_presence(graph: BipartiteGraph, s_set) -> bool:
-    """Independent oracle: enumerate all matching pairs as edge subsets."""
+def edge_subset_matchings(graph: BipartiteGraph):
+    """Every matching of the graph as (edge frozenset, covered X set), found
+    by testing every subset of its edges."""
     edges = graph.edges()
     matchings = []
     for mask in range(1 << len(edges)):
@@ -43,6 +44,22 @@ def brute_force_spair_presence(graph: BipartiteGraph, s_set) -> bool:
         ys = [y for _, y in sub]
         if len(set(xs)) == len(xs) and len(set(ys)) == len(ys):
             matchings.append((frozenset(sub), set(xs)))
+    return matchings
+
+
+def brute_force_spair_count(graph: BipartiteGraph, s_set) -> int:
+    """Independent oracle for `count_spairs_exact`: the pairs of edge-subset
+    matchings (M1, M2) with M1 saturating X, M2 covering exactly S on X, and
+    no edge in both."""
+    matchings = edge_subset_matchings(graph)
+    full_x, want_s = set(range(graph.nx)), set(s_set)
+    return sum(1 for m1, x1 in matchings if x1 == full_x
+               for m2, x2 in matchings if x2 == want_s and not m1 & m2)
+
+
+def brute_force_spair_presence(graph: BipartiteGraph, s_set) -> bool:
+    """Independent oracle: enumerate all matching pairs as edge subsets."""
+    matchings = edge_subset_matchings(graph)
     full_x = set(range(graph.nx))
     want_s = set(s_set)
     for m1, x1 in matchings:

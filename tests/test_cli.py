@@ -190,6 +190,24 @@ def test_unreadable_file_exits_2():
     assert "error:" in err
 
 
+def test_unwritable_map_exits_2_without_traceback(tmp_path):
+    cnf = write(tmp_path, "f.cnf", "p cnf 3 1\n1 -2 3 0\n")
+    map_path = str(tmp_path / "missing" / "f.map")
+    code, _, err = invoke(["reduce-3sat", cnf, "--map", map_path])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {map_path}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_g1_exits_2_without_traceback(tmp_path):
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    g1 = str(tmp_path / "missing" / "g1.txt")
+    code, _, err = invoke(["reduce-dm", path, "--g1", g1])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {g1}: ")
+    assert "Traceback" not in err
+
+
 def test_format_violation_exits_2(tmp_path):
     path = write(tmp_path, "bad.sdm", "p sdm 1 1 0\nz 1\n")
     code, _, err = invoke(["solve", path])
@@ -227,6 +245,12 @@ def test_solve_chain_1500_yes(tmp_path):
     code, out, _ = invoke(["solve", path])
     assert code == 0
     assert "RESULT yes" in out
+
+
+def test_oracle_chain_1200_exits_0(tmp_path):
+    # a recursive enumerator of the M1 candidates overflowed the Python stack
+    path = write(tmp_path, "chain.sdm", serialize_instance(SdmInstance.make(chain_graph(1200), [])))
+    assert invoke(["oracle", path, "--limit", "5000"]) == (0, "1\n", "")
 
 
 def test_crash_exits_2_not_no(tmp_path, monkeypatch):

@@ -43,35 +43,49 @@ def random_instances(count, seed):
 
 
 def outcome(instance, budget=None, bounded_cap=8):
+    """"budget", or (method, spair)."""
     try:
         result = solve(instance, budget=budget, bounded_cap=bounded_cap)
     except BudgetExhausted:
         return "budget"
-    return result.method, serialize_solution(result.spair)
+    return result.method, result.spair
 
 
 def reference_outcome(instance, budget=None, bounded_cap=8):
     try:
-        method, spair = reference_solve(instance, budget, bounded_cap)
+        return reference_solve(instance, budget, bounded_cap)
     except BudgetExhausted:
         return "budget"
-    return method, serialize_solution(spair)
+
+
+def kind(result):
+    """"budget", or (method, whether there is an S-pair)."""
+    return result if result == "budget" else (result[0], result[1] is not None)
+
+
+def printed(result):
+    return result if result == "budget" else (result[0], serialize_solution(result[1]))
 
 
 def assert_matches_reference(instance, bounded_cap=8):
-    """Same method and solution unbudgeted; at budgets 1..20 the same
-    outcome, except that BoundedS may answer where the reference ran out."""
+    """Same method and outcome kind (yes, no or budget) as the reference,
+    unbudgeted and at budgets 1..20, except that BoundedS may answer where
+    the reference ran out. Every "yes" verifies and a rerun prints the same
+    bytes; which S-pair a "yes" prints may differ from the reference's."""
     expected = reference_outcome(instance, bounded_cap=bounded_cap)
-    assert outcome(instance, bounded_cap=bounded_cap) == expected
-    for budget in range(1, 21):
+    for budget in (None, *range(1, 21)):
         got = outcome(instance, budget, bounded_cap)
         want = reference_outcome(instance, budget, bounded_cap)
+        if got != "budget" and got[1] is not None:
+            assert verify_spair(instance, got[1])[0]
         if expected[0] is Method.BOUNDED_S and want == "budget":
             # the incremental search prunes where the reference only checks
             # leaves, so it may need fewer steps
-            assert got in ("budget", expected)
+            assert kind(got) in ("budget", kind(expected))
         else:
-            assert got == want
+            assert kind(got) == kind(want)
+    assert printed(outcome(instance, bounded_cap=bounded_cap)) == \
+        printed(outcome(instance, bounded_cap=bounded_cap))
 
 
 def test_formulas_match_reference():
@@ -80,6 +94,8 @@ def test_formulas_match_reference():
     for instance in instances:
         assert solve(instance).method is Method.EXACT_BACKTRACK
         assert_matches_reference(instance)
+        # the variable cycles force M1, so the printed pair is the reference's
+        assert printed(outcome(instance)) == printed(reference_outcome(instance))
 
 
 def test_random_instances_match_reference():

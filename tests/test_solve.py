@@ -18,7 +18,14 @@ from sdmatch import (
 from sdmatch.coloring import konig_color
 from sdmatch.flow import gf_factor
 from sdmatch.solve import spair_factor_bounds
-from conftest import brute_force_spair_presence, random_graph
+from conftest import (
+    all_graphs_3x3,
+    all_s_subsets,
+    brute_force_spair_count,
+    brute_force_spair_presence,
+    chain_graph,
+    random_graph,
+)
 
 
 def single_edge_instance(s_members=(0,)):
@@ -148,6 +155,17 @@ def test_count_k22_full_s():
     assert count_spairs_exact(SdmInstance.make(g, [0, 1])) == 2
 
 
+def test_count_equals_brute_force_on_all_3x3_graphs():
+    # an enumerator that skips or repeats a matching changes some count
+    counts = set()
+    for g in all_graphs_3x3():
+        for s_set in all_s_subsets(3):
+            count = count_spairs_exact(SdmInstance.make(g, s_set))
+            assert count == brute_force_spair_count(g, s_set)
+            counts.add(count)
+    assert max(counts) > 2
+
+
 def test_count_size_limit():
     g = random_graph(random.Random(1), 5, 5, 0.9)
     with pytest.raises(ValueError, match="too large"):
@@ -165,6 +183,12 @@ def test_dm_k22_present():
 def test_dm_single_matching_absent():
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
     assert solve_dm_exact(DmInstance(g, g)) is None
+
+
+def test_dm_chain_1200_without_recursion():
+    # a recursive enumerator of the G1 matchings overflowed the Python stack
+    g = chain_graph(1200)
+    assert solve_dm_exact(DmInstance(g, g), size_limit=5000) is None
 
 
 def test_dispatch_rule():
