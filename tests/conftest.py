@@ -1,8 +1,9 @@
 import itertools
+from typing import Optional
 
 import pytest
 
-from sdmatch import BipartiteGraph, Matching, SdmInstance, SPair
+from sdmatch import BipartiteGraph, FormatError, Matching, SdmInstance, SPair
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
 from sdmatch.reductions import GadgetMap
@@ -135,6 +136,65 @@ def reference_solve(instance: SdmInstance, budget=None,
     if ns <= bounded_cap:
         return Method.BOUNDED_S, reference_search(instance, False, budget)
     return Method.EXACT_BACKTRACK, reference_search(instance, True, budget)
+
+
+def reference_parse_instance(text: str) -> SdmInstance:
+    """Reference for `parse_instance`: the two-pass parser that strips every
+    line, collects an edge list and hands it to `BipartiteGraph.from_edges`,
+    which checks the ranges again and builds the adjacency lists."""
+    nx = ny = m = -1
+    edges: list[tuple[int, int]] = []
+    s_line: Optional[list[int]] = None
+    seen_p = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "p":
+            if seen_p:
+                raise FormatError(f"line {lineno}: duplicate problem line")
+            if len(tokens) != 5 or tokens[1] != "sdm":
+                raise FormatError(f"line {lineno}: malformed problem line {line!r}")
+            try:
+                nx, ny, m = int(tokens[2]), int(tokens[3]), int(tokens[4])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-integer counts") from exc
+            seen_p = True
+        elif kind == "e":
+            if not seen_p:
+                raise FormatError(f"line {lineno}: edge before problem line")
+            if len(tokens) != 3:
+                raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+            try:
+                x, y = int(tokens[1]), int(tokens[2])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-integer endpoint") from exc
+            if not (1 <= x <= nx and 1 <= y <= ny):
+                raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
+            edges.append((x - 1, y - 1))
+        elif kind == "s":
+            if not seen_p:
+                raise FormatError(f"line {lineno}: s line before problem line")
+            if s_line is not None:
+                raise FormatError(f"line {lineno}: duplicate s line")
+            try:
+                s_line = [int(t) for t in tokens[1:]]
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-integer S member") from exc
+            for x in s_line:
+                if not 1 <= x <= nx:
+                    raise FormatError(f"line {lineno}: S member {x} out of range")
+        else:
+            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
+    if not seen_p:
+        raise FormatError("missing problem line")
+    if len(edges) != m:
+        raise FormatError(f"edge count mismatch: header says {m}, found {len(edges)}")
+    graph = BipartiteGraph.from_edges(nx, ny, edges)
+    s_set = [x - 1 for x in s_line] if s_line else []
+    return SdmInstance.make(graph, s_set)
 
 
 @pytest.fixture

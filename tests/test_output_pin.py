@@ -1,10 +1,11 @@
-"""Byte-for-byte pins of `sdmatch solve` on PolyLargeS instances and of
-`sdmatch lebensold`.
+"""Byte-for-byte pins of `sdmatch solve` on PolyLargeS instances, on the
+exact search (BoundedS and ExactBacktrack), and of `sdmatch lebensold`.
 
 Each case is a seeded graph; the pin is the exit code and a digest of the
 whole stdout. Any change to the order in which the flow network is built or
-explored, or to which color class becomes M1, changes the printed matchings
-and so the digest. Rebuild a pin only for a change that means to alter the
+explored, to which color class becomes M1, or to the matching the exact
+search starts from and repairs, changes the printed matchings and so the
+digest. Rebuild a pin only for a change that means to alter the
 output, and say so where the change is described.
 """
 
@@ -12,9 +13,10 @@ import hashlib
 import io
 import random
 
-from sdmatch import SdmInstance, serialize_instance
+from sdmatch import BipartiteGraph, SdmInstance, serialize_instance
 from sdmatch.cli import run
 from sdmatch.graph import random_graph
+from sdmatch.solve import DEFAULT_BOUNDED_S_CAP
 
 # seed -> (exit code, sha256 prefix of stdout); S = X on even seeds, X - 1 on odd
 SOLVE_PINS = {
@@ -38,6 +40,31 @@ SOLVE_PINS = {
     17: (0, 'f99b23e2dcf6ef9f'),
     18: (0, 'e0840aff8a923c39'),
     19: (0, '22e0851ff1fad2a4'),
+}
+
+# seed -> (exit code, sha256 prefix of stdout); about 300 vertices and
+# |S| <= 1 below seed 12, |X| = 10..14 and |S| = 3..|X|-2 from it
+EXACT_PINS = {
+    0: (1, '34e5c14224bbd079'),
+    1: (0, '4cddf44e9c338b26'),
+    2: (0, 'f7ce2c288a9b511d'),
+    3: (1, '34e5c14224bbd079'),
+    4: (0, 'fed537aee384e7c8'),
+    5: (0, '89fc2640c855fdfd'),
+    6: (1, '34e5c14224bbd079'),
+    7: (0, 'fd8e63096b058e0a'),
+    8: (0, '79d0a699eabda0b9'),
+    9: (1, '34e5c14224bbd079'),
+    10: (0, 'b0ab23dc1f6651b0'),
+    11: (0, 'ace27efcc2e54940'),
+    12: (0, 'c371fdb56f3a0b7a'),
+    13: (0, 'd02fc2d83fa94531'),
+    14: (0, 'a7766a20e52d1928'),
+    15: (1, '34e5c14224bbd079'),
+    16: (0, '6b150c3b558e7185'),
+    17: (0, '0c7fdac4118702b1'),
+    18: (1, '34e5c14224bbd079'),
+    19: (1, '821253cb40cba1e6'),
 }
 
 # seed -> (k, exit code, sha256 prefix of stdout)
@@ -64,6 +91,20 @@ def solve_case(seed):
     return SdmInstance.make(g, [x for x in range(nx) if x != outside])
 
 
+def exact_case(seed):
+    rng = random.Random(2000 + seed)
+    if seed < 12:
+        nx, ny, s_size = rng.randint(130, 160), 160, seed % 2
+    else:
+        nx = rng.randint(10, 14)
+        ny, s_size = nx + 2, rng.randint(3, nx - 2)
+    g = random_graph(rng, nx, ny, 2 / ny)
+    # plant 0, 1 or 2 X-saturating matchings, so that both verdicts occur
+    planted = [(x, y) for _ in range(seed % 3) for x, y in enumerate(rng.sample(range(ny), nx))]
+    g = BipartiteGraph.from_edges(nx, ny, g.edges() + planted)
+    return SdmInstance.make(g, rng.sample(range(nx), s_size))
+
+
 def lebensold_case(seed):
     rng = random.Random(1000 + seed)
     nx = rng.randint(6, 30)
@@ -87,6 +128,17 @@ def test_solve_output_pinned(tmp_path):
     # both verdicts under S = X and under S = X - 1
     assert {(seed % 2, code) for seed, (code, _) in got.items()} == \
         {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_exact_output_pinned(tmp_path):
+    cases = {seed: exact_case(seed) for seed in EXACT_PINS}
+    got = {seed: pin(tmp_path, ["solve"], serialize_instance(case))
+           for seed, case in cases.items()}
+    assert got == EXACT_PINS
+    # both verdicts with |S| <= 1 and under each label of the exact search
+    kinds = {(min(len(case.s_set), 2) if len(case.s_set) <= DEFAULT_BOUNDED_S_CAP else "EB",
+              got[seed][0]) for seed, case in cases.items()}
+    assert kinds >= {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), ("EB", 0), ("EB", 1)}
 
 
 def test_lebensold_output_pinned(tmp_path):
