@@ -91,12 +91,28 @@ def _read(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc}") from exc
+def _write_files(files: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text). Every path is first opened for appending,
+    which changes no file, so that when one of them cannot be written none
+    is: the files this check created are removed again. Call it before
+    writing to stdout, so that a failure prints nothing."""
+    created = []
+    for path, _ in files:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a", encoding="ascii").close()
+        except OSError as exc:
+            for done in created:
+                os.remove(done)
+            raise _CliError(f"cannot write {path}: {exc}") from exc
+        if not existed:
+            created.append(path)
+    for path, text in files:
+        try:
+            with open(path, "w", encoding="ascii") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_instance(path: str) -> SdmInstance:
@@ -147,11 +163,11 @@ def _cmd_reduce_3sat(args, out: IO[str]) -> int:
         out.write("c trivially satisfiable (no clauses); nothing to reduce\n")
         return EXIT_YES
     instance, gm = rmod.reduce_3sat_to_sdm(formula)
-    out.write(gmod.serialize_instance(instance))
     mapping = rmod.serialize_gadget_map(gm)
     if args.map_path is not None:
-        _write(args.map_path, mapping)
-    else:
+        _write_files([(args.map_path, mapping)])
+    out.write(gmod.serialize_instance(instance))
+    if args.map_path is None:
         out.write(mapping)
     return EXIT_YES
 
@@ -171,16 +187,12 @@ def _cmd_decode(args, out: IO[str]) -> int:
 def _cmd_reduce_dm(args, out: IO[str]) -> int:
     instance = _load_instance(args.instance)
     dm = rmod.reduce_sdm_to_dm(instance)
-    g1_text = gmod.serialize_graph(dm.g1)
-    g2_text = gmod.serialize_graph(dm.g2)
-    if args.g1_path is not None:
-        _write(args.g1_path, g1_text)
-    else:
-        out.write("c G1\n" + g1_text)
-    if args.g2_path is not None:
-        _write(args.g2_path, g2_text)
-    else:
-        out.write("c G2\n" + g2_text)
+    parts = [("G1", args.g1_path, gmod.serialize_graph(dm.g1)),
+             ("G2", args.g2_path, gmod.serialize_graph(dm.g2))]
+    _write_files([(path, text) for _, path, text in parts if path is not None])
+    for label, path, text in parts:
+        if path is None:
+            out.write(f"c {label}\n" + text)
     return EXIT_YES
 
 

@@ -2,7 +2,9 @@
 
 Vertices are identified by (side, index): X vertices 0..nx-1, Y vertices
 0..ny-1. All types are immutable after construction; operations are pure.
-Indices are 0-based in memory and 1-based in the text format.
+Indices are 0-based in memory and 1-based in the text format. Parsing an
+instance builds the X-side adjacency lists directly, in one pass over the
+text, without an intermediate edge list.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class FormatError(ValueError):
@@ -101,6 +103,17 @@ class Matching:
         if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             raise ValueError("edges share an endpoint; not a matching")
         return Matching(tuple(pairs))
+
+    @staticmethod
+    def from_match_x(match_x: Sequence[int]) -> "Matching":
+        """The pairs (x, match_x[x]) of every matched x (-1 means unmatched),
+        already sorted by x; only the Y vertices can clash."""
+        pairs = tuple([(x, y) for x, y in enumerate(match_x) if y != -1])
+        ys = set(match_x)
+        ys.discard(-1)
+        if len(ys) != len(pairs):
+            raise ValueError("edges share an endpoint; not a matching")
+        return Matching(pairs)
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -199,38 +212,45 @@ def serialize_graph(graph: BipartiteGraph) -> str:
 
 
 def parse_instance(text: str) -> SdmInstance:
+    """Read an instance in one pass: each e line is checked once and goes
+    straight into the neighbour set of its X vertex. Duplicate e lines count
+    toward the header's m but add no edge."""
     nx = ny = m = -1
-    edges: list[tuple[int, int]] = []
+    neigh: list[set[int]] = []
+    n_edges = 0
     s_line: Optional[list[int]] = None
     seen_p = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
-        if kind == "p":
-            if seen_p:
-                raise FormatError(f"line {lineno}: duplicate problem line")
-            if len(tokens) != 5 or tokens[1] != "sdm":
-                raise FormatError(f"line {lineno}: malformed problem line {line!r}")
-            try:
-                nx, ny, m = int(tokens[2]), int(tokens[3]), int(tokens[4])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer counts") from exc
-            seen_p = True
-        elif kind == "e":
+        if kind == "e":
             if not seen_p:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+                raise FormatError(f"line {lineno}: malformed edge line {raw.strip()!r}")
             try:
                 x, y = int(tokens[1]), int(tokens[2])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer endpoint") from exc
             if not (1 <= x <= nx and 1 <= y <= ny):
-                raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
-            edges.append((x - 1, y - 1))
+                raise FormatError(f"line {lineno}: endpoint out of range in {raw.strip()!r}")
+            neigh[x - 1].add(y - 1)
+            n_edges += 1
+        elif kind[0] == "c":
+            continue
+        elif kind == "p":
+            if seen_p:
+                raise FormatError(f"line {lineno}: duplicate problem line")
+            if len(tokens) != 5 or tokens[1] != "sdm":
+                raise FormatError(f"line {lineno}: malformed problem line {raw.strip()!r}")
+            try:
+                nx, ny, m = int(tokens[2]), int(tokens[3]), int(tokens[4])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: non-integer counts") from exc
+            neigh = [set() for _ in range(nx)]
+            seen_p = True
         elif kind == "s":
             if not seen_p:
                 raise FormatError(f"line {lineno}: s line before problem line")
@@ -247,9 +267,11 @@ def parse_instance(text: str) -> SdmInstance:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
     if not seen_p:
         raise FormatError("missing problem line")
-    if len(edges) != m:
-        raise FormatError(f"edge count mismatch: header says {m}, found {len(edges)}")
-    graph = BipartiteGraph.from_edges(nx, ny, edges)
+    if n_edges != m:
+        raise FormatError(f"edge count mismatch: header says {m}, found {n_edges}")
+    if nx < 0 or ny < 0:
+        raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
+    graph = BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) for s in neigh))
     s_set = [x - 1 for x in s_line] if s_line else []
     return SdmInstance.make(graph, s_set)
 

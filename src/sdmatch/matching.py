@@ -146,7 +146,7 @@ def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
 def max_matching(graph: BipartiteGraph) -> Matching:
     """Deterministic maximum matching (ascending x, ascending neighbor scan)."""
     match_x, _ = _hopcroft_karp(graph)
-    return Matching.from_edges((x, y) for x, y in enumerate(match_x) if y != -1)
+    return Matching.from_match_x(match_x)
 
 
 def x_saturating_certificate(graph: BipartiteGraph) -> HallCertificate:
@@ -154,7 +154,7 @@ def x_saturating_certificate(graph: BipartiteGraph) -> HallCertificate:
     last BFS, with |W| - |N(W)| = |X| - nu(G)."""
     match_x, dist = _hopcroft_karp(graph)
     if -1 not in match_x:
-        return HallCertificate(Matching.from_edges(enumerate(match_x)), None)
+        return HallCertificate(Matching.from_match_x(match_x), None)
     # W holds the free X vertices and every X vertex an alternating path
     # reaches from them. Each y in N(W) is matched (else the BFS would have
     # found an augmenting path) to a mate in W, so |N(W)| = |W| - #free.

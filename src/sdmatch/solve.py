@@ -137,7 +137,7 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
             continue
         i += 1
         if i == len(s):  # the repaired matching avoids M2, so it is M1
-            return SPair(Matching.from_edges(enumerate(match_x)),
+            return SPair(Matching.from_match_x(match_x),
                          Matching.from_edges((x, m2_y[x]) for x in s))
         nxt[i] = 0
     return None

@@ -208,6 +208,26 @@ def test_unwritable_g1_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in err
 
 
+def test_unwritable_map_prints_nothing(tmp_path):
+    cnf = write(tmp_path, "f.cnf", "p cnf 3 1\n1 -2 3 0\n")
+    code, out, _ = invoke(["reduce-3sat", cnf, "--map", str(tmp_path / "missing" / "f.map")])
+    assert (code, out) == (2, "")
+
+
+def test_unwritable_g2_prints_and_leaves_nothing(tmp_path):
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    g1, g2 = tmp_path / "a.sdm", str(tmp_path / "missing" / "b.sdm")
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", g2])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {g2}: ")
+    assert not g1.exists()
+    # an existing --g1 file keeps its content, and G1 meant for stdout is not printed
+    g1.write_text("keep\n")
+    assert invoke(["reduce-dm", path, "--g1", str(g1), "--g2", g2])[:2] == (2, "")
+    assert g1.read_text() == "keep\n"
+    assert invoke(["reduce-dm", path, "--g2", g2])[:2] == (2, "")
+
+
 def test_format_violation_exits_2(tmp_path):
     path = write(tmp_path, "bad.sdm", "p sdm 1 1 0\nz 1\n")
     code, _, err = invoke(["solve", path])

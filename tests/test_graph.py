@@ -72,6 +72,47 @@ def test_matching_constructor_rejects_conflicts():
         Matching.from_edges([(0, 0), (0, 1)])
 
 
+def test_from_match_x_skips_unmatched_and_sorts_by_x():
+    m = Matching.from_match_x([2, -1, 0, -1, 5])
+    assert m.edges == ((0, 2), (2, 0), (4, 5))
+    assert Matching.from_match_x([]).edges == ()
+    assert Matching.from_match_x([-1, -1]).edges == ()
+
+
+def test_from_match_x_rejects_shared_y():
+    with pytest.raises(ValueError) as got:
+        Matching.from_match_x([1, -1, 1])
+    with pytest.raises(ValueError) as want:
+        Matching.from_edges([(0, 1), (2, 1)])
+    assert str(got.value) == str(want.value)
+
+
+def test_from_match_x_equals_from_edges_on_mate_arrays():
+    rng = random.Random(31)
+    clashes = 0
+    for _ in range(1000):
+        nx, ny = rng.randint(0, 12), rng.randint(1, 12)
+        # mostly injective, sometimes with a Y vertex used twice
+        ys = rng.sample(range(ny), min(nx, ny)) + [-1] * max(0, nx - ny)
+        match_x = [y if rng.random() < 0.7 else -1 for y in ys]
+        rng.shuffle(match_x)
+        if nx > 1 and rng.random() < 0.2:
+            match_x[rng.randrange(nx)] = rng.randrange(ny)
+        want = [(x, y) for x, y in enumerate(match_x) if y != -1]
+        try:
+            expected = Matching.from_edges(want)
+        except ValueError as exc:
+            clashes += 1
+            with pytest.raises(ValueError) as got:
+                Matching.from_match_x(match_x)
+            assert str(got.value) == str(exc)
+            continue
+        assert Matching.from_match_x(match_x) == expected
+        if -1 not in match_x:
+            assert Matching.from_match_x(match_x) == Matching.from_edges(enumerate(match_x))
+    assert 50 < clashes < 500
+
+
 def test_verify_spair_true_pair(c8_gadget):
     inst, gm = c8_gadget
     m1 = Matching.from_edges(gm.cycle_edge(1, j) for j in (1, 3, 5, 7))
