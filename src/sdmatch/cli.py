@@ -92,26 +92,21 @@ def _read(path: str) -> str:
 
 
 def _write_files(files: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text). Every path is first opened for appending,
-    which changes no file, so that when one of them cannot be written none
-    is: the files this check created are removed again. Call it before
-    writing to stdout, so that a failure prints nothing."""
+    """Write each (path, text) in order. When one cannot be written, the
+    files this call created are removed again, so a failed command leaves
+    no new file behind; call it before writing to stdout, so that it also
+    prints nothing."""
     created = []
-    for path, _ in files:
+    for path, text in files:
         existed = os.path.lexists(path)
         try:
-            open(path, "a", encoding="ascii").close()
+            with open(path, "w", encoding="ascii") as handle:
+                if not existed:
+                    created.append(path)
+                handle.write(text)
         except OSError as exc:
             for done in created:
                 os.remove(done)
-            raise _CliError(f"cannot write {path}: {exc}") from exc
-        if not existed:
-            created.append(path)
-    for path, text in files:
-        try:
-            with open(path, "w", encoding="ascii") as handle:
-                handle.write(text)
-        except OSError as exc:
             raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
@@ -163,12 +158,13 @@ def _cmd_reduce_3sat(args, out: IO[str]) -> int:
         out.write("c trivially satisfiable (no clauses); nothing to reduce\n")
         return EXIT_YES
     instance, gm = rmod.reduce_3sat_to_sdm(formula)
+    text = gmod.serialize_instance(instance)
     mapping = rmod.serialize_gadget_map(gm)
-    if args.map_path is not None:
-        _write_files([(args.map_path, mapping)])
-    out.write(gmod.serialize_instance(instance))
     if args.map_path is None:
-        out.write(mapping)
+        text += mapping
+    else:
+        _write_files([(args.map_path, mapping)])
+    out.write(text)
     return EXIT_YES
 
 
