@@ -132,8 +132,8 @@ def d_out_graph(rng, nx, ny, d):
     return BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
 
 
-def flow_value_networkx(g, k):
-    nx_mod = pytest.importorskip("networkx")
+def networkx_network(nx_mod, g, k):
+    """Lebensold's network s -> x (k), x -> y (1), y -> t (k) in networkx."""
     net = nx_mod.DiGraph()
     for x in range(g.nx):
         net.add_edge("s", ("x", x), capacity=k)
@@ -141,7 +141,40 @@ def flow_value_networkx(g, k):
         net.add_edge(("x", x), ("y", y), capacity=1)
     for y in range(g.ny):
         net.add_edge(("y", y), "t", capacity=k)
-    return nx_mod.maximum_flow_value(net, "s", "t")
+    return net
+
+
+def flow_value_networkx(g, k):
+    nx_mod = pytest.importorskip("networkx")
+    return nx_mod.maximum_flow_value(networkx_network(nx_mod, g, k), "s", "t")
+
+
+def test_witness_is_the_minimal_min_cut_of_networkx():
+    """W is the set of X vertices reachable from s in the residual network of
+    any maximum flow: the source side of the unique minimal minimum cut.
+    Edmonds-Karp in networkx finds another flow, so it checks the readout."""
+    nx_mod = pytest.importorskip("networkx")
+    from networkx.algorithms.flow import edmonds_karp
+
+    rng = random.Random(26)
+    violated = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random())
+        for k in (1, 2, 3, 4):
+            residual = edmonds_karp(networkx_network(nx_mod, g, k), "s", "t")
+            verdict = lebensold_condition(g, k)
+            assert verdict.holds == (residual.graph["flow_value"] == k * g.nx)
+            if verdict.holds:
+                continue
+            violated += 1
+            seen, queue = {"s"}, ["s"]
+            for u in queue:
+                for v, arc in residual[u].items():
+                    if arc["capacity"] - arc["flow"] > 0 and v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+            assert verdict.violating_set == tuple(x for x in range(g.nx) if ("x", x) in seen)
+    assert 100 < violated < 1200
 
 
 def test_lebensold_above_old_subset_limit():
