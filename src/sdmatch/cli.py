@@ -92,10 +92,15 @@ def _read(path: str) -> str:
 
 
 def _write_files(files: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text) in order. When one cannot be written, the
-    files this call created are removed again, so a failed command leaves
-    no new file behind; call it before writing to stdout, so that it also
-    prints nothing."""
+    """Write each (path, text) in order; call it before writing to stdout, so
+    that a failed command prints nothing. With more than one file, every path
+    is checked before any is opened, so that a bad one spares the files that
+    exist; a write that still fails removes the files this call created."""
+    if len(files) > 1:
+        for path, _ in files:
+            parent = os.path.dirname(path) or "."
+            if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK):
+                raise _CliError(f"cannot write {path}: not a file in a writable directory")
     created = []
     for path, text in files:
         existed = os.path.lexists(path)
@@ -138,16 +143,13 @@ def _cmd_verify(args, out: IO[str]) -> int:
 
 
 def _cmd_lebensold(args, out: IO[str]) -> int:
-    instance = _load_instance(args.graph)
-    g = instance.graph
-    verdict = lmod.lebensold_condition(g, args.k)
+    verdict = lmod.lebensold_condition(_load_instance(args.graph).graph, args.k)
     if not verdict.holds:
         witness = " ".join(str(x + 1) for x in verdict.violating_set)
         out.write(f"VIOLATED {witness}\n")
         return EXIT_NO
     out.write("HOLDS\n")
-    matchings = lmod.k_disjoint_saturating(g, args.k, verdict)
-    for idx, m in enumerate(matchings, start=1):
+    for idx, m in enumerate(verdict.matchings, start=1):
         out.write(gmod._format_matching_line(f"M{idx}", m) + "\n")
     return EXIT_YES
 
@@ -206,11 +208,8 @@ def generate_instance(nx: int, ny: int, density: float,
 
 
 def _cmd_gen(args, out: IO[str]) -> int:
-    try:
-        instance = generate_instance(args.nx, args.ny, args.density,
-                                     args.s_size, args.seed)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    instance = generate_instance(args.nx, args.ny, args.density,
+                                 args.s_size, args.seed)
     out.write(f"c seed {args.seed}\n")
     out.write(gmod.serialize_instance(instance))
     return EXIT_YES
@@ -235,8 +234,8 @@ _HANDLERS = {
 }
 
 
-def run(argv: Sequence[str], stdin: Optional[IO[str]] = None,
-        stdout: Optional[IO[str]] = None, stderr: Optional[IO[str]] = None) -> int:
+def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
+        stderr: Optional[IO[str]] = None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()

@@ -1,4 +1,5 @@
-"""Feasible flow with lower bounds and the bipartite (g,f)-factor extractor.
+"""Feasible flow with lower bounds, the bipartite (g,f)-factor extractor, and
+`degree_flow`, one max flow with capacities but no lower bounds on the degrees.
 
 The factor problem is reduced to feasible flow: source -> each X vertex with
 bounds [g(x), f(x)], each graph edge as a unit-capacity arc, each Y vertex ->
@@ -62,6 +63,10 @@ class _MaxFlow:
     Both phases are iterative: a BFS builds the level graph, then a DFS with
     an explicit path and one current-arc pointer per node finds a blocking
     flow in it.
+
+    ``run(s, t)`` keeps the level array of its last BFS, the one that did not
+    reach t, as ``level``: level[v] >= 0 exactly for the nodes reachable from
+    s in the residual graph, the source side of the minimal minimum s-t cut.
     """
 
     def __init__(self, n: int) -> None:
@@ -93,23 +98,9 @@ class _MaxFlow:
                         level[v] = next_level
                         queue.append(v)
             if level[t] < 0:
+                self.level = level
                 return total
             total += self._blocking_flow(s, t, level)
-
-    def reachable(self, s: int) -> list[bool]:
-        """Nodes reachable from s along arcs with residual capacity; after
-        ``run(s, t)`` they form the source side of a minimum s-t cut."""
-        head, cap, out = self.head, self.cap, self.out
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for idx in out[u]:
-                v = head[idx]
-                if cap[idx] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
 
     def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
         head, cap, out = self.head, self.cap, self.out
@@ -150,6 +141,31 @@ class _MaxFlow:
             level[u] = -1
             u = head[path.pop() ^ 1]
             ptr[u] += 1
+
+
+def degree_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
+                ) -> tuple[Optional[tuple[tuple[int, int], ...]], Optional[tuple[int, ...]]]:
+    """(factor, None) or (None, W) from one max flow on source -> x (capacity
+    cap_x[x]), x -> y (1) and y -> sink (cap_y[y]).
+
+    The factor, the edges carrying flow in ``graph.edges()`` order, has degree
+    cap_x[x] at each x and at most cap_y[y] at each y. When none exists, W is
+    the nonempty set of X vertices on the source side of the minimal minimum
+    cut: sum_{x in W} cap_x[x] > sum_y min(cap_y[y], |N(y) cap W|).
+    """
+    nx, ny = graph.nx, graph.ny
+    # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
+    src, snk = 0, nx + ny + 1
+    net = _MaxFlow(snk + 1)
+    for x in range(nx):
+        net.add(src, 1 + x, cap_x[x])
+    edges = graph.edges()
+    edge_arcs = [net.add(1 + x, 1 + nx + y, 1) for x, y in edges]
+    for y in range(ny):
+        net.add(1 + nx + y, snk, cap_y[y])
+    if net.run(src, snk) == sum(cap_x):
+        return tuple(e for e, idx in zip(edges, edge_arcs) if net.cap[idx] == 0), None
+    return None, tuple(x for x in range(nx) if net.level[1 + x] >= 0)
 
 
 def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],

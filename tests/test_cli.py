@@ -97,6 +97,18 @@ def test_lebensold_violated(tmp_path):
     assert out == "VIOLATED 1 2\n"
 
 
+def test_lebensold_runs_one_max_flow(tmp_path, monkeypatch):
+    from sdmatch.flow import _MaxFlow
+    runs = []
+    original = _MaxFlow.run
+    monkeypatch.setattr(_MaxFlow, "run", lambda net, s, t: runs.append(s) or original(net, s, t))
+    path = write(tmp_path, "k22.sdm", "p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n")
+    for k, code in ((2, 0), (3, 1)):
+        runs.clear()
+        assert invoke(["lebensold", path, "-k", str(k)])[0] == code
+        assert len(runs) == 1
+
+
 def test_lebensold_k4_on_150_x_vertices(tmp_path):
     # a 2^|X| check could not run at this size; the flow route answers
     rng = random.Random(5)
@@ -136,6 +148,15 @@ def test_gen_output_pinned():
         "e 1 1\ne 1 2\ne 1 3\ne 1 4\ne 2 1\ne 2 2\ne 2 4\ne 3 1\n"
         "e 3 2\ne 3 4\ne 4 1\ne 4 2\ne 4 4\ne 5 2\ne 5 4\ns 3 4\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--density", "2"], "density must lie in [0, 1]"),
+    (["--s-size", "6"], "s-size must lie in [0, nx]"),
+])
+def test_gen_rejects_out_of_range_values(argv, message):
+    argv = ["gen", "--nx", "5", "--ny", "5", "--seed", "1"] + argv
+    assert invoke(argv) == (2, "", f"error: {message}\n")
 
 
 def test_pipeline_3sat_solve_decode(tmp_path):
@@ -223,6 +244,21 @@ def test_unwritable_g2_prints_and_leaves_nothing(tmp_path):
     assert not g1.exists()
     # nor is G1 printed when it was meant for stdout
     assert invoke(["reduce-dm", path, "--g2", g2])[:2] == (2, "")
+
+
+def test_failed_reduce_dm_keeps_an_existing_output_file(tmp_path):
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    g1, g2 = tmp_path / "a.sdm", str(tmp_path / "missing" / "b.sdm")
+    g1.write_bytes(b"old contents\n")
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", g2])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {g2}: ")
+    assert g1.read_bytes() == b"old contents\n"
+    # a directory in place of an output file is refused before any write too
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert g1.read_bytes() == b"old contents\n"
 
 
 def test_format_violation_exits_2(tmp_path):
