@@ -15,7 +15,7 @@ from .graph import (
     verify_spair,
 )
 from .matching import HallCertificate, max_matching, x_saturating_certificate
-from .flow import Arc, DegreeBounds, degree_flow, feasible_flow, gf_factor
+from .flow import Arc, DegreeBounds, feasible_flow, gf_factor
 from .coloring import EdgeColoring, konig_color
 from .lebensold import LebensoldVerdict, k_disjoint_saturating, lebensold_condition
 from .solve import (

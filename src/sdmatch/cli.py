@@ -92,15 +92,18 @@ def _read(path: str) -> str:
 
 
 def _write_files(files: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text) in order; call it before writing to stdout, so
-    that a failed command prints nothing. With more than one file, every path
-    is checked before any is opened, so that a bad one spares the files that
-    exist; a write that still fails removes the files this call created."""
+    """Write each (path, text) in order, before anything goes to stdout, so a
+    failed command prints nothing. With more than one file, each path must be
+    a writable file or absent (a dangling symlink is neither) in a writable
+    directory before any is opened, so a bad one spares the files that exist;
+    one file has nothing to spare. A failure after that removes the files
+    this call created."""
     if len(files) > 1:
         for path, _ in files:
             parent = os.path.dirname(path) or "."
-            if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK):
-                raise _CliError(f"cannot write {path}: not a file in a writable directory")
+            if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK) or \
+                    (os.path.lexists(path) and not os.access(path, os.W_OK)):
+                raise _CliError(f"cannot write {path}: file or its directory not writable")
     created = []
     for path, text in files:
         existed = os.path.lexists(path)

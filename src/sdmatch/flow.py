@@ -1,5 +1,4 @@
-"""Feasible flow with lower bounds, the bipartite (g,f)-factor extractor, and
-`degree_flow`, one max flow with capacities but no lower bounds on the degrees.
+"""Feasible flow with lower bounds, the (g,f)-factor extractor, and degree_flow.
 
 The factor problem is reduced to feasible flow: source -> each X vertex with
 bounds [g(x), f(x)], each graph edge as a unit-capacity arc, each Y vertex ->
@@ -143,27 +142,27 @@ class _MaxFlow:
             ptr[u] += 1
 
 
-def degree_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
+def degree_flow(graph: BipartiteGraph, k: int
                 ) -> tuple[Optional[tuple[tuple[int, int], ...]], Optional[tuple[int, ...]]]:
     """(factor, None) or (None, W) from one max flow on source -> x (capacity
-    cap_x[x]), x -> y (1) and y -> sink (cap_y[y]).
+    k), x -> y (1) and y -> sink (k).
 
     The factor, the edges carrying flow in ``graph.edges()`` order, has degree
-    cap_x[x] at each x and at most cap_y[y] at each y. When none exists, W is
-    the nonempty set of X vertices on the source side of the minimal minimum
-    cut: sum_{x in W} cap_x[x] > sum_y min(cap_y[y], |N(y) cap W|).
+    k at each x and at most k at each y. When none exists, W is the nonempty
+    set of X vertices on the source side of the minimal minimum cut:
+    k|W| > sum_y min(k, |N(y) cap W|).
     """
     nx, ny = graph.nx, graph.ny
     # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
     src, snk = 0, nx + ny + 1
     net = _MaxFlow(snk + 1)
     for x in range(nx):
-        net.add(src, 1 + x, cap_x[x])
+        net.add(src, 1 + x, k)
     edges = graph.edges()
     edge_arcs = [net.add(1 + x, 1 + nx + y, 1) for x, y in edges]
     for y in range(ny):
-        net.add(1 + nx + y, snk, cap_y[y])
-    if net.run(src, snk) == sum(cap_x):
+        net.add(1 + nx + y, snk, k)
+    if net.run(src, snk) == k * nx:
         return tuple(e for e, idx in zip(edges, edge_arcs) if net.cap[idx] == 0), None
     return None, tuple(x for x in range(nx) if net.level[1 + x] >= 0)
 

@@ -41,7 +41,7 @@ def lebensold_condition(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    factor, w = degree_flow(graph, [k] * graph.nx, [k] * graph.ny)
+    factor, w = degree_flow(graph, k)
     if factor is None:
         return LebensoldVerdict(False, w)
     coloring = konig_color(BipartiteGraph.from_edges(graph.nx, graph.ny, factor))
@@ -50,5 +50,6 @@ def lebensold_condition(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
 
 
 def k_disjoint_saturating(graph: BipartiteGraph, k: int) -> Optional[tuple[Matching, ...]]:
-    """k pairwise edge-disjoint X-saturating matchings, or None."""
+    """k pairwise edge-disjoint X-saturating matchings, or None (no caller but
+    perfbench's tracer, which lists its name)."""
     return lebensold_condition(graph, k).matchings

@@ -12,7 +12,6 @@ import time
 from sdmatch import (
     BipartiteGraph,
     SdmInstance,
-    k_disjoint_saturating,
     konig_color,
     lebensold_condition,
     reduce_3sat_to_sdm,
@@ -84,9 +83,10 @@ def test_criterion_3_lebensold_equivalence():
         g = random_graph(rng, rng.randint(1, 5), rng.randint(1, 5), rng.random())
         for k in (1, 2, 3):
             expected = lebensold_brute_force(g, k)
-            if lebensold_condition(g, k).holds != expected:
+            verdict = lebensold_condition(g, k)
+            if verdict.holds != expected:
                 ok = False
-            if (k_disjoint_saturating(g, k) is not None) != expected:
+            if (verdict.matchings is not None) != expected:
                 ok = False
         hall = x_saturating_certificate(g).saturating_matching is not None
         if hall != lebensold_brute_force(g, 1):

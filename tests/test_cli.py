@@ -259,6 +259,46 @@ def test_failed_reduce_dm_keeps_an_existing_output_file(tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {tmp_path}: ")
     assert g1.read_bytes() == b"old contents\n"
+    # and so is a dangling symlink, which open would follow into a missing directory
+    link = tmp_path / "b.sdm"
+    link.symlink_to(tmp_path / "missing" / "b.sdm")
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", str(link)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {link}: ")
+    assert g1.read_bytes() == b"old contents\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_failed_reduce_dm_keeps_output_before_a_read_only_file(tmp_path):
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    g1, g2 = tmp_path / "a.sdm", tmp_path / "b.sdm"
+    g1.write_bytes(b"old contents\n")
+    g2.write_bytes(b"read only\n")
+    g2.chmod(0o444)
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", str(g2)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {g2}: ")
+    assert (g1.read_bytes(), g2.read_bytes()) == (b"old contents\n", b"read only\n")
+
+
+def test_write_failing_after_the_check_removes_created_files(tmp_path, monkeypatch):
+    """A failure the check cannot foresee (a full disk, say) still takes back
+    the files this call created."""
+    import sdmatch.cli as cli
+
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    g1, g2 = tmp_path / "a.sdm", str(tmp_path / "b.sdm")
+
+    def open_failing_on_g2(name, *args, **kwargs):
+        if name == g2:
+            raise OSError(28, "No space left on device")
+        return open(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_failing_on_g2, raising=False)
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", g2])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {g2}: ")
+    assert not g1.exists()
 
 
 def test_format_violation_exits_2(tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdmatch import Arc, BipartiteGraph, DegreeBounds, degree_flow, feasible_flow, gf_factor
+from sdmatch import Arc, BipartiteGraph, DegreeBounds, feasible_flow, gf_factor
 from sdmatch.flow import factor_degrees_ok
 from sdmatch.matching import max_matching
 from conftest import random_graph
@@ -94,31 +94,6 @@ def test_factor_against_brute_force():
         assert (factor is not None) == brute_force_factor_exists(g, gx, fx, gy, fy)
         if factor is not None:
             assert factor_degrees_ok(g, bounds, factor)
-
-
-def test_degree_flow_per_vertex_capacities():
-    """Uneven capacities, zeros included: a factor exactly when brute force
-    finds one, with degree cap_x on X and at most cap_y on Y, else a W whose
-    capacity exceeds what its neighbourhood can absorb."""
-    rng = random.Random(5)
-    verdicts = set()
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 4), rng.randint(1, 4), 0.6)
-        cap_x = [rng.randint(0, 3) for _ in range(g.nx)]
-        cap_y = [rng.randint(0, 3) for _ in range(g.ny)]
-        factor, w = degree_flow(g, cap_x, cap_y)
-        assert (factor is None) != (w is None)
-        assert (factor is not None) == brute_force_factor_exists(g, cap_x, cap_x, [0] * g.ny, cap_y)
-        verdicts.add(factor is not None)
-        if factor is not None:
-            assert factor_degrees_ok(g, DegreeBounds.make(cap_x, cap_x, [0] * g.ny, cap_y),
-                                     frozenset(factor))
-            assert list(factor) == sorted(factor)
-        else:
-            assert w and all(0 <= x < g.nx for x in w)
-            absorbed = sum(min(cap_y[y], len(set(g.y_adj[y]) & set(w))) for y in range(g.ny))
-            assert sum(cap_x[x] for x in w) > absorbed
-    assert verdicts == {True, False}
 
 
 def test_bounds_must_cover_every_vertex():

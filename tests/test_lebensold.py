@@ -5,7 +5,6 @@ import pytest
 from sdmatch import (
     BipartiteGraph,
     is_matching,
-    k_disjoint_saturating,
     lebensold_condition,
     x_saturating_certificate,
 )
@@ -29,7 +28,7 @@ def test_k1_equals_hall():
 def test_c8_two_disjoint_matchings(c8_gadget):
     inst, _ = c8_gadget
     assert lebensold_condition(inst.graph, 2).holds
-    matchings = k_disjoint_saturating(inst.graph, 2)
+    matchings = lebensold_condition(inst.graph, 2).matchings
     assert matchings is not None
     assert not (matchings[0].edge_set & matchings[1].edge_set)
 
@@ -43,7 +42,7 @@ def test_k23_k3_holds():
 
 
 def test_k22_decomposition():
-    matchings = k_disjoint_saturating(k22(), 2)
+    matchings = lebensold_condition(k22(), 2).matchings
     assert matchings is not None
     classes = {matchings[0].edge_set, matchings[1].edge_set}
     assert classes == {frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})}
@@ -51,8 +50,9 @@ def test_k22_decomposition():
 
 def test_single_edge_k2_absent():
     g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
-    assert k_disjoint_saturating(g, 2) is None
-    assert not lebensold_condition(g, 2).holds
+    verdict = lebensold_condition(g, 2)
+    assert not verdict.holds
+    assert verdict.matchings is None
 
 
 def test_equivalence_random():
@@ -63,7 +63,7 @@ def test_equivalence_random():
             expected = lebensold_brute_force(g, k)
             verdict = lebensold_condition(g, k)
             assert verdict.holds == expected
-            assert (k_disjoint_saturating(g, k) is not None) == expected
+            assert (verdict.matchings is not None) == expected
             assert_verdict_certified(g, k, verdict)
 
 
