@@ -60,6 +60,23 @@ def test_parse_dimacs_missing_terminator():
         parse_dimacs_cnf("p cnf 1 1\n1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a second header used to replace the first, so the clause count was
+    # checked against the last one and this formula reduced with exit 0
+    ("p cnf 3 2\n1 0\np cnf 3 1\n", "line 3: duplicate header"),
+    ("p cnf 1 1\nc x\np cnf 1 1\n1 0\n", "line 3: duplicate header"),
+    # a negative variable count used to read as "no header yet"
+    ("p cnf -1 1\n1 0\n", "line 1: negative header counts"),
+    ("p cnf -1 0\n", "line 1: negative header counts"),
+    ("p cnf 1 -1\n", "line 1: negative header counts"),
+], ids=["second-after-clause", "second-after-comment", "negative-vars",
+        "negative-vars-no-clause", "negative-clauses"])
+def test_parse_dimacs_rejects_bad_header(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_dimacs_cnf(text)
+    assert str(info.value) == message
+
+
 def test_clause_arity_limit():
     with pytest.raises(ValueError, match="arity"):
         CnfFormula.make(4, [[1, 2, 3, 4]])
