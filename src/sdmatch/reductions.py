@@ -78,6 +78,8 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars >= 0:  # a header was read already
+                raise FormatError(f"line {lineno}: duplicate header")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
@@ -85,6 +87,8 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer header counts") from exc
+            if num_vars < 0 or num_clauses < 0:
+                raise FormatError(f"line {lineno}: negative header counts")
             continue
         if num_vars < 0:
             raise FormatError(f"line {lineno}: clause before header")
