@@ -2,7 +2,9 @@
 
 The factor problem is reduced to feasible flow: source -> each X vertex with
 bounds [g(x), f(x)], each graph edge as a unit-capacity arc, each Y vertex ->
-sink with bounds [g(y), f(y)]. Arcs are plain (tail, head, low, up) tuples.
+sink with bounds [g(y), f(y)]. A vertex whose lower bound exceeds its degree
+refutes first, with no arc built: that is Hoffman's condition on the cut
+around one vertex. Arcs are plain (tail, head, low, up) tuples.
 Lower bounds are removed via the standard excess/deficit super-source and
 super-sink transformation; a fixed arc (low == up) only shifts excess and
 never enters the network, so under the S-pair bounds, where g = f on X, no
@@ -29,23 +31,28 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class DegreeBounds:
-    """Per-vertex degree bounds; every vertex must have an entry."""
+    """Per-vertex degree bounds 0 <= g <= f; every vertex must have an entry.
+
+    Checked on construction, so every instance holds valid bounds.
+    """
 
     g_x: tuple[int, ...]
     f_x: tuple[int, ...]
     g_y: tuple[int, ...]
     f_y: tuple[int, ...]
 
-    @staticmethod
-    def make(g_x: Sequence[int], f_x: Sequence[int],
-             g_y: Sequence[int], f_y: Sequence[int]) -> "DegreeBounds":
-        if len(g_x) != len(f_x) or len(g_y) != len(f_y):
+    def __post_init__(self) -> None:
+        if len(self.g_x) != len(self.f_x) or len(self.g_y) != len(self.f_y):
             raise ValueError("g and f must cover the same vertices")
-        for g, f in zip(list(g_x) + list(g_y), list(f_x) + list(f_y)):
+        for g, f in zip(self.g_x + self.g_y, self.f_x + self.f_y):
             if g < 0 or f < 0:
                 raise ValueError("degree bounds must be nonnegative")
             if g > f:
                 raise ValueError(f"lower bound {g} exceeds upper bound {f}")
+
+    @staticmethod
+    def make(g_x: Sequence[int], f_x: Sequence[int],
+             g_y: Sequence[int], f_y: Sequence[int]) -> "DegreeBounds":
         return DegreeBounds(tuple(g_x), tuple(f_x), tuple(g_y), tuple(f_y))
 
     @staticmethod
@@ -210,10 +217,20 @@ def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
 
 
 def gf_factor(graph: BipartiteGraph, bounds: DegreeBounds) -> Optional[frozenset[tuple[int, int]]]:
-    """Edge set of a subgraph H with g(v) <= d_H(v) <= f(v) for all v, or None."""
+    """Edge set of a subgraph H with g(v) <= d_H(v) <= f(v) for all v, or None.
+
+    A vertex whose lower bound exceeds its degree refutes before any arc is
+    built; otherwise one feasible flow decides.
+    """
     nx = graph.nx
     if len(bounds.g_x) != nx or len(bounds.g_y) != graph.ny:
         raise ValueError("bounds must cover every vertex of the graph")
+    # Hoffman's condition on the cut around one vertex
+    adj = graph.adj
+    if any(len(adj[x]) < g for x, g in enumerate(bounds.g_x)):
+        return None
+    if any(bounds.g_y) and any(len(xs) < g for xs, g in zip(graph.y_adj, bounds.g_y)):
+        return None
     # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
     src = 0
     snk = nx + graph.ny + 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdmatch import Arc, BipartiteGraph, DegreeBounds, feasible_flow, gf_factor
+from sdmatch import Arc, BipartiteGraph, DegreeBounds, SdmInstance, feasible_flow, gf_factor, solve
 from sdmatch.flow import factor_degrees_ok
 from sdmatch.matching import max_matching
 from conftest import random_graph
@@ -107,6 +107,45 @@ def test_bounds_validation():
         DegreeBounds.make([2], [1], [], [])
     with pytest.raises(ValueError, match="nonnegative"):
         DegreeBounds.make([-1], [1], [], [])
+    # the constructor checks too, so gf_factor never sees g > f
+    with pytest.raises(ValueError, match="lower bound 2 exceeds upper bound 1"):
+        DegreeBounds((2,), (1,), (), ())
+    with pytest.raises(ValueError, match="cover the same vertices"):
+        DegreeBounds((1,), (1,), (0,), ())
+
+
+@pytest.fixture
+def flow_runs(monkeypatch):
+    """The source of every _MaxFlow.run call, in call order."""
+    from sdmatch.flow import _MaxFlow
+    runs = []
+    original = _MaxFlow.run
+    monkeypatch.setattr(_MaxFlow, "run", lambda net, s, t: runs.append(s) or original(net, s, t))
+    return runs
+
+
+def test_one_vertex_cut_refutes_without_a_flow(flow_runs):
+    # degrees: x0 1, x1 2; y0 2, y1 1
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0), (1, 1)])
+    assert gf_factor(g, DegreeBounds.make([2, 0], [2, 2], [0, 0], [2, 2])) is None
+    assert gf_factor(g, DegreeBounds.make([0, 0], [2, 2], [0, 2], [2, 2])) is None
+    # the S-pair bounds: x0 in S needs two neighbours
+    assert solve(SdmInstance.make(g, [0, 1])).spair is None
+    assert flow_runs == []
+
+
+def test_degrees_that_meet_g_still_run_one_flow(flow_runs):
+    # every degree meets its lower bound, yet no factor exists
+    k22 = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert gf_factor(k22, DegreeBounds.make([2, 2], [2, 2], [0, 0], [1, 1])) is None
+    assert len(flow_runs) == 1
+    # three Y vertices of degree 1, 2, 1 each need one of two X vertices
+    g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    assert gf_factor(g, DegreeBounds.make([1, 1], [1, 1], [1, 1, 1], [1, 1, 1])) is None
+    assert len(flow_runs) == 2
+    # degree equal to g is no refutation
+    assert gf_factor(g, DegreeBounds.make([2, 2], [2, 2], [1, 1, 1], [2, 2, 2])) == g.edge_set
+    assert len(flow_runs) == 3
 
 
 def networkx_feasible(num_nodes, arcs, source, sink):
@@ -150,23 +189,36 @@ def networkx_factor_exists(g, bounds):
     return networkx_feasible(snk + 1, arcs, 0, snk)
 
 
-def test_factor_verdict_matches_networkx_flow():
+def test_factor_verdict_matches_networkx_flow(flow_runs):
     pytest.importorskip("networkx")
     rng = random.Random(12)
-    verdicts = set()
+    seen = set()
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 60), rng.randint(1, 60), rng.choice((0.05, 0.1, 0.2)))
-        # lower bounds no higher than the degree, so both verdicts are common
+        # lower bounds no higher than the degree, so both verdicts are common,
+        # then in about a quarter of the graphs one bound past its degree
         gx = [rng.randint(0, min(2, g.degree_x(x))) for x in range(g.nx)]
         gy = [rng.randint(0, min(1, g.degree_y(y))) for y in range(g.ny)]
+        if rng.random() < 0.25:
+            if rng.random() < 0.5:
+                x = rng.randrange(g.nx)
+                gx[x] = g.degree_x(x) + 1
+            else:
+                y = rng.randrange(g.ny)
+                gy[y] = g.degree_y(y) + 1
         bounds = DegreeBounds.make(gx, [v + rng.randint(0, 2) for v in gx],
                                    gy, [v + rng.randint(0, 2) for v in gy])
+        flow_runs.clear()
         factor = gf_factor(g, bounds)
         assert (factor is not None) == networkx_factor_exists(g, bounds)
         if factor is not None:
             assert factor_degrees_ok(g, bounds, factor)
-        verdicts.add(factor is not None)
-    assert verdicts == {True, False}
+        # the flow is skipped exactly when one vertex's degree refutes
+        short = any(g.degree_x(x) < gx[x] for x in range(g.nx)) or \
+            any(g.degree_y(y) < gy[y] for y in range(g.ny))
+        assert flow_runs == ([] if short else [g.nx + g.ny + 2])
+        seen.add(("one-vertex cut" if short else "flow", factor is not None))
+    assert seen == {("one-vertex cut", False), ("flow", False), ("flow", True)}
 
 
 def random_network(rng):
