@@ -47,9 +47,3 @@ def lebensold_condition(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
     coloring = konig_color(BipartiteGraph.from_edges(graph.nx, graph.ny, factor))
     # every X vertex has degree exactly k, so the palette is exactly k
     return LebensoldVerdict(True, None, tuple(coloring.color_class(c) for c in range(1, k + 1)))
-
-
-def k_disjoint_saturating(graph: BipartiteGraph, k: int) -> Optional[tuple[Matching, ...]]:
-    """k pairwise edge-disjoint X-saturating matchings, or None (no caller but
-    perfbench's tracer, which lists its name)."""
-    return lebensold_condition(graph, k).matchings
