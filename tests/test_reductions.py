@@ -69,8 +69,10 @@ def test_parse_dimacs_missing_terminator():
     ("p cnf -1 1\n1 0\n", "line 1: negative header counts"),
     ("p cnf -1 0\n", "line 1: negative header counts"),
     ("p cnf 1 -1\n", "line 1: negative header counts"),
+    # only a first token of exactly "p" starts a header
+    ("pxyz cnf 1 1\n1 0\n", "line 1: malformed header 'pxyz cnf 1 1'"),
 ], ids=["second-after-clause", "second-after-comment", "negative-vars",
-        "negative-vars-no-clause", "negative-clauses"])
+        "negative-vars-no-clause", "negative-clauses", "p-prefixed-token"])
 def test_parse_dimacs_rejects_bad_header(text, message):
     with pytest.raises(FormatError) as info:
         parse_dimacs_cnf(text)
