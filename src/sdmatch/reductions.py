@@ -81,7 +81,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             if num_vars >= 0:  # a header was read already
                 raise FormatError(f"line {lineno}: duplicate header")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
             try:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
