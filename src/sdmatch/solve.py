@@ -5,16 +5,16 @@ algorithm (PolyLargeS): a (g,f)-factor with degree 2 on S, 1 on the rest of X
 and at most 2 on Y is exactly a union M1 | M2, and konig_color splits it into
 two color classes, M1 being the one that holds the edge of the X vertex
 outside S. An X vertex with fewer neighbours than its factor degree answers
-"no" before any flow network is built. Every smaller S takes one exact
-search, labelled BoundedS when |S| is within the cap and ExactBacktrack
-otherwise (the general case is NP-hard), with the same step budget under
-both labels. The search picks the M2 partner of each S vertex in turn,
-depth first with an explicit stack, and keeps one X-saturating matching of
-the residual graph G - M2: a pick that removes a matched edge is repaired by
-a single augmenting path, or pruned when there is none, and a "yes" prints
-that repaired matching as M1. An exhaustive pair counter and an exact solver
-for the two-graph variant serve as oracles for cross-checks; both walk one
-iterative enumerator of matchings.
+"no" before any flow network is built.
+Every smaller S takes one exact search, labelled BoundedS when |S|
+is within the cap and ExactBacktrack otherwise (the general case is NP-hard),
+with the same step budget under both labels. The search picks the M2 partner of
+each S vertex in turn, depth first with an explicit stack, and keeps one
+X-saturating matching of the residual graph G - M2: a pick that removes a
+matched edge is repaired by a single augmenting path, or pruned when there is
+none, and a "yes" prints that repaired matching as M1. An exhaustive pair
+counter and an exact solver for the two-graph variant serve as oracles for
+cross-checks; both walk one iterative enumerator of matchings.
 """
 
 from __future__ import annotations
