@@ -4,6 +4,7 @@ from typing import Optional
 import pytest
 
 from sdmatch import BipartiteGraph, FormatError, Matching, SdmInstance, SPair
+from sdmatch.flow import _MaxFlow
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
 from sdmatch.reductions import GadgetMap
@@ -205,3 +206,12 @@ def c8_gadget():
     graph = BipartiteGraph.from_edges(4, 4, edges)
     s_set = [gm.cycle_x(1, j) for j in (2, 6)]
     return SdmInstance.make(graph, s_set), gm
+
+
+@pytest.fixture
+def flow_runs(monkeypatch):
+    """The source node of every max flow run (_MaxFlow.run), in call order."""
+    runs = []
+    original = _MaxFlow.run
+    monkeypatch.setattr(_MaxFlow, "run", lambda net, s, t: runs.append(s) or original(net, s, t))
+    return runs

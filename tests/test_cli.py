@@ -97,16 +97,12 @@ def test_lebensold_violated(tmp_path):
     assert out == "VIOLATED 1 2\n"
 
 
-def test_lebensold_runs_one_max_flow(tmp_path, monkeypatch):
-    from sdmatch.flow import _MaxFlow
-    runs = []
-    original = _MaxFlow.run
-    monkeypatch.setattr(_MaxFlow, "run", lambda net, s, t: runs.append(s) or original(net, s, t))
+def test_lebensold_runs_one_max_flow(tmp_path, flow_runs):
     path = write(tmp_path, "k22.sdm", "p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n")
     for k, code in ((2, 0), (3, 1)):
-        runs.clear()
+        flow_runs.clear()
         assert invoke(["lebensold", path, "-k", str(k)])[0] == code
-        assert len(runs) == 1
+        assert len(flow_runs) == 1
 
 
 def test_lebensold_k4_on_150_x_vertices(tmp_path):

@@ -114,16 +114,6 @@ def test_bounds_validation():
         DegreeBounds((1,), (1,), (0,), ())
 
 
-@pytest.fixture
-def flow_runs(monkeypatch):
-    """The source of every _MaxFlow.run call, in call order."""
-    from sdmatch.flow import _MaxFlow
-    runs = []
-    original = _MaxFlow.run
-    monkeypatch.setattr(_MaxFlow, "run", lambda net, s, t: runs.append(s) or original(net, s, t))
-    return runs
-
-
 def test_one_vertex_cut_refutes_without_a_flow(flow_runs):
     # degrees: x0 1, x1 2; y0 2, y1 1
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0), (1, 1)])
