@@ -35,9 +35,11 @@ def definitions(tree):
     """(qualified name, name, line) of each public top-level function and of
     each public method of a top-level class."""
     for node in tree.body:
-        members = [(node, "")] if not isinstance(node, ast.ClassDef) else \
-            [(item, node.name + ".") for item in node.body]
-        for item, prefix in members:
+        if isinstance(node, ast.ClassDef):
+            members = [(node.name + ".", item) for item in node.body]
+        else:
+            members = [("", node)]
+        for prefix, item in members:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not item.name.startswith("_"):
                 yield prefix + item.name, item.name, item.lineno
