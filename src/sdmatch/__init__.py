@@ -15,7 +15,7 @@ from .graph import (
     verify_spair,
 )
 from .matching import HallCertificate, max_matching, x_saturating_certificate
-from .flow import Arc, DegreeBounds, feasible_flow, gf_factor
+from .flow import DegreeBounds, feasible_flow, gf_factor
 from .coloring import EdgeColoring, konig_color
 from .lebensold import LebensoldVerdict, lebensold_condition
 from .solve import (
@@ -24,7 +24,6 @@ from .solve import (
     SolveOutcome,
     count_spairs_exact,
     solve,
-    solve_dm_exact,
     solve_exact,
     solve_poly_large_s,
 )

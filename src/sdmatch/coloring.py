@@ -30,21 +30,6 @@ def max_degree(graph: BipartiteGraph) -> int:
     return max(degs, default=0)
 
 
-def is_proper(graph: BipartiteGraph, coloring: EdgeColoring) -> bool:
-    """Independent validation: properness plus palette bound."""
-    if set(coloring.colors) != graph.edge_set:
-        return False
-    seen: set[tuple[int, int]] = set()
-    for (x, y), c in coloring.colors.items():
-        if not 1 <= c <= coloring.palette_size:
-            return False
-        for key in ((x, c), (graph.nx + y, c)):
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
-
-
 def konig_color(graph: BipartiteGraph) -> EdgeColoring:
     """Proper coloring with exactly Delta colors (0 colors for edgeless input)."""
     delta = max_degree(graph)

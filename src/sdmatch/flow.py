@@ -15,18 +15,11 @@ recursion in either phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import BipartiteGraph
 
 _INF = 1 << 30
-
-
-class Arc(NamedTuple):
-    tail: int
-    head: int
-    low: int
-    up: int
 
 
 @dataclass(frozen=True)
@@ -54,12 +47,6 @@ class DegreeBounds:
     def make(g_x: Sequence[int], f_x: Sequence[int],
              g_y: Sequence[int], f_y: Sequence[int]) -> "DegreeBounds":
         return DegreeBounds(tuple(g_x), tuple(f_x), tuple(g_y), tuple(f_y))
-
-    @staticmethod
-    def uniform(graph: BipartiteGraph, g_x: int, f_x: int, g_y: int, f_y: int) -> "DegreeBounds":
-        return DegreeBounds.make(
-            [g_x] * graph.nx, [f_x] * graph.nx, [g_y] * graph.ny, [f_y] * graph.ny
-        )
 
 
 class _MaxFlow:
@@ -178,10 +165,9 @@ def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
                   source: int, sink: int) -> Optional[list[int]]:
     """A feasible integral flow meeting all arc bounds, or None.
 
-    Each arc is a (tail, head, low, up) tuple, such as an Arc. Returns
-    per-arc flow values in input order; a fixed arc (low == up) shifts its
-    bound between the excesses of its ends, stays out of the max-flow
-    network, and reports up. Raises ValueError on a malformed network
+    Each arc is a (tail, head, low, up) tuple. Returns per-arc flow values
+    in input order; a fixed arc (low == up) shifts its bound between the
+    excesses of its ends, stays out of the max-flow network, and reports up. Raises ValueError on a malformed network
     (dangling endpoints, low > up, low < 0).
     """
     ss, tt = num_nodes, num_nodes + 1
@@ -242,17 +228,3 @@ def gf_factor(graph: BipartiteGraph, bounds: DegreeBounds) -> Optional[frozenset
     if flow is None:
         return None
     return frozenset(e for e, used in zip(edges, flow[nx:]) if used)
-
-
-def factor_degrees_ok(graph: BipartiteGraph, bounds: DegreeBounds,
-                      factor: frozenset[tuple[int, int]]) -> bool:
-    """Re-validate a factor's degree bounds vertex by vertex."""
-    dx = [0] * graph.nx
-    dy = [0] * graph.ny
-    for x, y in factor:
-        if not graph.has_edge(x, y):
-            return False
-        dx[x] += 1
-        dy[y] += 1
-    return all(bounds.g_x[x] <= dx[x] <= bounds.f_x[x] for x in range(graph.nx)) and \
-        all(bounds.g_y[y] <= dy[y] <= bounds.f_y[y] for y in range(graph.ny))

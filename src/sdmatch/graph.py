@@ -65,22 +65,6 @@ class BipartiteGraph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj)
 
-    def has_edge(self, x: int, y: int) -> bool:
-        return (x, y) in self.edge_set
-
-    def degree_x(self, x: int) -> int:
-        return len(self.adj[x])
-
-    def degree_y(self, y: int) -> int:
-        return len(self.y_adj[y])
-
-    def without_edges(self, removed: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        """Copy of this graph with the given edges deleted."""
-        gone = set(removed)
-        return BipartiteGraph.from_edges(
-            self.nx, self.ny, (e for e in self.edges() if e not in gone)
-        )
-
 
 def random_graph(rng: random.Random, nx: int, ny: int, density: float) -> BipartiteGraph:
     """Each of the nx*ny edges independently with probability density, drawn

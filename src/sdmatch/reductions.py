@@ -12,9 +12,8 @@ indices assigned by parity), then clause gadgets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graph import (
     BipartiteGraph,
@@ -23,6 +22,7 @@ from .graph import (
     Matching,
     SdmInstance,
     SPair,
+    is_matching,
     verify_spair,
 )
 from .matching import max_matching
@@ -53,20 +53,6 @@ class CnfFormula:
                 raise ValueError(f"clause arity {len(lits)} exceeds 3")
             cleaned.append(tuple(lits))
         return CnfFormula(num_vars, tuple(cleaned))
-
-    def evaluate(self, assignment: dict[int, bool]) -> bool:
-        return all(
-            any(assignment[abs(lit)] == (lit > 0) for lit in clause)
-            for clause in self.clauses
-        )
-
-    def brute_force_satisfiable(self) -> Optional[dict[int, bool]]:
-        """First satisfying assignment in lexicographic order, or None."""
-        for bits in itertools.product([False, True], repeat=self.num_vars):
-            assignment = {i + 1: bits[i] for i in range(self.num_vars)}
-            if self.evaluate(assignment):
-                return assignment
-        return None
 
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
@@ -264,8 +250,6 @@ def reduce_sdm_to_dm(instance: SdmInstance) -> DmInstance:
 
 
 def _check_dm_solution(dm: DmInstance, m1: Matching, m2: Matching) -> None:
-    from .graph import is_matching
-
     if not is_matching(dm.g1, m1.edges):
         raise ValueError("m1 is not a matching of G1")
     if not is_matching(dm.g2, m2.edges):

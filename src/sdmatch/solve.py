@@ -13,8 +13,8 @@ each S vertex in turn, depth first with an explicit stack, and keeps one
 X-saturating matching of the residual graph G - M2: a pick that removes a
 matched edge is repaired by a single augmenting path, or pruned when there is
 none, and a "yes" prints that repaired matching as M1. An exhaustive pair
-counter and an exact solver for the two-graph variant serve as oracles for
-cross-checks; both walk one iterative enumerator of matchings.
+counter, which walks an iterative enumerator of matchings, serves as an
+oracle for cross-checks.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from typing import Container, Optional, Sequence
 
 from .coloring import konig_color
 from .flow import DegreeBounds, gf_factor
-from .graph import BipartiteGraph, DmInstance, Matching, SdmInstance, SPair
+from .graph import BipartiteGraph, Matching, SdmInstance, SPair
 from .matching import max_matching, rematch
 
 DEFAULT_BOUNDED_S_CAP = 8
 DEFAULT_COUNT_EDGE_LIMIT = 16
-DEFAULT_DM_EDGE_LIMIT = 64
 
 
 class Method(enum.Enum):
@@ -192,26 +191,17 @@ def count_spairs_exact(instance: SdmInstance,
                for _ in _matchings(g.adj, instance.s_set, set(m1)))
 
 
-def solve_dm_exact(instance: DmInstance,
-                   size_limit: int = DEFAULT_DM_EDGE_LIMIT) -> Optional[tuple[Matching, Matching]]:
-    """Complete search for disjoint X-saturating matchings M1 in G1, M2 in G2."""
-    g1, g2 = instance.g1, instance.g2
-    if max(g1.num_edges(), g2.num_edges()) > size_limit:
-        raise ValueError("instance too large for exact DM search")
-    for m1 in _matchings(g1.adj, range(g1.nx)):
-        m2 = max_matching(g2.without_edges(m1))
-        if len(m2) == g2.nx:
-            return Matching.from_edges(m1), m2
-    return None
-
-
-def solve(instance: SdmInstance, budget: Optional[int] = None,
-          bounded_cap: int = DEFAULT_BOUNDED_S_CAP) -> SolveOutcome:
+def solve(instance: SdmInstance, budget: Optional[int] = None) -> SolveOutcome:
     """Dispatch: the polynomial route when |S| >= |X|-1, else the exact
-    search, labelled BoundedS when |S| <= bounded_cap."""
+    search, labelled BoundedS when |S| <= DEFAULT_BOUNDED_S_CAP.
+
+    Raises ValueError on a negative budget, on every route.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     nx = instance.graph.nx
     ns = len(instance.s_set)
     if ns >= nx - 1:
         return SolveOutcome(solve_poly_large_s(instance), Method.POLY_LARGE_S)
-    method = Method.BOUNDED_S if ns <= bounded_cap else Method.EXACT_BACKTRACK
+    method = Method.BOUNDED_S if ns <= DEFAULT_BOUNDED_S_CAP else Method.EXACT_BACKTRACK
     return SolveOutcome(solve_exact(instance, budget), method)

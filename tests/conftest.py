@@ -3,17 +3,21 @@ from typing import Optional
 
 import pytest
 
-from sdmatch import BipartiteGraph, FormatError, Matching, SdmInstance, SPair
-from sdmatch.flow import _MaxFlow
+from sdmatch import BipartiteGraph, DmInstance, FormatError, Matching, SdmInstance, SPair
+from sdmatch.coloring import EdgeColoring
+from sdmatch.flow import DegreeBounds, _MaxFlow
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
-from sdmatch.reductions import GadgetMap
+from sdmatch.reductions import CnfFormula, GadgetMap
 from sdmatch.solve import (
     DEFAULT_BOUNDED_S_CAP,
     BudgetExhausted,
     Method,
+    _matchings,
     solve_poly_large_s,
 )
+
+DEFAULT_DM_EDGE_LIMIT = 64
 
 
 def chain_graph(n: int) -> BipartiteGraph:
@@ -84,6 +88,73 @@ def lebensold_brute_force(graph: BipartiteGraph, k: int) -> bool:
     return True
 
 
+def without_edges(graph: BipartiteGraph, removed) -> BipartiteGraph:
+    """Copy of the graph with the given edges deleted."""
+    gone = set(removed)
+    return BipartiteGraph.from_edges(graph.nx, graph.ny,
+                                     (e for e in graph.edges() if e not in gone))
+
+
+def solve_dm_exact(instance: DmInstance, size_limit: int = DEFAULT_DM_EDGE_LIMIT
+                   ) -> Optional[tuple[Matching, Matching]]:
+    """Complete search for disjoint X-saturating matchings M1 in G1, M2 in G2:
+    every X-saturating matching of G1, then one maximum matching of G2 less
+    its edges."""
+    g1, g2 = instance.g1, instance.g2
+    if max(g1.num_edges(), g2.num_edges()) > size_limit:
+        raise ValueError("instance too large for exact DM search")
+    for m1 in _matchings(g1.adj, range(g1.nx)):
+        m2 = max_matching(without_edges(g2, m1))
+        if len(m2) == g2.nx:
+            return Matching.from_edges(m1), m2
+    return None
+
+
+def satisfies(formula: CnfFormula, assignment: dict[int, bool]) -> bool:
+    """Whether the assignment makes every clause true."""
+    return all(any(assignment[abs(lit)] == (lit > 0) for lit in clause)
+               for clause in formula.clauses)
+
+
+def brute_force_satisfiable(formula: CnfFormula) -> Optional[dict[int, bool]]:
+    """First satisfying assignment in lexicographic order, or None."""
+    for bits in itertools.product([False, True], repeat=formula.num_vars):
+        assignment = {i + 1: bits[i] for i in range(formula.num_vars)}
+        if satisfies(formula, assignment):
+            return assignment
+    return None
+
+
+def is_proper(graph: BipartiteGraph, coloring: EdgeColoring) -> bool:
+    """Independent validation of an edge coloring: it colors exactly the
+    graph's edges, properly, within its palette."""
+    if set(coloring.colors) != graph.edge_set:
+        return False
+    seen: set[tuple[int, int]] = set()
+    for (x, y), c in coloring.colors.items():
+        if not 1 <= c <= coloring.palette_size:
+            return False
+        for key in ((x, c), (graph.nx + y, c)):
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
+def factor_degrees_ok(graph: BipartiteGraph, bounds: DegreeBounds,
+                      factor: frozenset[tuple[int, int]]) -> bool:
+    """Re-validate a factor's edges and degree bounds vertex by vertex."""
+    dx = [0] * graph.nx
+    dy = [0] * graph.ny
+    for x, y in factor:
+        if (x, y) not in graph.edge_set:
+            return False
+        dx[x] += 1
+        dy[y] += 1
+    return all(bounds.g_x[x] <= dx[x] <= bounds.f_x[x] for x in range(graph.nx)) and \
+        all(bounds.g_y[y] <= dy[y] <= bounds.f_y[y] for y in range(graph.ny))
+
+
 def reference_search(instance: SdmInstance, prune: bool, budget=None):
     """Reference for the exact search: the recursive search that copies the
     residual graph and reruns a full matching at every node. With prune it
@@ -105,10 +176,10 @@ def reference_search(instance: SdmInstance, prune: bool, budget=None):
         if budget is not None and steps[0] > budget:
             raise BudgetExhausted(f"step budget {budget} exhausted")
         if prune and chosen:
-            if len(max_matching(g.without_edges(chosen))) < g.nx:
+            if len(max_matching(without_edges(g, chosen))) < g.nx:
                 return None
         if i == len(s):
-            m1 = max_matching(g.without_edges(chosen))
+            m1 = max_matching(without_edges(g, chosen))
             if len(m1) == g.nx:
                 return SPair(m1, Matching.from_edges(chosen))
             return None
@@ -128,13 +199,12 @@ def reference_search(instance: SdmInstance, prune: bool, budget=None):
     return recurse(0)
 
 
-def reference_solve(instance: SdmInstance, budget=None,
-                    bounded_cap: int = DEFAULT_BOUNDED_S_CAP):
+def reference_solve(instance: SdmInstance, budget=None):
     """`solve` dispatch over `reference_search`: (method, spair)."""
     nx, ns = instance.graph.nx, len(instance.s_set)
     if ns >= nx - 1:
         return Method.POLY_LARGE_S, solve_poly_large_s(instance)
-    if ns <= bounded_cap:
+    if ns <= DEFAULT_BOUNDED_S_CAP:
         return Method.BOUNDED_S, reference_search(instance, False, budget)
     return Method.EXACT_BACKTRACK, reference_search(instance, True, budget)
 

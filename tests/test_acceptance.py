@@ -21,7 +21,7 @@ from sdmatch import (
     x_saturating_certificate,
 )
 from sdmatch.cli import run
-from sdmatch.coloring import is_proper, max_degree
+from sdmatch.coloring import max_degree
 from sdmatch.reductions import (
     CnfFormula,
     decode_spair_to_assignment,
@@ -32,11 +32,19 @@ from sdmatch.reductions import (
 from sdmatch.solve import (
     count_spairs_exact,
     solve,
-    solve_dm_exact,
     solve_exact,
     solve_poly_large_s,
 )
-from conftest import all_graphs_3x3, all_s_subsets, lebensold_brute_force, random_graph
+from conftest import (
+    all_graphs_3x3,
+    all_s_subsets,
+    brute_force_satisfiable,
+    is_proper,
+    lebensold_brute_force,
+    random_graph,
+    satisfies,
+    solve_dm_exact,
+)
 
 
 def report(name: str, ok: bool, started: float) -> None:
@@ -111,7 +119,7 @@ def test_criterion_4_sat_round_trip():
                 clause.append(v if rng.random() < 0.5 else -v)
             clauses.append(clause)
         formula = CnfFormula.make(t, clauses)
-        sat = formula.brute_force_satisfiable() is not None
+        sat = brute_force_satisfiable(formula) is not None
         inst, gm = reduce_3sat_to_sdm(formula)
         spair = solve_exact(inst)
         if (spair is not None) != sat:
@@ -119,7 +127,7 @@ def test_criterion_4_sat_round_trip():
             continue
         if spair is not None:
             values = decode_spair_to_assignment(gm, spair)
-            if not formula.evaluate(values):
+            if not satisfies(formula, values):
                 ok = False
             encoded = encode_assignment_to_spair(gm, formula, values)
             if not verify_spair(inst, encoded)[0]:

@@ -328,6 +328,16 @@ def test_bounded_s_honours_budget(tmp_path):
     assert "c method BoundedS" in out
 
 
+def test_solve_rejects_a_negative_budget(tmp_path):
+    paths = {s: write(tmp_path, f"k1212-s{s}.sdm", complete_instance(12, 12, s))
+             for s in (0, 8, 9, 11)}
+    # on every route: S empty, BoundedS, ExactBacktrack and PolyLargeS
+    for path in paths.values():
+        assert invoke(["solve", path, "--budget", "-5"]) == (2, "", "error: budget must be >= 0\n")
+    # a budget of 0 is no error: the empty S answers from the Hall pre-check
+    assert invoke(["solve", paths[0], "--budget", "0"])[0] == 0
+
+
 def test_solve_chain_1500_yes(tmp_path):
     # a recursive matching kernel overflowed the Python stack here
     path = write(tmp_path, "chain.sdm", serialize_instance(SdmInstance.make(chain_graph(1500), [])))

@@ -2,10 +2,10 @@ import random
 
 from sdmatch import konig_color
 from sdmatch import BipartiteGraph, SdmInstance, is_matching
-from sdmatch.coloring import is_proper, max_degree
+from sdmatch.coloring import max_degree
 from sdmatch.flow import gf_factor
 from sdmatch.solve import spair_factor_bounds
-from conftest import random_graph
+from conftest import is_proper, random_graph
 
 
 def test_c8_cycle_two_colors(c8_gadget):

@@ -1,5 +1,6 @@
-"""Every public function and method of the package is referenced elsewhere in
-the package, not only exported from ``__init__`` or called by tests."""
+"""Every public class, function and method of the package is referenced
+elsewhere in the package, not only exported from ``__init__`` or used by
+tests."""
 
 import ast
 from pathlib import Path
@@ -19,28 +20,19 @@ ALLOWED = {
         "the paper's certificate translation, two-graph pair to S-pair",
     ("reductions.py", "extend_spair_to_dm"):
         "the paper's certificate translation, S-pair to two-graph pair",
-    # used only by tests: ROADMAP item 7 moves or deletes these
-    ("solve.py", "solve_dm_exact"): "exact oracle for the two-graph problem",
-    ("reductions.py", "CnfFormula.brute_force_satisfiable"): "brute-force SAT oracle",
-    ("coloring.py", "is_proper"): "edge-coloring validator",
-    ("graph.py", "BipartiteGraph.degree_x"): "degree accessor",
-    ("graph.py", "BipartiteGraph.degree_y"): "degree accessor",
-    # ROADMAP item 4 deletes DegreeBounds and its validator
-    ("flow.py", "factor_degrees_ok"): "factor validator",
-    ("flow.py", "DegreeBounds.uniform"): "constructor of uniform bounds",
 }
 
 
 def definitions(tree):
-    """(qualified name, name, line) of each public top-level function and of
-    each public method of a top-level class."""
+    """(qualified name, name, line) of each public top-level class and
+    function and of each public method of a top-level class."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            members = [(node.name + ".", item) for item in node.body]
+            members = [("", node)] + [(node.name + ".", item) for item in node.body]
         else:
             members = [("", node)]
         for prefix, item in members:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            if isinstance(item, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not item.name.startswith("_"):
                 yield prefix + item.name, item.name, item.lineno
 
@@ -59,8 +51,8 @@ def references(tree):
 
 
 def orphans(package):
-    """{(module, qualified name): line} of every public function or method
-    that no module of the package but ``__init__`` refers to."""
+    """{(module, qualified name): line} of every public class, function or
+    method that no module of the package but ``__init__`` refers to."""
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     referenced = set().union(*map(references, trees.values()))
@@ -77,19 +69,22 @@ def test_every_public_function_in_src_has_a_reference_in_src():
 
 
 def test_guard_sees_a_planted_orphan(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .a import Box, lonely, used\n")
+    (tmp_path / "__init__.py").write_text("from .a import Box, Lonely, lonely, used\n")
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def lonely():\n    return 2\n\n\n"
         "class Box:\n"
         "    def opened(self):\n        return used()\n\n"
         "    def shut(self):\n        return 0\n\n"
-        "    def _private(self):\n        return 0\n")
+        "    def _private(self):\n        return 0\n\n\n"
+        "class Lonely:\n    pass\n\n\n"
+        "class _Hidden:\n    pass\n")
     (tmp_path / "b.py").write_text(
         "from .a import Box as Crate\n\n\n"
         "def run():\n    return Crate().opened()\n\n\n"
         "def main():\n    return run()\n")
-    # main has no caller at all; lonely and Box.shut only an __init__ export
-    # or none; an aliased import and an attribute read count as references
+    # main has no caller at all; lonely, Lonely and Box.shut only an
+    # __init__ export or none; an aliased import and an attribute read count
+    # as references, and a private class is never flagged
     assert orphans(tmp_path) == {("a.py", "lonely"): 5, ("a.py", "Box.shut"): 13,
-                                 ("b.py", "main"): 8}
+                                 ("a.py", "Lonely"): 20, ("b.py", "main"): 8}

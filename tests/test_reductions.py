@@ -16,14 +16,13 @@ from sdmatch import (
     project_dm_to_spair,
     reduce_3sat_to_sdm,
     reduce_sdm_to_dm,
-    solve_dm_exact,
     solve_exact,
     true_false_pairs,
     verify_spair,
 )
 from sdmatch.reductions import parse_gadget_map, serialize_gadget_map
 from sdmatch.solve import count_spairs_exact
-from conftest import random_graph
+from conftest import brute_force_satisfiable, random_graph, satisfies, solve_dm_exact
 
 
 def random_formula(rng: random.Random, max_vars=3, max_clauses=3) -> CnfFormula:
@@ -187,13 +186,13 @@ def test_round_trip_random_formulas():
     rng = random.Random(42)
     for _ in range(60):
         f = random_formula(rng)
-        sat = f.brute_force_satisfiable()
+        sat = brute_force_satisfiable(f)
         inst, gm = reduce_3sat_to_sdm(f)
         spair = solve_exact(inst)
         assert (spair is not None) == (sat is not None)
         if spair is not None:
             values = decode_spair_to_assignment(gm, spair)
-            assert f.evaluate(values)
+            assert satisfies(f, values)
             encoded = encode_assignment_to_spair(gm, f, values)
             assert verify_spair(inst, encoded)[0]
             assert decode_spair_to_assignment(gm, encoded) == values

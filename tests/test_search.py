@@ -14,11 +14,12 @@ from sdmatch import (
     serialize_instance,
     serialize_solution,
     solve,
+    solve_exact,
     verify_spair,
 )
 from sdmatch.cli import run
 from sdmatch.reductions import CnfFormula, reduce_3sat_to_sdm
-from conftest import random_graph, reference_solve
+from conftest import random_graph, reference_search, reference_solve
 
 
 def three_variable_formulas():
@@ -32,28 +33,46 @@ def three_variable_formulas():
 
 
 def random_instances(count, seed):
-    """Seeded instances with |X| <= 9; a random bounded-S cap sends some of
-    them down the ExactBacktrack label."""
+    """Seeded instances with |X| <= 9 and every size of S."""
     rng = random.Random(seed)
     for _ in range(count):
         nx = rng.randint(1, 9)
         g = random_graph(rng, nx, rng.randint(1, 10), rng.uniform(0.2, 0.8))
         s_set = rng.sample(range(nx), rng.randint(0, nx))
-        yield SdmInstance.make(g, s_set), rng.randint(0, 4)
+        yield SdmInstance.make(g, s_set)
 
 
-def outcome(instance, budget=None, bounded_cap=8):
+def outcome(instance, budget=None):
     """"budget", or (method, spair)."""
     try:
-        result = solve(instance, budget=budget, bounded_cap=bounded_cap)
+        result = solve(instance, budget=budget)
     except BudgetExhausted:
         return "budget"
     return result.method, result.spair
 
 
-def reference_outcome(instance, budget=None, bounded_cap=8):
+def reference_outcome(instance, budget=None):
     try:
-        return reference_solve(instance, budget, bounded_cap)
+        return reference_solve(instance, budget)
+    except BudgetExhausted:
+        return "budget"
+
+
+def search_outcome(instance, budget=None):
+    """"budget", or whether `solve_exact` found an S-pair (which must verify)."""
+    try:
+        spair = solve_exact(instance, budget)
+    except BudgetExhausted:
+        return "budget"
+    if spair is not None:
+        assert verify_spair(instance, spair)[0]
+    return spair is not None
+
+
+def reference_search_outcome(instance, prune, budget=None):
+    """"budget", or whether `reference_search` found an S-pair."""
+    try:
+        return reference_search(instance, prune, budget) is not None
     except BudgetExhausted:
         return "budget"
 
@@ -67,25 +86,34 @@ def printed(result):
     return result if result == "budget" else (result[0], serialize_solution(result[1]))
 
 
-def assert_matches_reference(instance, bounded_cap=8):
-    """Same method and outcome kind (yes, no or budget) as the reference,
-    unbudgeted and at budgets 1..20, except that BoundedS may answer where
-    the reference ran out. Every "yes" verifies and a rerun prints the same
-    bytes; which S-pair a "yes" prints may differ from the reference's."""
-    expected = reference_outcome(instance, bounded_cap=bounded_cap)
+def assert_matches_reference(instance, prunes=(False, True)):
+    """`solve_exact` gives the same outcome (yes, no or budget) as the
+    reference search under each prune setting, unbudgeted and at budgets
+    1..20, except that it may answer where the reference without pruning ran
+    out: it prunes where that reference only checks leaves, so it may need
+    fewer steps. `solve` gives the method and outcome of the reference
+    dispatch and, off the polynomial route, the search's outcome at every
+    budget. Every "yes" verifies and a rerun prints the same bytes; which
+    S-pair a "yes" prints may differ from the reference's. Returns the
+    (prune, reference outcome) pairs seen."""
+    expected = reference_outcome(instance)
+    unbudgeted = {prune: reference_search_outcome(instance, prune) for prune in prunes}
+    seen = set()
     for budget in (None, *range(1, 21)):
-        got = outcome(instance, budget, bounded_cap)
-        want = reference_outcome(instance, budget, bounded_cap)
-        if got != "budget" and got[1] is not None:
-            assert verify_spair(instance, got[1])[0]
-        if expected[0] is Method.BOUNDED_S and want == "budget":
-            # the incremental search prunes where the reference only checks
-            # leaves, so it may need fewer steps
-            assert kind(got) in ("budget", kind(expected))
-        else:
-            assert kind(got) == kind(want)
-    assert printed(outcome(instance, bounded_cap=bounded_cap)) == \
-        printed(outcome(instance, bounded_cap=bounded_cap))
+        got = search_outcome(instance, budget)
+        for prune in prunes:
+            want = reference_search_outcome(instance, prune, budget)
+            seen.add((prune, want))
+            if not prune and want == "budget":
+                assert got in ("budget", unbudgeted[prune])
+            else:
+                assert got == want
+        if expected[0] is not Method.POLY_LARGE_S:
+            assert kind(outcome(instance, budget)) == \
+                (got if got == "budget" else (expected[0], got))
+    assert kind(outcome(instance)) == kind(expected)
+    assert printed(outcome(instance)) == printed(outcome(instance))
+    return seen
 
 
 def test_formulas_match_reference():
@@ -93,23 +121,28 @@ def test_formulas_match_reference():
     assert len(instances) == 162
     for instance in instances:
         assert solve(instance).method is Method.EXACT_BACKTRACK
-        assert_matches_reference(instance)
+        # the leaf-only reference takes minutes on these 162; the pruned
+        # one is the reference of the ExactBacktrack label
+        assert_matches_reference(instance, prunes=(True,))
         # the variable cycles force M1, so the printed pair is the reference's
         assert printed(outcome(instance)) == printed(reference_outcome(instance))
 
 
 def test_random_instances_match_reference():
-    methods = set()
-    for instance, cap in random_instances(2000, seed=4):
-        assert_matches_reference(instance, cap)
-        methods.add(solve(instance, bounded_cap=cap).method)
-    assert methods == set(Method)
+    methods, seen = set(), set()
+    for instance in random_instances(2000, seed=4):
+        seen |= assert_matches_reference(instance)
+        methods.add(solve(instance).method)
+    # both reference paths answer yes, answer no and run out of budget
+    assert seen == {(prune, want) for prune in (False, True) for want in (True, False, "budget")}
+    # |X| <= 9 keeps |S| within the bounded-S cap
+    assert methods == {Method.POLY_LARGE_S, Method.BOUNDED_S}
 
 
 def test_every_answer_verifies():
     answers = set()
-    for instance, cap in random_instances(300, seed=5):
-        spair = solve(instance, bounded_cap=cap).spair
+    for instance in random_instances(300, seed=5):
+        spair = solve(instance).spair
         answers.add(spair is not None)
         if spair is not None:
             assert verify_spair(instance, spair)[0]
@@ -142,5 +175,5 @@ def test_1200_disjoint_c4s_cli_exits_0(tmp_path):
 def test_budget_counts_the_root_and_one_step_per_pick():
     instance = disjoint_c4s(3)
     with pytest.raises(BudgetExhausted):
-        solve(instance, budget=3, bounded_cap=0)
-    assert verify_spair(instance, solve(instance, budget=4, bounded_cap=0).spair)[0]
+        solve_exact(instance, budget=3)
+    assert verify_spair(instance, solve_exact(instance, budget=4))[0]

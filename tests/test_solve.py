@@ -10,14 +10,13 @@ from sdmatch import (
     SdmInstance,
     count_spairs_exact,
     solve,
-    solve_dm_exact,
     solve_exact,
     solve_poly_large_s,
     verify_spair,
 )
 from sdmatch.coloring import konig_color
 from sdmatch.flow import gf_factor
-from sdmatch.solve import spair_factor_bounds
+from sdmatch.solve import DEFAULT_BOUNDED_S_CAP, spair_factor_bounds
 from conftest import (
     all_graphs_3x3,
     all_s_subsets,
@@ -25,6 +24,7 @@ from conftest import (
     brute_force_spair_presence,
     chain_graph,
     random_graph,
+    solve_dm_exact,
 )
 
 
@@ -118,6 +118,14 @@ def test_bounded_hall_precheck_answers_before_any_step():
     assert solve(inst, budget=0).spair is None
 
 
+def test_negative_budget_rejected_on_every_route():
+    g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
+    # S empty, BoundedS, ExactBacktrack and PolyLargeS
+    for s_size in (0, 8, 9, 11):
+        with pytest.raises(ValueError, match=r"^budget must be >= 0$"):
+            solve(SdmInstance.make(g, range(s_size)), budget=-1)
+
+
 def test_bounded_budget_exhausted():
     g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
     inst = SdmInstance.make(g, range(8))
@@ -185,9 +193,12 @@ def test_dm_single_matching_absent():
     assert solve_dm_exact(DmInstance(g, g)) is None
 
 
-def test_dm_chain_1200_without_recursion():
-    # a recursive enumerator of the G1 matchings overflowed the Python stack
+def test_chain_1200_enumerates_without_recursion():
+    # a recursive enumerator of the matchings overflowed the Python stack:
+    # the chain has one X-saturating matching, found 1200 picks deep
     g = chain_graph(1200)
+    assert count_spairs_exact(SdmInstance.make(g, []), size_limit=5000) == 1
+    # the test-side two-graph oracle walks the same enumerator
     assert solve_dm_exact(DmInstance(g, g), size_limit=5000) is None
 
 
@@ -195,9 +206,12 @@ def test_dispatch_rule():
     g = random_graph(random.Random(2), 10, 10, 0.5)
     assert solve(SdmInstance.make(g, range(10))).method is Method.POLY_LARGE_S
     assert solve(SdmInstance.make(g, range(2))).method is Method.BOUNDED_S
-    # |S| = 6 < |X|-1 = 9 and above the default |S| <= 8 cap needs a bigger X
+    # the label boundary: |S| <= DEFAULT_BOUNDED_S_CAP = 8 is BoundedS, and
+    # |X| = 12 keeps |S| = 9 below |X|-1 = 11, off the polynomial route
+    assert DEFAULT_BOUNDED_S_CAP == 8
     g2 = random_graph(random.Random(3), 12, 12, 0.5)
-    assert solve(SdmInstance.make(g2, range(9)), bounded_cap=8).method is Method.EXACT_BACKTRACK
+    assert solve(SdmInstance.make(g2, range(8))).method is Method.BOUNDED_S
+    assert solve(SdmInstance.make(g2, range(9))).method is Method.EXACT_BACKTRACK
 
 
 def test_degenerate_empty_x():
