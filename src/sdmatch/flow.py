@@ -167,8 +167,9 @@ def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
 
     Each arc is a (tail, head, low, up) tuple. Returns per-arc flow values
     in input order; a fixed arc (low == up) shifts its bound between the
-    excesses of its ends, stays out of the max-flow network, and reports up. Raises ValueError on a malformed network
-    (dangling endpoints, low > up, low < 0).
+    excesses of its ends, stays out of the max-flow network, and reports
+    up. Raises ValueError on a malformed network (dangling endpoints,
+    low > up, low < 0).
     """
     ss, tt = num_nodes, num_nodes + 1
     net = _MaxFlow(num_nodes + 2)

@@ -91,11 +91,12 @@ def assert_matches_reference(instance, prunes=(False, True)):
     reference search under each prune setting, unbudgeted and at budgets
     1..20, except that it may answer where the reference without pruning ran
     out: it prunes where that reference only checks leaves, so it may need
-    fewer steps. `solve` gives the method and outcome of the reference
-    dispatch and, off the polynomial route, the search's outcome at every
-    budget. Every "yes" verifies and a rerun prints the same bytes; which
-    S-pair a "yes" prints may differ from the reference's. Returns the
-    (prune, reference outcome) pairs seen."""
+    fewer steps. At every budget `solve` gives the method of the reference
+    dispatch, with the reference's outcome on the polynomial route, which
+    ignores the budget, and the search's outcome off it. Every "yes"
+    verifies and a rerun prints the same bytes; which S-pair a "yes" prints
+    may differ from the reference's. Returns the (prune, reference outcome)
+    pairs seen."""
     expected = reference_outcome(instance)
     unbudgeted = {prune: reference_search_outcome(instance, prune) for prune in prunes}
     seen = set()
@@ -108,9 +109,14 @@ def assert_matches_reference(instance, prunes=(False, True)):
                 assert got in ("budget", unbudgeted[prune])
             else:
                 assert got == want
-        if expected[0] is not Method.POLY_LARGE_S:
-            assert kind(outcome(instance, budget)) == \
-                (got if got == "budget" else (expected[0], got))
+        routed = outcome(instance, budget)
+        if routed != "budget" and routed[1] is not None:
+            assert verify_spair(instance, routed[1])[0]
+        if expected[0] is Method.POLY_LARGE_S:
+            # the polynomial route ignores the budget
+            assert kind(routed) == kind(expected)
+        else:
+            assert kind(routed) == (got if got == "budget" else (expected[0], got))
     assert kind(outcome(instance)) == kind(expected)
     assert printed(outcome(instance)) == printed(outcome(instance))
     return seen

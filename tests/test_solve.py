@@ -206,12 +206,12 @@ def test_dispatch_rule():
     g = random_graph(random.Random(2), 10, 10, 0.5)
     assert solve(SdmInstance.make(g, range(10))).method is Method.POLY_LARGE_S
     assert solve(SdmInstance.make(g, range(2))).method is Method.BOUNDED_S
-    # the label boundary: |S| <= DEFAULT_BOUNDED_S_CAP = 8 is BoundedS, and
-    # |X| = 12 keeps |S| = 9 below |X|-1 = 11, off the polynomial route
-    assert DEFAULT_BOUNDED_S_CAP == 8
-    g2 = random_graph(random.Random(3), 12, 12, 0.5)
-    assert solve(SdmInstance.make(g2, range(8))).method is Method.BOUNDED_S
-    assert solve(SdmInstance.make(g2, range(9))).method is Method.EXACT_BACKTRACK
+    # the label boundary: |S| <= DEFAULT_BOUNDED_S_CAP is BoundedS, and
+    # |X| = cap + 4 keeps |S| = cap + 1 below |X|-1, off the polynomial route
+    cap = DEFAULT_BOUNDED_S_CAP
+    g2 = random_graph(random.Random(3), cap + 4, cap + 4, 0.5)
+    assert solve(SdmInstance.make(g2, range(cap))).method is Method.BOUNDED_S
+    assert solve(SdmInstance.make(g2, range(cap + 1))).method is Method.EXACT_BACKTRACK
 
 
 def test_degenerate_empty_x():
