@@ -1,52 +1,23 @@
-"""Feasible flow with lower bounds, the (g,f)-factor extractor, and degree_flow.
+"""Feasible flow with lower bounds, the capped degree factor, and degree_flow.
 
 The factor problem is reduced to feasible flow: source -> each X vertex with
-bounds [g(x), f(x)], each graph edge as a unit-capacity arc, each Y vertex ->
-sink with bounds [g(y), f(y)]. A vertex whose lower bound exceeds its degree
-refutes first, with no arc built: that is Hoffman's condition on the cut
-around one vertex. Arcs are plain (tail, head, low, up) tuples.
-Lower bounds are removed via the standard excess/deficit super-source and
-super-sink transformation; a fixed arc (low == up) only shifts excess and
-never enters the network, so under the S-pair bounds, where g = f on X, no
-source -> X arc does. The max flow underneath is Dinic's algorithm, with no
-recursion in either phase.
+degree exactly cap_x(x), each graph edge as a unit-capacity arc, each Y vertex
+-> sink with capacity cap_y(y) and no lower bound. An X vertex whose cap
+exceeds its degree refutes first, with no arc built: that is Hoffman's
+condition on the cut around one vertex. Arcs are plain (tail, head, low, up)
+tuples. Lower bounds are removed via the standard excess/deficit super-source
+and super-sink transformation; a fixed arc (low == up) only shifts excess and
+never enters the network, so no source -> X arc does. The max flow underneath
+is Dinic's algorithm, with no recursion in either phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import BipartiteGraph
 
 _INF = 1 << 30
-
-
-@dataclass(frozen=True)
-class DegreeBounds:
-    """Per-vertex degree bounds 0 <= g <= f; every vertex must have an entry.
-
-    Checked on construction, so every instance holds valid bounds.
-    """
-
-    g_x: tuple[int, ...]
-    f_x: tuple[int, ...]
-    g_y: tuple[int, ...]
-    f_y: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.g_x) != len(self.f_x) or len(self.g_y) != len(self.f_y):
-            raise ValueError("g and f must cover the same vertices")
-        for g, f in zip(self.g_x + self.g_y, self.f_x + self.f_y):
-            if g < 0 or f < 0:
-                raise ValueError("degree bounds must be nonnegative")
-            if g > f:
-                raise ValueError(f"lower bound {g} exceeds upper bound {f}")
-
-    @staticmethod
-    def make(g_x: Sequence[int], f_x: Sequence[int],
-             g_y: Sequence[int], f_y: Sequence[int]) -> "DegreeBounds":
-        return DegreeBounds(tuple(g_x), tuple(f_x), tuple(g_y), tuple(f_y))
 
 
 class _MaxFlow:
@@ -203,28 +174,31 @@ def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
     return [a[3] if idx < 0 else a[3] - cap[idx] for a, idx in zip(arcs, arc_idx)]
 
 
-def gf_factor(graph: BipartiteGraph, bounds: DegreeBounds) -> Optional[frozenset[tuple[int, int]]]:
-    """Edge set of a subgraph H with g(v) <= d_H(v) <= f(v) for all v, or None.
+def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
+              ) -> Optional[frozenset[tuple[int, int]]]:
+    """Edge set of a subgraph H with d_H(x) == cap_x[x] at each X vertex and
+    d_H(y) <= cap_y[y] at each Y vertex, or None.
 
-    A vertex whose lower bound exceeds its degree refutes before any arc is
-    built; otherwise one feasible flow decides.
+    An X vertex with fewer neighbours than its cap refutes before any arc is
+    built; otherwise one feasible flow decides. Raises ValueError on a
+    negative cap or on caps that do not cover every vertex.
     """
     nx = graph.nx
-    if len(bounds.g_x) != nx or len(bounds.g_y) != graph.ny:
-        raise ValueError("bounds must cover every vertex of the graph")
+    if len(cap_x) != nx or len(cap_y) != graph.ny:
+        raise ValueError("caps must cover every vertex of the graph")
+    if min(cap_x, default=0) < 0 or min(cap_y, default=0) < 0:
+        raise ValueError("degree caps must be nonnegative")
     # Hoffman's condition on the cut around one vertex
     adj = graph.adj
-    if any(len(adj[x]) < g for x, g in enumerate(bounds.g_x)):
-        return None
-    if any(bounds.g_y) and any(len(xs) < g for xs, g in zip(graph.y_adj, bounds.g_y)):
+    if any(len(adj[x]) < c for x, c in enumerate(cap_x)):
         return None
     # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
     src = 0
     snk = nx + graph.ny + 1
-    arcs = [(src, 1 + x, g, f) for x, (g, f) in enumerate(zip(bounds.g_x, bounds.f_x))]
+    arcs = [(src, 1 + x, c, c) for x, c in enumerate(cap_x)]
     edges = graph.edges()
     arcs += [(1 + x, 1 + nx + y, 0, 1) for x, y in edges]
-    arcs += [(1 + nx + y, snk, g, f) for y, (g, f) in enumerate(zip(bounds.g_y, bounds.f_y))]
+    arcs += [(1 + nx + y, snk, 0, c) for y, c in enumerate(cap_y)]
     flow = feasible_flow(snk + 1, arcs, src, snk)
     if flow is None:
         return None

@@ -279,11 +279,10 @@ def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, M
     g = instance.graph
     if len(instance.s_set) >= g.nx - 1:
         raise ValueError("extension requires |S| < |X|-1")
+    # an S-pair's M1 saturates X, so it also refuses |Y| < |X|
     ok, why = verify_spair(instance, spair)
     if not ok:
         raise ValueError(f"invalid S-pair: {why}")
-    if g.ny < g.nx:
-        raise ValueError("|Y| < |X|: no solution to the two-graph problem exists")
     in_s = set(instance.s_set)
     rest_x = [x for x in range(g.nx) if x not in in_s]
     free_y = [y for y in range(g.ny) if y not in spair.m2.covered_y]

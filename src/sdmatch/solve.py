@@ -1,8 +1,8 @@
 """SDM decision and construction algorithms.
 
 Two algorithms behind three labels. |S| >= |X|-1 takes the polynomial
-algorithm (PolyLargeS): a (g,f)-factor with degree 2 on S, 1 on the rest of X
-and at most 2 on Y is exactly a union M1 | M2, and konig_color splits it into
+algorithm (PolyLargeS): a degree factor with degree 2 on S, 1 on the rest of
+X and at most 2 on Y is exactly a union M1 | M2, and konig_color splits it into
 two color classes, M1 being the one that holds the edge of the X vertex
 outside S. An X vertex with fewer neighbours than its factor degree answers
 "no" before any flow network is built.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Container, Optional, Sequence
 
 from .coloring import konig_color
-from .flow import DegreeBounds, gf_factor
+from .flow import gf_factor
 from .graph import BipartiteGraph, Matching, SdmInstance, SPair
 from .matching import max_matching, rematch
 
@@ -48,21 +48,16 @@ class BudgetExhausted(Exception):
     """Raised when an exact search runs out of its step budget."""
 
 
-def spair_factor_bounds(instance: SdmInstance) -> DegreeBounds:
-    """Degree bounds whose factor is exactly a union M1 | M2 of an S-pair."""
-    g = instance.graph
-    in_s = set(instance.s_set)
-    f_x = [2 if x in in_s else 1 for x in range(g.nx)]
-    return DegreeBounds.make(f_x, f_x, [0] * g.ny, [2] * g.ny)
-
-
 def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
     """Polynomial algorithm for |S| >= |X|-1: a degree factor, split by a
     proper 2-edge-coloring into M1 and M2."""
     g = instance.graph
     if len(instance.s_set) < g.nx - 1:
         raise ValueError("solve_poly_large_s requires |S| >= |X|-1")
-    factor = gf_factor(g, spair_factor_bounds(instance))
+    # the factor of an S-pair: M1 | M2 has degree 2 on S, 1 on the rest of X
+    # and at most 2 on Y
+    in_s = set(instance.s_set)
+    factor = gf_factor(g, [2 if x in in_s else 1 for x in range(g.nx)], [2] * g.ny)
     if factor is None:
         return None
     sub = BipartiteGraph.from_edges(g.nx, g.ny, factor)
@@ -70,7 +65,6 @@ def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
     # Each S vertex has degree 2 in the factor and so sees both colors; the
     # X vertex outside S, if any, has degree 1, and M1 is the class of its
     # edge, so M1 saturates X and M2 saturates S.
-    in_s = set(instance.s_set)
     anchor = next((x for x in range(g.nx) if x not in in_s), None)
     m1_color = 1 if anchor is None else coloring.colors[(anchor, sub.adj[anchor][0])]
     return SPair(coloring.color_class(m1_color), coloring.color_class(3 - m1_color))

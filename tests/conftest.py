@@ -5,7 +5,7 @@ import pytest
 
 from sdmatch import BipartiteGraph, DmInstance, FormatError, Matching, SdmInstance, SPair
 from sdmatch.coloring import EdgeColoring
-from sdmatch.flow import DegreeBounds, _MaxFlow
+from sdmatch.flow import _MaxFlow
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
 from sdmatch.reductions import CnfFormula, GadgetMap
@@ -141,9 +141,10 @@ def is_proper(graph: BipartiteGraph, coloring: EdgeColoring) -> bool:
     return True
 
 
-def factor_degrees_ok(graph: BipartiteGraph, bounds: DegreeBounds,
+def factor_degrees_ok(graph: BipartiteGraph, cap_x, cap_y,
                       factor: frozenset[tuple[int, int]]) -> bool:
-    """Re-validate a factor's edges and degree bounds vertex by vertex."""
+    """Re-validate a factor's edges and degrees vertex by vertex: exactly the
+    cap on X, at most the cap on Y."""
     dx = [0] * graph.nx
     dy = [0] * graph.ny
     for x, y in factor:
@@ -151,8 +152,7 @@ def factor_degrees_ok(graph: BipartiteGraph, bounds: DegreeBounds,
             return False
         dx[x] += 1
         dy[y] += 1
-    return all(bounds.g_x[x] <= dx[x] <= bounds.f_x[x] for x in range(graph.nx)) and \
-        all(bounds.g_y[y] <= dy[y] <= bounds.f_y[y] for y in range(graph.ny))
+    return dx == list(cap_x) and all(dy[y] <= cap_y[y] for y in range(graph.ny))
 
 
 def reference_search(instance: SdmInstance, prune: bool, budget=None):

@@ -10,7 +10,7 @@ import pytest
 import sdmatch
 from sdmatch import BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance
 from sdmatch.cli import run
-from sdmatch.reductions import GadgetMap
+from sdmatch.reductions import CnfFormula, GadgetMap, reduce_3sat_to_sdm, serialize_gadget_map
 from conftest import chain_graph
 
 
@@ -181,6 +181,29 @@ def test_reduce_3sat_unsat_formula_roundtrip(tmp_path):
     inst_path = write(tmp_path, "u.sdm", out)
     code, out, _ = invoke(["solve", inst_path])
     assert code == 1
+
+
+def test_reduce_3sat_without_map_prints_it_after_the_instance(tmp_path):
+    cnf = write(tmp_path, "f.cnf", "p cnf 2 2\n1 -2 0\n2 0\n")
+    instance, gm = reduce_3sat_to_sdm(CnfFormula.make(2, [[1, -2], [2]]))
+    assert invoke(["reduce-3sat", cnf]) == \
+        (0, serialize_instance(instance) + serialize_gadget_map(gm), "")
+
+
+def test_reduce_3sat_without_clauses_is_trivially_satisfiable(tmp_path):
+    cnf = write(tmp_path, "empty.cnf", "c none\np cnf 2 0\n")
+    map_path = tmp_path / "empty.map"
+    assert invoke(["reduce-3sat", cnf, "--map", str(map_path)]) == \
+        (0, "c trivially satisfiable (no clauses); nothing to reduce\n", "")
+    assert not map_path.exists()
+
+
+def test_verify_and_decode_on_a_no_answer(tmp_path):
+    inst = write(tmp_path, "i.sdm", "p sdm 1 1 1\ne 1 1\ns 1\n")
+    sol = write(tmp_path, "no.sol", "c method PolyLargeS\nRESULT no\n")
+    mapping = write(tmp_path, "f.map", serialize_gadget_map(GadgetMap(1, 1)))
+    assert invoke(["verify", inst, sol]) == (0, "VALID no certificate to verify\n", "")
+    assert invoke(["decode", mapping, sol]) == (1, "c RESULT no: nothing to decode\n", "")
 
 
 def test_reduce_dm_files(tmp_path):

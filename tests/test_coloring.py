@@ -1,10 +1,9 @@
 import random
 
 from sdmatch import konig_color
-from sdmatch import BipartiteGraph, SdmInstance, is_matching
+from sdmatch import BipartiteGraph, is_matching
 from sdmatch.coloring import max_degree
 from sdmatch.flow import gf_factor
-from sdmatch.solve import spair_factor_bounds
 from conftest import is_proper, random_graph
 
 
@@ -64,8 +63,8 @@ def test_factor_coloring_uses_both_colors_at_s_vertices():
     while checked < 30:
         g = random_graph(rng, rng.randint(2, 5), rng.randint(2, 6), 0.6)
         s_set = list(range(1, g.nx))  # |S| = |X| - 1
-        inst = SdmInstance.make(g, s_set)
-        factor = gf_factor(g, spair_factor_bounds(inst))
+        # the S-pair caps: 1 at x0 outside S, 2 on S, at most 2 on Y
+        factor = gf_factor(g, [1] + [2] * len(s_set), [2] * g.ny)
         if factor is None:
             continue
         checked += 1

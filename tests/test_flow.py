@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from sdmatch import BipartiteGraph, DegreeBounds, SdmInstance, feasible_flow, gf_factor, solve
+from sdmatch import BipartiteGraph, SdmInstance, feasible_flow, gf_factor, solve
 from sdmatch.matching import max_matching
 from conftest import factor_degrees_ok, random_graph
 
 
-def brute_force_factor_exists(g, gx, fx, gy, fy):
+def brute_force_factor_exists(g, cap_x, cap_y):
     edges = g.edges()
     for mask in range(1 << len(edges)):
         dx = [0] * g.nx
@@ -16,8 +16,7 @@ def brute_force_factor_exists(g, gx, fx, gy, fy):
             if mask >> i & 1:
                 dx[x] += 1
                 dy[y] += 1
-        if all(gx[x] <= dx[x] <= fx[x] for x in range(g.nx)) and \
-                all(gy[y] <= dy[y] <= fy[y] for y in range(g.ny)):
+        if dx == cap_x and all(dy[y] <= cap_y[y] for y in range(g.ny)):
             return True
     return False
 
@@ -48,9 +47,7 @@ def test_dangling_arc_rejected():
 
 def test_k22_full_factor():
     g = k22()
-    bounds = DegreeBounds.make([2] * g.nx, [2] * g.nx, [0] * g.ny, [2] * g.ny)
-    factor = gf_factor(g, bounds)
-    assert factor == g.edge_set
+    assert gf_factor(g, [2] * g.nx, [2] * g.ny) == g.edge_set
 
 
 def test_k22_flow_saturates_edge_arcs():
@@ -69,71 +66,74 @@ def test_unit_bounds_match_saturating_matching():
     rng = random.Random(3)
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5)
-        bounds = DegreeBounds.make([1] * g.nx, [1] * g.nx, [0] * g.ny, [1] * g.ny)
-        factor = gf_factor(g, bounds)
+        factor = gf_factor(g, [1] * g.nx, [1] * g.ny)
         assert (factor is not None) == (len(max_matching(g)) == g.nx)
 
 
 def test_spair_factor_bounds_single_edge_infeasible():
     g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
-    bounds = DegreeBounds.make([2], [2], [0], [2])
-    assert gf_factor(g, bounds) is None
+    assert gf_factor(g, [2], [2]) is None
 
 
 def test_factor_against_brute_force():
     rng = random.Random(4)
+    seen = set()
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5)
-        gx = [rng.randint(0, 2) for _ in range(g.nx)]
-        fx = [min(2, gx[x] + rng.randint(0, 2)) for x in range(g.nx)]
-        gy = [rng.randint(0, 2) for _ in range(g.ny)]
-        fy = [min(2, gy[y] + rng.randint(0, 2)) for y in range(g.ny)]
-        bounds = DegreeBounds.make(gx, fx, gy, fy)
-        factor = gf_factor(g, bounds)
-        assert (factor is not None) == brute_force_factor_exists(g, gx, fx, gy, fy)
+        cap_x = [rng.randint(0, 2) for _ in range(g.nx)]
+        cap_y = [rng.randint(0, 2) for _ in range(g.ny)]
+        factor = gf_factor(g, cap_x, cap_y)
+        assert (factor is not None) == brute_force_factor_exists(g, cap_x, cap_y)
         if factor is not None:
-            assert factor_degrees_ok(g, bounds, factor)
+            assert factor_degrees_ok(g, cap_x, cap_y, factor)
+        seen.add(factor is not None)
+    assert seen == {True, False}
 
 
 def test_bounds_must_cover_every_vertex():
     g = k22()
     with pytest.raises(ValueError, match="cover every vertex"):
-        gf_factor(g, DegreeBounds.make([1], [1], [0, 0], [1, 1]))
+        gf_factor(g, [1], [1, 1])
+    with pytest.raises(ValueError, match="cover every vertex"):
+        gf_factor(g, [1, 1], [1, 1, 1])
 
 
-def test_bounds_validation():
-    with pytest.raises(ValueError, match="exceeds upper"):
-        DegreeBounds.make([2], [1], [], [])
-    with pytest.raises(ValueError, match="nonnegative"):
-        DegreeBounds.make([-1], [1], [], [])
-    # the constructor checks too, so gf_factor never sees g > f
-    with pytest.raises(ValueError, match="lower bound 2 exceeds upper bound 1"):
-        DegreeBounds((2,), (1,), (), ())
-    with pytest.raises(ValueError, match="cover the same vertices"):
-        DegreeBounds((1,), (1,), (0,), ())
+@pytest.mark.parametrize("cap_x, cap_y", [
+    ([-1, 1], [1, 1]),
+    ([1, 1], [1, -1]),
+    # x0 has degree 1 < 5, so the one-vertex cut would answer None first
+    ([5, -1], [1, 1]),
+    ([5, 1], [-1, 1]),
+], ids=["negative-x", "negative-y", "negative-x-past-a-short-x", "negative-y-past-a-short-x"])
+def test_negative_cap_rejected(flow_runs, cap_x, cap_y):
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0), (1, 1)])
+    with pytest.raises(ValueError, match="degree caps must be nonnegative"):
+        gf_factor(g, cap_x, cap_y)
+    assert flow_runs == []
 
 
 def test_one_vertex_cut_refutes_without_a_flow(flow_runs):
-    # degrees: x0 1, x1 2; y0 2, y1 1
+    # degrees: x0 1, x1 2
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0), (1, 1)])
-    assert gf_factor(g, DegreeBounds.make([2, 0], [2, 2], [0, 0], [2, 2])) is None
-    assert gf_factor(g, DegreeBounds.make([0, 0], [2, 2], [0, 2], [2, 2])) is None
-    # the S-pair bounds: x0 in S needs two neighbours
+    assert gf_factor(g, [2, 0], [2, 2]) is None
+    assert gf_factor(g, [0, 3], [2, 2]) is None
+    # the S-pair caps: x0 in S needs two neighbours
     assert solve(SdmInstance.make(g, [0, 1])).spair is None
     assert flow_runs == []
 
 
 def test_degrees_that_meet_g_still_run_one_flow(flow_runs):
-    # every degree meets its lower bound, yet no factor exists
+    # every X degree meets its cap, yet no factor exists
     k22 = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert gf_factor(k22, DegreeBounds.make([2, 2], [2, 2], [0, 0], [1, 1])) is None
+    assert gf_factor(k22, [2, 2], [1, 1]) is None
     assert len(flow_runs) == 1
-    # three Y vertices of degree 1, 2, 1 each need one of two X vertices
+    # the path y0 - x0 - y1 - x1 - y2 with caps 0 at both ends: both X
+    # vertices need y1
     g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
-    assert gf_factor(g, DegreeBounds.make([1, 1], [1, 1], [1, 1, 1], [1, 1, 1])) is None
+    assert gf_factor(g, [1, 1], [0, 1, 0]) is None
     assert len(flow_runs) == 2
-    # degree equal to g is no refutation
-    assert gf_factor(g, DegreeBounds.make([2, 2], [2, 2], [1, 1, 1], [2, 2, 2])) == g.edge_set
+    # a cap equal to the degree is no refutation
+    assert gf_factor(g, [2, 2], [2, 2, 2]) == g.edge_set
     assert len(flow_runs) == 3
 
 
@@ -169,12 +169,12 @@ def networkx_feasible(num_nodes, arcs, source, sink):
     return networkx.maximum_flow_value(net, "S*", "T*") == required
 
 
-def networkx_factor_exists(g, bounds):
+def networkx_factor_exists(g, cap_x, cap_y):
     """networkx_feasible on the factor network: source -> x, x -> y, y -> sink."""
     snk = g.nx + g.ny + 1
-    arcs = [(0, 1 + x, bounds.g_x[x], bounds.f_x[x]) for x in range(g.nx)]
+    arcs = [(0, 1 + x, cap_x[x], cap_x[x]) for x in range(g.nx)]
     arcs += [(1 + x, 1 + g.nx + y, 0, 1) for x, y in g.edges()]
-    arcs += [(1 + g.nx + y, snk, bounds.g_y[y], bounds.f_y[y]) for y in range(g.ny)]
+    arcs += [(1 + g.nx + y, snk, 0, cap_y[y]) for y in range(g.ny)]
     return networkx_feasible(snk + 1, arcs, 0, snk)
 
 
@@ -184,27 +184,20 @@ def test_factor_verdict_matches_networkx_flow(flow_runs):
     seen = set()
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 60), rng.randint(1, 60), rng.choice((0.05, 0.1, 0.2)))
-        # lower bounds no higher than the degree, so both verdicts are common,
-        # then in about a quarter of the graphs one bound past its degree
-        gx = [rng.randint(0, min(2, len(g.adj[x]))) for x in range(g.nx)]
-        gy = [rng.randint(0, min(1, len(g.y_adj[y]))) for y in range(g.ny)]
+        # X caps no higher than the degree, so both verdicts are common, then
+        # in about a quarter of the graphs one cap past its degree
+        cap_x = [rng.randint(0, min(2, len(g.adj[x]))) for x in range(g.nx)]
         if rng.random() < 0.25:
-            if rng.random() < 0.5:
-                x = rng.randrange(g.nx)
-                gx[x] = len(g.adj[x]) + 1
-            else:
-                y = rng.randrange(g.ny)
-                gy[y] = len(g.y_adj[y]) + 1
-        bounds = DegreeBounds.make(gx, [v + rng.randint(0, 2) for v in gx],
-                                   gy, [v + rng.randint(0, 2) for v in gy])
+            x = rng.randrange(g.nx)
+            cap_x[x] = len(g.adj[x]) + 1
+        cap_y = [rng.randint(0, 3) for _ in range(g.ny)]
         flow_runs.clear()
-        factor = gf_factor(g, bounds)
-        assert (factor is not None) == networkx_factor_exists(g, bounds)
+        factor = gf_factor(g, cap_x, cap_y)
+        assert (factor is not None) == networkx_factor_exists(g, cap_x, cap_y)
         if factor is not None:
-            assert factor_degrees_ok(g, bounds, factor)
+            assert factor_degrees_ok(g, cap_x, cap_y, factor)
         # the flow is skipped exactly when one vertex's degree refutes
-        short = any(len(g.adj[x]) < gx[x] for x in range(g.nx)) or \
-            any(len(g.y_adj[y]) < gy[y] for y in range(g.ny))
+        short = any(len(g.adj[x]) < cap_x[x] for x in range(g.nx))
         assert flow_runs == ([] if short else [g.nx + g.ny + 2])
         seen.add(("one-vertex cut" if short else "flow", factor is not None))
     assert seen == {("one-vertex cut", False), ("flow", False), ("flow", True)}

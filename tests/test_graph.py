@@ -130,6 +130,24 @@ def test_verify_spair_not_disjoint():
     assert why == "not disjoint"
 
 
+# G: x0 - y0, x0 - y1, x1 - y1; S = {x0}. Each bad pair breaks one condition
+# and meets every other, so each check alone decides its case.
+@pytest.mark.parametrize("m1, m2, why", [
+    ([(0, 0), (1, 1)], [(0, 1)], "ok"),
+    ([(0, 1), (1, 0)], [(0, 0)], "m1 is not a matching in the graph"),
+    ([(0, 0), (1, 1)], [(0, 1), (1, 0)], "m2 is not a matching in the graph"),
+    ([(0, 0), (1, 1)], [(0, 0)], "not disjoint"),
+    ([(0, 0)], [(0, 1)], "m1 does not saturate X"),
+    ([(0, 0), (1, 1)], [], "m2 does not saturate S"),
+], ids=["ok", "m1-edge-not-in-graph", "m2-edge-not-in-graph", "shared-edge",
+        "m1-misses-x", "m2-misses-s"])
+def test_verify_spair_names_each_violation(m1, m2, why):
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 1)])
+    inst = SdmInstance.make(g, [0])
+    pair = SPair(Matching.from_edges(m1), Matching.from_edges(m2))
+    assert verify_spair(inst, pair) == (why == "ok", why)
+
+
 def test_verify_spair_star():
     g = BipartiteGraph.from_edges(1, 2, [(0, 0), (0, 1)])
     inst = SdmInstance.make(g, [0])
@@ -179,3 +197,20 @@ def test_solution_format_lines():
     pair = SPair(Matching.from_edges([(1, 0), (0, 1)]), Matching(()))
     text = serialize_solution(pair)
     assert text == "RESULT yes\nM1 1:2 2:1\nM2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty solution"),
+    ("c only a comment\n", "empty solution"),
+    ("RESULT no\nM1\n", "trailing content after RESULT no"),
+    ("RESULT maybe\n", "line 1: expected RESULT line, got 'RESULT maybe'"),
+    ("RESULT yes\nM1 1:1\n", "RESULT yes must be followed by exactly M1 and M2 lines"),
+    ("RESULT yes\nM2 1:1\nM1\n", "line 2: expected M1 line, got 'M2 1:1'"),
+    ("c x\nRESULT yes\nM1 1:1\nM2 2-2\n", "line 4: malformed pair '2-2'"),
+    ("RESULT yes\nM1 1:1 2:1\nM2\n", "line 2: edges share an endpoint; not a matching"),
+], ids=["empty", "comment-only", "trailing-after-no", "bad-result", "line-count",
+        "wrong-label", "malformed-pair", "shared-endpoint"])
+def test_parse_solution_error_messages(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_solution(text)
+    assert str(info.value) == message

@@ -6,6 +6,7 @@ from sdmatch import (
     BipartiteGraph,
     CnfFormula,
     FormatError,
+    Matching,
     SdmInstance,
     SPair,
     decode_spair_to_assignment,
@@ -70,9 +71,25 @@ def test_parse_dimacs_missing_terminator():
     ("p cnf 1 -1\n", "line 1: negative header counts"),
     # only a first token of exactly "p" starts a header
     ("pxyz cnf 1 1\n1 0\n", "line 1: malformed header 'pxyz cnf 1 1'"),
+    ("p cnf a 1\n1 0\n", "line 1: non-integer header counts"),
+    ("c x\n1 0\np cnf 1 1\n", "line 2: clause before header"),
+    ("c no header\n", "missing p cnf header"),
 ], ids=["second-after-clause", "second-after-comment", "negative-vars",
-        "negative-vars-no-clause", "negative-clauses", "p-prefixed-token"])
+        "negative-vars-no-clause", "negative-clauses", "p-prefixed-token",
+        "non-integer-counts", "clause-before-header", "missing-header"])
 def test_parse_dimacs_rejects_bad_header(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_dimacs_cnf(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 1 1\n1 x 0\n", "line 2: bad literal 'x'"),
+    ("p cnf 1 2\n1 0\n", "clause count mismatch: header says 2, found 1"),
+    # a lone 0 ends an empty clause, which CnfFormula.make refuses
+    ("p cnf 1 1\n0\n", "empty clause"),
+], ids=["bad-literal", "count-mismatch", "empty-clause"])
+def test_parse_dimacs_rejects_bad_clauses(text, message):
     with pytest.raises(FormatError) as info:
         parse_dimacs_cnf(text)
     assert str(info.value) == message
@@ -204,6 +221,24 @@ def test_gadget_map_sidecar_round_trip():
     assert parse_gadget_map(serialize_gadget_map(gm)) == gm
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x variable 1 cycle y1\n", "line 1: unknown directive 'x variable 1 cycle y1'"),
+    ("c x\nm variable\n", "line 2: unknown directive 'm variable'"),
+    ("m variable 1 cycle y1\nm literal 1 x1\n", "line 2: unknown mapping kind 'literal'"),
+    ("m variable 1 cycle y1\n", "mapping must list at least one variable and one clause"),
+    ("m clause 1 w x3 z y3\n", "mapping must list at least one variable and one clause"),
+    ("m variable 1 cycle y2\nm clause 1 w x3 z y3\n",
+     "mapping ids do not match the canonical gadget numbering"),
+], ids=["unknown-directive", "short-line", "unknown-kind", "no-clause", "no-variable",
+        "wrong-ids"])
+def test_parse_gadget_map_error_messages(text, message):
+    # the map of one variable and one clause reads
+    # "m variable 1 cycle y1" and "m clause 1 w x3 z y3"
+    with pytest.raises(FormatError) as info:
+        parse_gadget_map(text)
+    assert str(info.value) == message
+
+
 def test_reduce_dm_edgeless():
     g = BipartiteGraph.from_edges(3, 3, [])
     dm = reduce_sdm_to_dm(SdmInstance.make(g, []))
@@ -268,10 +303,38 @@ def test_extend_builds_dm_solution():
         assert {e for e in back.m2.edges} == {e for e in spair.m2.edges if e[0] in s_set}
 
 
+# G1: x0 - y0, x0 - y1, x1 - y1, x2 - y2 with S = {x0}, so G2 adds every edge
+# of x1 and x2. Each bad two-graph pair breaks one condition and meets every
+# other, so each check alone decides its case.
+@pytest.mark.parametrize("m1, m2, message", [
+    ([(0, 1), (1, 0), (2, 2)], [(0, 0), (1, 2), (2, 1)], "m1 is not a matching of G1"),
+    ([(0, 0), (1, 1), (2, 2)], [(0, 2), (1, 0), (2, 1)], "m2 is not a matching of G2"),
+    ([(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 0), (2, 2)], "matchings are not disjoint"),
+    ([(0, 0), (1, 1)], [(0, 1), (1, 0), (2, 2)], "matchings must both saturate X"),
+    ([(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 0)], "matchings must both saturate X"),
+], ids=["m1-not-in-g1", "m2-not-in-g2", "shared-edge", "m1-misses-x", "m2-misses-x"])
+def test_project_rejects_bad_dm_pairs(m1, m2, message):
+    g = BipartiteGraph.from_edges(3, 3, [(0, 0), (0, 1), (1, 1), (2, 2)])
+    inst = SdmInstance.make(g, [0])
+    with pytest.raises(ValueError) as info:
+        project_dm_to_spair(inst, Matching.from_edges(m1), Matching.from_edges(m2))
+    assert str(info.value) == message
+
+
+def test_extend_rejects_large_s():
+    g = BipartiteGraph.from_edges(3, 3, [(x, y) for x in range(3) for y in range(3)])
+    spair = solve_exact(SdmInstance.make(g, [0, 1]))
+    assert spair is not None
+    with pytest.raises(ValueError, match=r"^extension requires \|S\| < \|X\|-1$"):
+        extend_spair_to_dm(SdmInstance.make(g, [0, 1]), spair)
+
+
 def test_extend_rejects_narrow_y():
+    # with |Y| < |X| no M1 saturates X, so no S-pair exists to extend
     g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 1), (2, 0)])
     inst = SdmInstance.make(g, [])
-    with pytest.raises(ValueError):
-        # no S-pair exists here at all, so verify fails or |Y| < |X| trips
-        from sdmatch import SPair, Matching
-        extend_spair_to_dm(inst, SPair(Matching(()), Matching(())))
+    assert solve_exact(inst) is None
+    best = SPair(Matching.from_edges([(0, 0), (1, 1)]), Matching(()))
+    with pytest.raises(ValueError) as info:
+        extend_spair_to_dm(inst, best)
+    assert str(info.value) == "invalid S-pair: m1 does not saturate X"

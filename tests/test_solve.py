@@ -16,7 +16,7 @@ from sdmatch import (
 )
 from sdmatch.coloring import konig_color
 from sdmatch.flow import gf_factor
-from sdmatch.solve import DEFAULT_BOUNDED_S_CAP, spair_factor_bounds
+from sdmatch.solve import DEFAULT_BOUNDED_S_CAP
 from conftest import (
     all_graphs_3x3,
     all_s_subsets,
@@ -83,7 +83,7 @@ def test_poly_anchor_edge_in_either_konig_color():
         anchor = rng.randrange(nx)
         inst = SdmInstance.make(g, [x for x in range(nx) if x != anchor])
         spair = solve_poly_large_s(inst)
-        factor = gf_factor(g, spair_factor_bounds(inst))
+        factor = gf_factor(g, [1 if x == anchor else 2 for x in range(nx)], [2] * g.ny)
         assert (spair is None) == (factor is None)
         if spair is None:
             continue
