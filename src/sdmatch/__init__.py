@@ -16,7 +16,7 @@ from .graph import (
 )
 from .matching import HallCertificate, max_matching, x_saturating_certificate
 from .flow import feasible_flow, gf_factor
-from .coloring import EdgeColoring, konig_color
+from .coloring import konig_color
 from .lebensold import LebensoldVerdict, lebensold_condition
 from .solve import (
     BudgetExhausted,

@@ -1,4 +1,4 @@
-"""Proper edge coloring of bipartite graphs with exactly Delta colors.
+"""Splitting a bipartite factor of maximum degree at most k into k matchings.
 
 konig_color inserts edges one at a time and repairs conflicts by flipping a
 two-color alternating chain (the constructive content of the line-coloring
@@ -11,40 +11,31 @@ Color indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import BipartiteGraph, Matching
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    colors: dict[tuple[int, int], int]
-    palette_size: int
+def konig_color(graph: BipartiteGraph, edges: Iterable[tuple[int, int]],
+                k: int) -> tuple[Matching, ...]:
+    """The k color classes of a proper coloring of the given edges of graph,
+    colored in the order given; class i holds color i + 1.
 
-    def color_class(self, color: int) -> Matching:
-        return Matching.from_edges(e for e, c in self.colors.items() if c == color)
-
-
-def max_degree(graph: BipartiteGraph) -> int:
-    degs = [len(a) for a in graph.adj] + [len(a) for a in graph.y_adj]
-    return max(degs, default=0)
-
-
-def konig_color(graph: BipartiteGraph) -> EdgeColoring:
-    """Proper coloring with exactly Delta colors (0 colors for edgeless input)."""
-    delta = max_degree(graph)
+    Raises ValueError when some vertex has more than k of the edges.
+    """
     nx = graph.nx
     # per global vertex: color -> neighbor global id
     used: list[dict[int, int]] = [dict() for _ in range(nx + graph.ny)]
-    colors: dict[tuple[int, int], int] = {}
 
     def lowest_free(v: int) -> int:
         c = 1
         while c in used[v]:
             c += 1
+        if c > k:
+            raise ValueError(f"a vertex has more than k = {k} of the edges")
         return c
 
-    for x, y in graph.edges():
+    for x, y in edges:
         u, v = x, nx + y
         a = lowest_free(u)
         if a in used[v]:
@@ -62,11 +53,9 @@ def konig_color(graph: BipartiteGraph) -> EdgeColoring:
                 del used[q][col]
             for p, q, col in chain:
                 other = b if col == a else a
-                ex, ey = (p, q - nx) if p < nx else (q, p - nx)
-                colors[(ex, ey)] = other
                 used[p][other] = q
                 used[q][other] = p
-        colors[(x, y)] = a
         used[u][a] = v
         used[v][a] = u
-    return EdgeColoring(colors, delta)
+    return tuple(Matching.from_edges((x, used[x][c] - nx) for x in range(nx) if c in used[x])
+                 for c in range(1, k + 1))

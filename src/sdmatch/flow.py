@@ -8,7 +8,8 @@ condition on the cut around one vertex. Arcs are plain (tail, head, low, up)
 tuples. Lower bounds are removed via the standard excess/deficit super-source
 and super-sink transformation; a fixed arc (low == up) only shifts excess and
 never enters the network, so no source -> X arc does. The max flow underneath
-is Dinic's algorithm, with no recursion in either phase.
+is Dinic's algorithm, with no recursion in either phase. Both gf_factor and
+degree_flow return a factor as a tuple of edges in ``graph.edges()`` order.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
 
 
 def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
-              ) -> Optional[frozenset[tuple[int, int]]]:
-    """Edge set of a subgraph H with d_H(x) == cap_x[x] at each X vertex and
-    d_H(y) <= cap_y[y] at each Y vertex, or None.
+              ) -> Optional[tuple[tuple[int, int], ...]]:
+    """The edges, in ``graph.edges()`` order, of a subgraph H with d_H(x) ==
+    cap_x[x] at each X vertex and d_H(y) <= cap_y[y] at each Y vertex, or None.
 
     An X vertex with fewer neighbours than its cap refutes before any arc is
     built; otherwise one feasible flow decides. Raises ValueError on a
@@ -202,4 +203,4 @@ def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
     flow = feasible_flow(snk + 1, arcs, src, snk)
     if flow is None:
         return None
-    return frozenset(e for e, used in zip(edges, flow[nx:]) if used)
+    return tuple(e for e, used in zip(edges, flow[nx:]) if used)

@@ -46,15 +46,6 @@ class BipartiteGraph:
         return BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) for s in neigh))
 
     @cached_property
-    def y_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Y-side adjacency lists, sorted ascending."""
-        neigh: list[list[int]] = [[] for _ in range(self.ny)]
-        for x in range(self.nx):
-            for y in self.adj[x]:
-                neigh[y].append(x)
-        return tuple(tuple(ys) for ys in neigh)
-
-    @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x in range(self.nx) for y in self.adj[x])
 

@@ -2,12 +2,12 @@
 
 Both rest on one max flow, ``flow.degree_flow`` with capacity k on every
 vertex. A flow of value k|X| is a factor with degree exactly k on X and at
-most k on Y, and a proper k-edge-coloring splits it into k disjoint
-X-saturating matchings. A smaller flow leaves a minimum cut of value
-k(|X| - |W|) + sum_y min(k, |N(y) cap W|) < k|X|, where W is the set of X
-vertices on its source side; so W violates Lebensold's counting condition
-sum_y min(k, |N(y) cap W|) >= k|W|. Deciding, constructing and certifying
-"no" thus take one max flow, in polynomial time.
+most k on Y, and ``konig_color(graph, factor, k)`` returns its k color
+classes: k disjoint X-saturating matchings. A smaller flow leaves a minimum
+cut of value k(|X| - |W|) + sum_y min(k, |N(y) cap W|) < k|X|, where W is
+the set of X vertices on its source side; so W violates Lebensold's counting
+condition sum_y min(k, |N(y) cap W|) >= k|W|. Deciding, constructing and
+certifying "no" thus take one max flow, in polynomial time.
 """
 
 from __future__ import annotations
@@ -44,6 +44,4 @@ def lebensold_condition(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
     factor, w = degree_flow(graph, k)
     if factor is None:
         return LebensoldVerdict(False, w)
-    coloring = konig_color(BipartiteGraph.from_edges(graph.nx, graph.ny, factor))
-    # every X vertex has degree exactly k, so the palette is exactly k
-    return LebensoldVerdict(True, None, tuple(coloring.color_class(c) for c in range(1, k + 1)))
+    return LebensoldVerdict(True, None, konig_color(graph, factor, k))

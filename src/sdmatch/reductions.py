@@ -273,8 +273,9 @@ def project_dm_to_spair(instance: SdmInstance, m1: Matching, m2: Matching) -> SP
 def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, Matching]:
     """Enlarge M2 to saturate all of X using the added (X-S) x Y edges.
 
-    Builds the helper graph on (X-S) and the Y vertices M2 leaves uncovered,
-    minus M1's edges; its saturating matching exists whenever |Y| >= |X|.
+    Keeps M2's edges on S (the ones project_dm_to_spair keeps) and builds the
+    helper graph on (X-S) and the Y vertices they leave uncovered, minus M1's
+    edges; its saturating matching exists whenever |Y| >= |X|.
     """
     g = instance.graph
     if len(instance.s_set) >= g.nx - 1:
@@ -284,8 +285,10 @@ def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, M
     if not ok:
         raise ValueError(f"invalid S-pair: {why}")
     in_s = set(instance.s_set)
+    kept = [(x, y) for x, y in spair.m2.edges if x in in_s]
+    covered_y = {y for _, y in kept}
     rest_x = [x for x in range(g.nx) if x not in in_s]
-    free_y = [y for y in range(g.ny) if y not in spair.m2.covered_y]
+    free_y = [y for y in range(g.ny) if y not in covered_y]
     x_of = {xi: x for xi, x in enumerate(rest_x)}
     y_of = {yi: y for yi, y in enumerate(free_y)}
     m1_edges = spair.m1.edge_set
@@ -300,7 +303,7 @@ def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, M
     if len(extra) != len(rest_x):
         raise ValueError("helper graph has no saturating matching")
     m2 = Matching.from_edges(
-        list(spair.m2.edges) + [(x_of[xi], y_of[yi]) for xi, yi in extra.edges]
+        kept + [(x_of[xi], y_of[yi]) for xi, yi in extra.edges]
     )
     return spair.m1, m2
 

@@ -25,7 +25,7 @@ from typing import Container, Optional, Sequence
 
 from .coloring import konig_color
 from .flow import gf_factor
-from .graph import BipartiteGraph, Matching, SdmInstance, SPair
+from .graph import Matching, SdmInstance, SPair
 from .matching import max_matching, rematch
 
 DEFAULT_BOUNDED_S_CAP = 8
@@ -60,14 +60,14 @@ def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
     factor = gf_factor(g, [2 if x in in_s else 1 for x in range(g.nx)], [2] * g.ny)
     if factor is None:
         return None
-    sub = BipartiteGraph.from_edges(g.nx, g.ny, factor)
-    coloring = konig_color(sub)
     # Each S vertex has degree 2 in the factor and so sees both colors; the
     # X vertex outside S, if any, has degree 1, and M1 is the class of its
     # edge, so M1 saturates X and M2 saturates S.
+    m1, m2 = konig_color(g, factor, 2)
     anchor = next((x for x in range(g.nx) if x not in in_s), None)
-    m1_color = 1 if anchor is None else coloring.colors[(anchor, sub.adj[anchor][0])]
-    return SPair(coloring.color_class(m1_color), coloring.color_class(3 - m1_color))
+    if anchor is not None and anchor not in m1.covered_x:
+        m1, m2 = m2, m1
+    return SPair(m1, m2)
 
 
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:

@@ -4,7 +4,6 @@ from typing import Optional
 import pytest
 
 from sdmatch import BipartiteGraph, DmInstance, FormatError, Matching, SdmInstance, SPair
-from sdmatch.coloring import EdgeColoring
 from sdmatch.flow import _MaxFlow
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
@@ -25,6 +24,20 @@ def chain_graph(n: int) -> BipartiteGraph:
     level deeper per link."""
     edges = [(0, 0)] + [e for i in range(1, n) for e in ((i, i - 1), (i, i))]
     return BipartiteGraph.from_edges(n, n, edges)
+
+
+def y_adj(graph: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
+    """Y-side adjacency lists, sorted ascending."""
+    neigh: list[list[int]] = [[] for _ in range(graph.ny)]
+    for x in range(graph.nx):
+        for y in graph.adj[x]:
+            neigh[y].append(x)
+    return tuple(tuple(xs) for xs in neigh)
+
+
+def max_degree(graph: BipartiteGraph) -> int:
+    """The largest degree of any vertex, 0 for an edgeless graph."""
+    return max(map(len, graph.adj + y_adj(graph)), default=0)
 
 
 def all_graphs_3x3():
@@ -80,9 +93,9 @@ def brute_force_spair_presence(graph: BipartiteGraph, s_set) -> bool:
 def lebensold_brute_force(graph: BipartiteGraph, k: int) -> bool:
     """Independent oracle: Lebensold's condition sum_y min(k, |N(y) & W|) >=
     k|W|, checked over all 2^|X| subsets W."""
+    neighbors = y_adj(graph)
     for mask in range(1 << graph.nx):
-        total = sum(min(k, sum(1 for x in graph.y_adj[y] if mask >> x & 1))
-                    for y in range(graph.ny))
+        total = sum(min(k, sum(1 for x in xs if mask >> x & 1)) for xs in neighbors)
         if total < k * bin(mask).count("1"):
             return False
     return True
@@ -125,24 +138,21 @@ def brute_force_satisfiable(formula: CnfFormula) -> Optional[dict[int, bool]]:
     return None
 
 
-def is_proper(graph: BipartiteGraph, coloring: EdgeColoring) -> bool:
-    """Independent validation of an edge coloring: it colors exactly the
-    graph's edges, properly, within its palette."""
-    if set(coloring.colors) != graph.edge_set:
-        return False
-    seen: set[tuple[int, int]] = set()
-    for (x, y), c in coloring.colors.items():
-        if not 1 <= c <= coloring.palette_size:
+def is_proper(edges, classes: tuple[Matching, ...]) -> bool:
+    """Independent validation of a split into color classes: each class is a
+    matching, no edge is in two classes, and together they hold exactly the
+    given edges."""
+    for cls in classes:
+        xs = [x for x, _ in cls.edges]
+        ys = [y for _, y in cls.edges]
+        if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
             return False
-        for key in ((x, c), (graph.nx + y, c)):
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
+    union = [e for cls in classes for e in cls.edges]
+    return len(set(union)) == len(union) and set(union) == set(edges)
 
 
 def factor_degrees_ok(graph: BipartiteGraph, cap_x, cap_y,
-                      factor: frozenset[tuple[int, int]]) -> bool:
+                      factor: tuple[tuple[int, int], ...]) -> bool:
     """Re-validate a factor's edges and degrees vertex by vertex: exactly the
     cap on X, at most the cap on Y."""
     dx = [0] * graph.nx

@@ -21,7 +21,6 @@ from sdmatch import (
     x_saturating_certificate,
 )
 from sdmatch.cli import run
-from sdmatch.coloring import max_degree
 from sdmatch.reductions import (
     CnfFormula,
     decode_spair_to_assignment,
@@ -41,6 +40,7 @@ from conftest import (
     brute_force_satisfiable,
     is_proper,
     lebensold_brute_force,
+    max_degree,
     random_graph,
     satisfies,
     solve_dm_exact,
@@ -191,14 +191,22 @@ def test_criterion_7_coloring_tightness():
     done = 0
     while done < 1000:
         g = random_graph(rng, rng.randint(1, 8), rng.randint(1, 8), 0.4)
-        if max_degree(g) > 5:
+        delta = max_degree(g)
+        if delta > 5:
             continue
         done += 1
-        coloring = konig_color(g)
-        if not is_proper(g, coloring) or coloring.palette_size != max_degree(g):
+        classes = konig_color(g, g.edges(), delta)
+        if not is_proper(g.edges(), classes) or sum(1 for c in classes if c) != delta:
             ok = False
+        if delta > 0:
+            try:
+                konig_color(g, g.edges(), delta - 1)
+                ok = False
+            except ValueError:
+                pass
     ok = ok and time.time() - started < 30
-    report("criterion 7: coloring proper with exactly max-degree colors (1000 graphs)", ok, started)
+    report("criterion 7: max-degree colors split a graph, one fewer is refused (1000 graphs)",
+           ok, started)
 
 
 def test_criterion_8_cli_determinism(tmp_path):

@@ -287,6 +287,24 @@ def test_failed_reduce_dm_keeps_an_existing_output_file(tmp_path):
     assert g1.read_bytes() == b"old contents\n"
 
 
+def test_reduce_dm_refuses_one_file_for_both_graphs(tmp_path):
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    same = str(tmp_path / "g.sdm")
+    code, out, err = invoke(["reduce-dm", path, "--g1", same, "--g2", same])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {same}: ")
+    assert not os.path.lexists(same)
+    # a symlink to the other path names the same file
+    target = tmp_path / "a.sdm"
+    target.write_bytes(b"old contents\n")
+    link = tmp_path / "b.sdm"
+    link.symlink_to(target)
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(target), "--g2", str(link)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {link}: ")
+    assert target.read_bytes() == b"old contents\n" and link.is_symlink()
+
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
 def test_failed_reduce_dm_keeps_output_before_a_read_only_file(tmp_path):
     path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")

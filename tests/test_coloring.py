@@ -1,29 +1,34 @@
 import random
 
+import pytest
+
 from sdmatch import konig_color
 from sdmatch import BipartiteGraph, is_matching
-from sdmatch.coloring import max_degree
 from sdmatch.flow import gf_factor
-from conftest import is_proper, random_graph
+from conftest import is_proper, max_degree, random_graph
+
+
+def nonempty(classes) -> int:
+    return sum(1 for cls in classes if cls)
 
 
 def test_c8_cycle_two_colors(c8_gadget):
     inst, gm = c8_gadget
-    coloring = konig_color(inst.graph)
-    assert coloring.palette_size == 2
-    assert is_proper(inst.graph, coloring)
+    classes = konig_color(inst.graph, inst.graph.edges(), 2)
+    assert nonempty(classes) == 2
+    assert is_proper(inst.graph.edges(), classes)
     # alternation around the cycle
     for j in range(1, 9):
         e1 = gm.cycle_edge(1, j)
         e2 = gm.cycle_edge(1, j % 8 + 1)
-        assert coloring.colors[e1] != coloring.colors[e2]
+        assert (e1 in classes[0].edge_set) != (e2 in classes[0].edge_set)
 
 
 def test_star_k13_three_colors():
     g = BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)])
-    coloring = konig_color(g)
-    assert coloring.palette_size == 3
-    assert sorted(coloring.colors.values()) == [1, 2, 3]
+    classes = konig_color(g, g.edges(), 3)
+    assert nonempty(classes) == 3
+    assert [len(cls) for cls in classes] == [1, 1, 1]
 
 
 def test_konig_random_delta_four():
@@ -34,27 +39,53 @@ def test_konig_random_delta_four():
         if max_degree(g) != 4:
             continue
         found += 1
-        coloring = konig_color(g)
-        assert coloring.palette_size == 4
-        assert is_proper(g, coloring)
+        classes = konig_color(g, g.edges(), 4)
+        assert nonempty(classes) == 4
+        assert is_proper(g.edges(), classes)
 
 
 def test_konig_edgeless():
     g = BipartiteGraph.from_edges(3, 3, [])
-    assert konig_color(g).palette_size == 0
+    assert konig_color(g, g.edges(), 0) == ()
+    assert nonempty(konig_color(g, g.edges(), 3)) == 0
 
 
 def test_color_classes_are_matchings():
     rng = random.Random(12)
     for _ in range(50):
         g = random_graph(rng, 6, 6, 0.4)
-        coloring = konig_color(g)
+        classes = konig_color(g, g.edges(), max_degree(g))
         union = set()
-        for c in range(1, coloring.palette_size + 1):
-            cls = coloring.color_class(c)
+        for cls in classes:
             assert is_matching(g, cls.edges)
             union.update(cls.edges)
         assert union == g.edge_set
+
+
+@pytest.mark.parametrize("nx, ny, edges, k", [
+    (1, 3, [(0, 0), (0, 1), (0, 2)], 2),
+    # the Y vertex is the one over k: its third edge meets two colors there
+    (3, 1, [(0, 0), (1, 0), (2, 0)], 2),
+    (2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], 1),
+    (1, 1, [(0, 0)], 0),
+], ids=["x-over-k", "y-over-k", "c4-one-color", "no-colors"])
+def test_konig_color_rejects_a_vertex_over_k(nx, ny, edges, k):
+    g = BipartiteGraph.from_edges(nx, ny, edges)
+    with pytest.raises(ValueError, match="more than k"):
+        konig_color(g, edges, k)
+    # the edges fit once k reaches the largest degree
+    assert is_proper(edges, konig_color(g, edges, max_degree(g)))
+
+
+def test_konig_color_splits_a_subgraph_in_the_order_given():
+    # the 4-cycle's edges colored in two orders: the first edge gets color 1
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    first = konig_color(g, [(0, 0), (1, 1), (0, 1), (1, 0)], 2)
+    assert [cls.edges for cls in first] == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
+    second = konig_color(g, [(0, 1), (1, 0), (0, 0), (1, 1)], 2)
+    assert [cls.edges for cls in second] == [((0, 1), (1, 0)), ((0, 0), (1, 1))]
+    # a matching inside it takes one color
+    assert konig_color(g, [(0, 0), (1, 1)], 1) == (first[0],)
 
 
 def test_factor_coloring_uses_both_colors_at_s_vertices():
@@ -68,9 +99,8 @@ def test_factor_coloring_uses_both_colors_at_s_vertices():
         if factor is None:
             continue
         checked += 1
-        sub = BipartiteGraph.from_edges(g.nx, g.ny, factor)
-        coloring = konig_color(sub)
-        assert coloring.palette_size == 2
+        classes = konig_color(g, factor, 2)
+        assert nonempty(classes) == 2
+        assert is_proper(factor, classes)
         for x in s_set:
-            incident = {coloring.colors[(x, y)] for y in sub.adj[x]}
-            assert incident == {1, 2}
+            assert all(x in cls.covered_x for cls in classes)

@@ -47,7 +47,7 @@ def test_dangling_arc_rejected():
 
 def test_k22_full_factor():
     g = k22()
-    assert gf_factor(g, [2] * g.nx, [2] * g.ny) == g.edge_set
+    assert gf_factor(g, [2] * g.nx, [2] * g.ny) == tuple(g.edges())
 
 
 def test_k22_flow_saturates_edge_arcs():
@@ -133,7 +133,7 @@ def test_degrees_that_meet_g_still_run_one_flow(flow_runs):
     assert gf_factor(g, [1, 1], [0, 1, 0]) is None
     assert len(flow_runs) == 2
     # a cap equal to the degree is no refutation
-    assert gf_factor(g, [2, 2], [2, 2, 2]) == g.edge_set
+    assert gf_factor(g, [2, 2], [2, 2, 2]) == tuple(g.edges())
     assert len(flow_runs) == 3
 
 
@@ -196,6 +196,8 @@ def test_factor_verdict_matches_networkx_flow(flow_runs):
         assert (factor is not None) == networkx_factor_exists(g, cap_x, cap_y)
         if factor is not None:
             assert factor_degrees_ok(g, cap_x, cap_y, factor)
+            # a tuple in graph.edges() order, the shape degree_flow returns
+            assert factor == tuple(e for e in g.edges() if e in set(factor))
         # the flow is skipped exactly when one vertex's degree refutes
         short = any(len(g.adj[x]) < cap_x[x] for x in range(g.nx))
         assert flow_runs == ([] if short else [g.nx + g.ny + 2])

@@ -4,6 +4,7 @@ import pytest
 
 from sdmatch import (
     BipartiteGraph,
+    DmInstance,
     FormatError,
     Matching,
     SdmInstance,
@@ -15,7 +16,7 @@ from sdmatch import (
     serialize_solution,
     verify_spair,
 )
-from conftest import random_graph
+from conftest import random_graph, y_adj
 
 
 def test_validate_empty_graph():
@@ -35,15 +36,28 @@ def test_validate_rejects_out_of_range():
         BipartiteGraph.from_edges(-1, 1, [])
 
 
+@pytest.mark.parametrize("s_set", [[0, 3], [-1], [1, 7, 0]])
+def test_sdm_instance_rejects_s_out_of_range(s_set):
+    g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="S member out of range"):
+        SdmInstance.make(g, s_set)
+    # in range, S is deduplicated and sorted
+    assert SdmInstance.make(g, [2, 0, 2]).s_set == (0, 2)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 3), (3, 2), (1, 1)])
+def test_dm_instance_requires_one_vertex_set(nx, ny):
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="g1 and g2 must share nx and ny"):
+        DmInstance(g, BipartiteGraph.from_edges(nx, ny, []))
+    assert DmInstance(g, BipartiteGraph.from_edges(2, 2, [])).g1 is g
+
+
 def test_adjacency_sorted_and_symmetric():
-    g = BipartiteGraph.from_edges(2, 3, [(0, 2), (0, 0), (1, 1), (0, 1)])
-    assert g.adj[0] == (0, 1, 2)
-    for x in range(g.nx):
-        for y in g.adj[x]:
-            assert x in g.y_adj[y]
-    for y in range(g.ny):
-        for x in g.y_adj[y]:
-            assert y in g.adj[x]
+    g = BipartiteGraph.from_edges(2, 3, [(0, 2), (0, 0), (1, 1), (0, 1), (0, 2)])
+    assert g.adj == ((0, 1, 2), (1,))
+    assert g.edges() == [(0, 0), (0, 1), (0, 2), (1, 1)]
+    assert y_adj(g) == ((0,), (0, 1), (0,))
 
 
 def test_is_matching_c8(c8_gadget):

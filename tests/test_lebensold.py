@@ -8,7 +8,7 @@ from sdmatch import (
     lebensold_condition,
     x_saturating_certificate,
 )
-from conftest import lebensold_brute_force, random_graph
+from conftest import lebensold_brute_force, random_graph, y_adj
 
 
 def k22():
@@ -72,7 +72,7 @@ def test_violating_set_certified():
     verdict = lebensold_condition(g, 1)
     assert not verdict.holds
     w = verdict.violating_set
-    total = sum(min(1, len(set(g.y_adj[y]) & set(w))) for y in range(g.ny))
+    total = sum(min(1, len(set(xs) & set(w))) for xs in y_adj(g))
     assert total < len(w)
 
 

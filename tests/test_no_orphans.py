@@ -1,6 +1,7 @@
 """Every public class, function and method of the package is referenced
 elsewhere in the package, not only exported from ``__init__`` or used by
-tests."""
+tests, and every public field of a top-level class is read as an attribute
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,12 @@ ALLOWED = {
     ("matching.py", "x_saturating_certificate"):
         "the Hall certificate of the library API; the Hall witness of ROADMAP item 4 "
         "gives it a caller",
+    ("matching.py", "HallCertificate.saturating_matching"):
+        "the Hall certificate of the library API; the Hall witness of ROADMAP item 4 "
+        "gives it a caller",
+    ("matching.py", "HallCertificate.violator"):
+        "the Hall certificate of the library API; the Hall witness of ROADMAP item 4 "
+        "gives it a caller",
     ("reductions.py", "encode_assignment_to_spair"):
         "the paper's certificate translation, assignment to S-pair",
     ("reductions.py", "project_dm_to_spair"):
@@ -23,18 +30,33 @@ ALLOWED = {
 }
 
 
+def fields(node):
+    """(name, line) of each field a class body declares: an annotated name
+    or a plain assignment (an enum member)."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id, item.lineno
+        elif isinstance(item, ast.Assign):
+            for target in item.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, item.lineno
+
+
 def definitions(tree):
-    """(qualified name, name, line) of each public top-level class and
-    function and of each public method of a top-level class."""
+    """(qualified name, name, line, is field) of each public top-level class
+    and function and of each public method and field of a top-level class."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             members = [("", node)] + [(node.name + ".", item) for item in node.body]
+            for name, line in fields(node):
+                if not name.startswith("_"):
+                    yield node.name + "." + name, name, line, True
         else:
             members = [("", node)]
         for prefix, item in members:
             if isinstance(item, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not item.name.startswith("_"):
-                yield prefix + item.name, item.name, item.lineno
+                yield prefix + item.name, item.name, item.lineno, False
 
 
 def references(tree):
@@ -50,15 +72,24 @@ def references(tree):
     return names
 
 
+def attribute_reads(tree):
+    """Every name the module reads as an attribute."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def orphans(package):
     """{(module, qualified name): line} of every public class, function or
-    method that no module of the package but ``__init__`` refers to."""
+    method that no module of the package but ``__init__`` refers to, and of
+    every public field that none of them reads as an attribute."""
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     referenced = set().union(*map(references, trees.values()))
+    read = set().union(*map(attribute_reads, trees.values()))
     return {(module, qualified): line
             for module, tree in trees.items()
-            for qualified, name, line in definitions(tree) if name not in referenced}
+            for qualified, name, line, is_field in definitions(tree)
+            if name not in (read if is_field else referenced)}
 
 
 def test_every_public_function_in_src_has_a_reference_in_src():
@@ -74,6 +105,9 @@ def test_guard_sees_a_planted_orphan(tmp_path):
         "def used():\n    return 1\n\n\n"
         "def lonely():\n    return 2\n\n\n"
         "class Box:\n"
+        "    size: int = 0\n"
+        "    unread: int = 0\n"
+        "    _hidden: int = 0\n\n"
         "    def opened(self):\n        return used()\n\n"
         "    def shut(self):\n        return 0\n\n"
         "    def _private(self):\n        return 0\n\n\n"
@@ -81,10 +115,13 @@ def test_guard_sees_a_planted_orphan(tmp_path):
         "class _Hidden:\n    pass\n")
     (tmp_path / "b.py").write_text(
         "from .a import Box as Crate\n\n\n"
-        "def run():\n    return Crate().opened()\n\n\n"
-        "def main():\n    return run()\n")
+        "def run():\n    return Crate().opened() + Crate().size\n\n\n"
+        "def main():\n    unread = run()\n    Crate().unread = unread\n    return unread\n")
     # main has no caller at all; lonely, Lonely and Box.shut only an
     # __init__ export or none; an aliased import and an attribute read count
-    # as references, and a private class is never flagged
-    assert orphans(tmp_path) == {("a.py", "lonely"): 5, ("a.py", "Box.shut"): 13,
-                                 ("a.py", "Lonely"): 20, ("b.py", "main"): 8}
+    # as references, and a private class is never flagged. Box.unread is
+    # only written and shares its name with a local, neither of which reads
+    # it; a private field is never flagged
+    assert orphans(tmp_path) == {("a.py", "lonely"): 5, ("a.py", "Box.unread"): 11,
+                                 ("a.py", "Box.shut"): 17, ("a.py", "Lonely"): 24,
+                                 ("b.py", "main"): 8}

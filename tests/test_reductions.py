@@ -21,9 +21,9 @@ from sdmatch import (
     true_false_pairs,
     verify_spair,
 )
-from sdmatch.reductions import parse_gadget_map, serialize_gadget_map
+from sdmatch.reductions import _check_dm_solution, parse_gadget_map, serialize_gadget_map
 from sdmatch.solve import count_spairs_exact
-from conftest import brute_force_satisfiable, random_graph, satisfies, solve_dm_exact
+from conftest import brute_force_satisfiable, random_graph, satisfies, solve_dm_exact, y_adj
 
 
 def random_formula(rng: random.Random, max_vars=3, max_clauses=3) -> CnfFormula:
@@ -148,7 +148,7 @@ def test_structural_audit():
                 nxt = gm.cycle_edge(i, j)[1]
                 assert g.adj[x] == tuple(sorted({prev, nxt}))
         for k in range(1, gm.s + 1):
-            assert g.y_adj[gm.clause_z(k)] == (gm.clause_w(k),)
+            assert y_adj(g)[gm.clause_z(k)] == (gm.clause_w(k),)
 
 
 def test_figure_pairs_s2(c8_gadget):
@@ -301,6 +301,24 @@ def test_extend_builds_dm_solution():
         back = project_dm_to_spair(inst, m1, m2)
         assert back.m1 == spair.m1
         assert {e for e in back.m2.edges} == {e for e in spair.m2.edges if e[0] in s_set}
+
+
+# The 8-cycle x_i - y_i - x_(i-1): edges (i, i) and (i, i+1 mod 4), S = {x0},
+# M1 = {(i, i)}. An S-pair's M2 may hold edges outside S as well.
+@pytest.mark.parametrize("m2", [
+    [(0, 1)],
+    [(0, 1), (1, 2)],
+    [(0, 1), (1, 2), (2, 3), (3, 0)],
+], ids=["m2-on-s", "m2-one-edge-past-s", "m2-every-edge-past-s"])
+def test_extend_accepts_m2_edges_outside_s(m2):
+    g = BipartiteGraph.from_edges(4, 4, [e for i in range(4) for e in ((i, i), (i, (i + 1) % 4))])
+    inst = SdmInstance.make(g, [0])
+    spair = SPair(Matching.from_edges((i, i) for i in range(4)), Matching.from_edges(m2))
+    assert verify_spair(inst, spair) == (True, "ok")
+    m1, m2_dm = extend_spair_to_dm(inst, spair)
+    _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2_dm)
+    assert m1 == spair.m1 and (0, 1) in m2_dm.edge_set
+    assert project_dm_to_spair(inst, m1, m2_dm) == SPair(spair.m1, Matching(((0, 1),)))
 
 
 # G1: x0 - y0, x0 - y1, x1 - y1, x2 - y2 with S = {x0}, so G2 adds every edge

@@ -88,9 +88,9 @@ def test_poly_anchor_edge_in_either_konig_color():
         if spair is None:
             continue
         assert verify_spair(inst, spair)[0]
-        coloring = konig_color(BipartiteGraph.from_edges(g.nx, g.ny, factor))
+        classes = konig_color(g, factor, 2)
         (edge,) = [e for e in factor if e[0] == anchor]
-        anchor_colors.append(coloring.colors[edge])
+        anchor_colors.append(1 if edge in classes[0].edge_set else 2)
     assert anchor_colors.count(2) >= 1 and anchor_colors.count(1) >= 1
 
 
