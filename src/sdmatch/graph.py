@@ -113,7 +113,7 @@ def is_matching(graph: BipartiteGraph, edges: Iterable[tuple[int, int]]) -> bool
         return False
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
-    return len(set(xs)) == len(xs) and len(set(ys)) == len(ys) and len(set(pairs)) == len(pairs)
+    return len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,21 @@ outside S. An X vertex with fewer neighbours than its factor degree answers
 "no" before any flow network is built.
 Every smaller S takes one exact search, labelled BoundedS when |S|
 is within the cap and ExactBacktrack otherwise (the general case is NP-hard),
-with the same step budget under both labels. The search picks the M2 partner of
-each S vertex in turn, depth first with an explicit stack, and keeps one
-X-saturating matching of the residual graph G - M2: a pick that removes a
-matched edge is repaired by a single augmenting path, or pruned when there is
-none, and a "yes" prints that repaired matching as M1. An exhaustive pair
-counter, which walks an iterative enumerator of matchings, serves as an
-oracle for cross-checks.
+with the same step budget under both labels. It walks _matchings, the one
+depth-first enumerator of this module, which picks the M2 partner of each S
+vertex in turn with an explicit stack. The search keeps one X-saturating
+matching of the residual graph G - M2 and filters the picks with it: a pick
+that removes a matched edge is repaired by a single augmenting path, or
+refused when there is none, and a "yes" prints that repaired matching as M1.
+An exhaustive pair counter, the oracle for cross-checks, walks the same
+enumerator for M1 and again, refusing M1's edges, for M2.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Container, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .coloring import konig_color
 from .flow import gf_factor
@@ -90,81 +91,63 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
     for x, y in m1.edges:
         match_x[x] = y
         match_y[y] = x
-    m2_y = [-1] * g.nx  # the M2 partner chosen for x, -1 if none yet
-    used_y = [False] * g.ny
-    steps = 0
+    # Every search node costs one step: the root, counted here, then each
+    # pick tried. match_x/match_y stays X-saturating in G - M2: a pick that
+    # leaves it alone is free, a pick of a matched edge needs one augmenting
+    # path, and undoing a pick only puts an edge back.
+    steps = 1
 
-    def step() -> None:
+    def repair(x: int, y: int, picks: list[int]) -> bool:
         nonlocal steps
         steps += 1
         if budget is not None and steps > budget:
             raise BudgetExhausted(f"step budget {budget} exhausted")
+        # picks bans each M2 edge from the residual graph; picks[x] == y is
+        # x's mate when rematch runs, as its contract asks
+        return match_x[x] != y or rematch(x, adj, match_x, match_y, picks)
 
-    # Depth i picks the partner of s[i]; nxt[i] is the next index into its
-    # neighbor list. Every search node costs one step, the root included.
-    # match_x/match_y stays X-saturating in G - M2: a pick that leaves it
-    # alone is free, a pick of a matched edge needs one augmenting path, and
-    # undoing a pick only puts an edge back.
-    step()
-    nxt = [0] * len(s)
-    i = 0
-    while i >= 0:
-        x = s[i]
-        y = m2_y[x]
-        if y != -1:  # back from the subtree of this pick: undo it
-            m2_y[x] = -1
-            used_y[y] = False
-        neighbors = adj[x]
-        while nxt[i] < len(neighbors):
-            y = neighbors[nxt[i]]
-            nxt[i] += 1
-            if used_y[y]:
-                continue
-            m2_y[x] = y
-            used_y[y] = True
-            step()
-            if match_x[x] != y or rematch(x, adj, match_x, match_y, m2_y):
-                break
-            m2_y[x] = -1
-            used_y[y] = False
-        else:
-            i -= 1
-            continue
-        i += 1
-        if i == len(s):  # the repaired matching avoids M2, so it is M1
-            return SPair(Matching.from_match_x(match_x),
-                         Matching.from_edges((x, m2_y[x]) for x in s))
-        nxt[i] = 0
+    for m2 in _matchings(adj, s, repair):
+        # the repaired matching avoids M2, so it is M1
+        return SPair(Matching.from_match_x(match_x), Matching.from_edges(m2))
     return None
 
 
 def _matchings(adj: tuple[tuple[int, ...], ...], xs: Sequence[int],
-               banned: Container[tuple[int, int]] = frozenset()):
-    """Yield every matching that gives each x in xs one neighbor, using no
-    edge in banned, as (x, y) pairs: depth first with an explicit stack, xs
-    in sequence, neighbors ascending."""
-    picks = [-1] * len(xs)  # the Y vertex held by xs[i], -1 if none yet
+               admit: Optional[Callable[[int, int, list[int]], bool]] = None):
+    """Yield every matching that gives each x in xs one neighbor, as (x, y)
+    pairs: depth first with an explicit stack, xs in sequence, neighbors
+    ascending.
+
+    picks[x] is the Y vertex x holds, -1 if none. A pick of an unused y is set
+    in picks before admit(x, y, picks) runs; it stands if admit returns true,
+    and is cleared otherwise. admit=None admits every pick.
+    """
+    picks = [-1] * len(adj)
     nxt = [0] * len(xs)  # the next index into the neighbor list of xs[i]
     used_y: set[int] = set()
     i = 0
     while i >= 0:
         if i == len(xs):
-            yield tuple(zip(xs, picks))
+            yield tuple((x, picks[x]) for x in xs)
             i -= 1
             continue
-        x, y = xs[i], picks[i]
+        x = xs[i]
+        y = picks[x]
         if y != -1:  # back from the subtree of this pick: undo it
-            picks[i] = -1
+            picks[x] = -1
             used_y.discard(y)
         neighbors = adj[x]
         while nxt[i] < len(neighbors):
             y = neighbors[nxt[i]]
             nxt[i] += 1
-            if y not in used_y and (x, y) not in banned:
-                picks[i] = y
+            if y in used_y:
+                continue
+            picks[x] = y
+            if admit is None or admit(x, y, picks):
                 used_y.add(y)
                 i += 1
                 break
+            picks[x] = -1
         else:
             nxt[i] = 0
             i -= 1
@@ -178,11 +161,13 @@ def count_spairs_exact(instance: SdmInstance,
     (exactly one edge per S vertex, edges pairwise disjoint and disjoint from
     M1). Existence of an S-pair is equivalent to count > 0.
     """
+    if size_limit < 0:
+        raise ValueError("limit must be >= 0")
     g = instance.graph
     if g.num_edges() > size_limit:
         raise ValueError(f"instance too large: {g.num_edges()} edges > {size_limit}")
-    return sum(1 for m1 in _matchings(g.adj, range(g.nx))
-               for _ in _matchings(g.adj, instance.s_set, set(m1)))
+    return sum(1 for m1 in map(set, _matchings(g.adj, range(g.nx)))
+               for _ in _matchings(g.adj, instance.s_set, lambda x, y, _: (x, y) not in m1))
 
 
 def solve(instance: SdmInstance, budget: Optional[int] = None) -> SolveOutcome:

@@ -81,6 +81,11 @@ def test_oracle_c8_counts_two(tmp_path):
     assert out == "2\n"
 
 
+def test_oracle_rejects_a_negative_limit(tmp_path):
+    path = write(tmp_path, "a.sdm", "p sdm 2 2 2\ne 1 1\ne 2 2\n")
+    assert invoke(["oracle", path, "--limit", "-1"]) == (2, "", "error: limit must be >= 0\n")
+
+
 def test_lebensold_holds(tmp_path):
     path = write(tmp_path, "k22.sdm", "p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n")
     code, out, _ = invoke(["lebensold", path, "-k", "2"])

@@ -45,6 +45,12 @@ def test_dangling_arc_rejected():
         feasible_flow(2, [(0, 5, 0, 1)], 0, 1)
 
 
+@pytest.mark.parametrize("source, sink", [(2, 1), (0, 2), (-1, 1), (0, -1)])
+def test_source_or_sink_out_of_range(source, sink):
+    with pytest.raises(ValueError, match="source or sink out of range"):
+        feasible_flow(2, [(0, 1, 0, 1)], source, sink)
+
+
 def test_k22_full_factor():
     g = k22()
     assert gf_factor(g, [2] * g.nx, [2] * g.ny) == tuple(g.edges())

@@ -162,6 +162,9 @@ def test_figure_pairs_s2(c8_gadget):
     for pair in (true_pair, false_pair):
         ok, why = verify_spair(inst, pair)
         assert ok, why
+    for i in (0, gm.t + 1):
+        with pytest.raises(ValueError, match=f"variable index out of range: {i}"):
+            true_false_pairs(gm, i)
 
 
 def test_decode_reads_cycle_value():

@@ -176,8 +176,13 @@ def test_count_equals_brute_force_on_all_3x3_graphs():
 
 def test_count_size_limit():
     g = random_graph(random.Random(1), 5, 5, 0.9)
-    with pytest.raises(ValueError, match="too large"):
-        count_spairs_exact(SdmInstance.make(g, []), size_limit=10)
+    inst = SdmInstance.make(g, [])
+    e = g.num_edges()
+    assert count_spairs_exact(inst, size_limit=e) > 0  # exactly at the limit
+    with pytest.raises(ValueError, match=f"instance too large: {e} edges > {e - 1}"):
+        count_spairs_exact(inst, size_limit=e - 1)
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        count_spairs_exact(inst, size_limit=-1)
 
 
 def test_dm_k22_present():
