@@ -7,6 +7,7 @@ Exit codes: 0 = yes/valid/holds, 1 = no/invalid/violated, 2 = error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -39,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sdmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,6 +207,8 @@ def _cmd_reduce_dm(args, out: IO[str]) -> int:
 def generate_instance(nx: int, ny: int, density: float,
                       s_size: int, seed: int) -> SdmInstance:
     """Seeded uniform random instance; reproducible byte-for-byte."""
+    if nx < 0 or ny < 0:
+        raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     if not 0 <= s_size <= nx:
@@ -244,6 +248,14 @@ _HANDLERS = {
 
 def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
         stderr: Optional[IO[str]] = None) -> int:
+    """Run one sdmatch command and return its exit code.
+
+    run may be called many times in one process; each call gives the bytes
+    and exit code a fresh `sdmatch` process would. The parser is built on the
+    first call and reused: parse_args returns a fresh Namespace each time, no
+    handler writes to the parser or to args, and the subparsers are _Parsers
+    too, so their usage errors still raise _CliError.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()

@@ -106,17 +106,17 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
         # x's mate when rematch runs, as its contract asks
         return match_x[x] != y or rematch(x, adj, match_x, match_y, picks)
 
-    for m2 in _matchings(adj, s, repair):
+    for m2 in _matchings(adj, g.ny, s, repair):
         # the repaired matching avoids M2, so it is M1
         return SPair(Matching.from_match_x(match_x), Matching.from_edges(m2))
     return None
 
 
-def _matchings(adj: tuple[tuple[int, ...], ...], xs: Sequence[int],
+def _matchings(adj: tuple[tuple[int, ...], ...], ny: int, xs: Sequence[int],
                admit: Optional[Callable[[int, int, list[int]], bool]] = None):
-    """Yield every matching that gives each x in xs one neighbor, as (x, y)
-    pairs: depth first with an explicit stack, xs in sequence, neighbors
-    ascending.
+    """Yield every matching that gives each x in xs one of its neighbors
+    (Y vertices below ny), as (x, y) pairs: depth first with an explicit
+    stack, xs in sequence, neighbors ascending.
 
     picks[x] is the Y vertex x holds, -1 if none. A pick of an unused y is set
     in picks before admit(x, y, picks) runs; it stands if admit returns true,
@@ -124,7 +124,7 @@ def _matchings(adj: tuple[tuple[int, ...], ...], xs: Sequence[int],
     """
     picks = [-1] * len(adj)
     nxt = [0] * len(xs)  # the next index into the neighbor list of xs[i]
-    used_y: set[int] = set()
+    used_y = [False] * ny
     i = 0
     while i >= 0:
         if i == len(xs):
@@ -135,16 +135,16 @@ def _matchings(adj: tuple[tuple[int, ...], ...], xs: Sequence[int],
         y = picks[x]
         if y != -1:  # back from the subtree of this pick: undo it
             picks[x] = -1
-            used_y.discard(y)
+            used_y[y] = False
         neighbors = adj[x]
         while nxt[i] < len(neighbors):
             y = neighbors[nxt[i]]
             nxt[i] += 1
-            if y in used_y:
+            if used_y[y]:
                 continue
             picks[x] = y
             if admit is None or admit(x, y, picks):
-                used_y.add(y)
+                used_y[y] = True
                 i += 1
                 break
             picks[x] = -1
@@ -166,8 +166,8 @@ def count_spairs_exact(instance: SdmInstance,
     g = instance.graph
     if g.num_edges() > size_limit:
         raise ValueError(f"instance too large: {g.num_edges()} edges > {size_limit}")
-    return sum(1 for m1 in map(set, _matchings(g.adj, range(g.nx)))
-               for _ in _matchings(g.adj, instance.s_set, lambda x, y, _: (x, y) not in m1))
+    return sum(1 for m1 in map(set, _matchings(g.adj, g.ny, range(g.nx)))
+               for _ in _matchings(g.adj, g.ny, instance.s_set, lambda x, y, _: (x, y) not in m1))
 
 
 def solve(instance: SdmInstance, budget: Optional[int] = None) -> SolveOutcome:

@@ -116,7 +116,7 @@ def solve_dm_exact(instance: DmInstance, size_limit: int = DEFAULT_DM_EDGE_LIMIT
     g1, g2 = instance.g1, instance.g2
     if max(g1.num_edges(), g2.num_edges()) > size_limit:
         raise ValueError("instance too large for exact DM search")
-    for m1 in _matchings(g1.adj, range(g1.nx)):
+    for m1 in _matchings(g1.adj, g1.ny, range(g1.nx)):
         m2 = max_matching(without_edges(g2, m1))
         if len(m2) == g2.nx:
             return Matching.from_edges(m1), m2

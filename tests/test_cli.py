@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import sdmatch
-from sdmatch import BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance
+from sdmatch import (BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance,
+                     serialize_solution, solve)
+from sdmatch import cli
 from sdmatch.cli import run
 from sdmatch.reductions import CnfFormula, GadgetMap, reduce_3sat_to_sdm, serialize_gadget_map
 from conftest import chain_graph
@@ -154,6 +156,7 @@ def test_gen_output_pinned():
 @pytest.mark.parametrize("argv, message", [
     (["--density", "2"], "density must lie in [0, 1]"),
     (["--s-size", "6"], "s-size must lie in [0, nx]"),
+    (["--nx", "-1", "--ny", "2"], "negative vertex count: nx=-1, ny=2"),
 ])
 def test_gen_rejects_out_of_range_values(argv, message):
     argv = ["gen", "--nx", "5", "--ny", "5", "--seed", "1"] + argv
@@ -421,6 +424,12 @@ def test_keyboard_interrupt_propagates(tmp_path, monkeypatch):
         invoke(["solve", path])
 
 
+def cli_env():
+    """The environment for a `python -m sdmatch.cli` subprocess of this checkout."""
+    src = str(Path(sdmatch.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 class ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -440,8 +449,7 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
 ])
 def test_main_on_closed_pipe_is_quiet(tmp_path, text):
     path = write(tmp_path, "i.sdm", text)
-    src = str(Path(sdmatch.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as it is for users
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails with EPIPE
@@ -452,3 +460,79 @@ def test_main_on_closed_pipe_is_quiet(tmp_path, text):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_budget_does_not_stick_to_the_next_call(tmp_path):
+    path = write(tmp_path, "k1212.sdm", complete_instance(12, 12, 8))
+    assert invoke(["solve", path, "--budget", "1"]) == (3, "c step budget 1 exhausted\n", "")
+    code, out, err = invoke(["solve", path])
+    assert (code, err) == (0, "")
+    assert out.startswith("c method BoundedS\nRESULT yes\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lebensold", "g.sdm"], "the following arguments are required: -k"),
+    (["solve"], "the following arguments are required: instance"),
+])
+def test_usage_error_repeats_without_system_exit(argv, message):
+    for _ in range(3):
+        assert invoke(argv) == (2, "", f"error: {message}\n")
+
+
+def mixed_commands(tmp_path):
+    """Commands of every subcommand, among them usage and input errors."""
+    c8 = write(tmp_path, "c8.sdm", c8_instance_text())
+    one = write(tmp_path, "e.sdm", "p sdm 1 1 1\ne 1 1\ns 1\n")
+    k1212 = write(tmp_path, "k1212.sdm", complete_instance(12, 12, 8))
+    k22 = write(tmp_path, "k22.sdm", "p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n")
+    small_s = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    star = write(tmp_path, "star.sdm", "p sdm 2 1 2\ne 1 1\ne 2 1\n")
+    bad = write(tmp_path, "bad.sdm", "p sdm 1 1 0\nz 1\n")
+    c8_sol = write(tmp_path, "c8.sol", "RESULT yes\nM1 1:2 2:3 3:4 4:1\nM2 1:1 3:3\n")
+    bad_sol = write(tmp_path, "bad.sol", "RESULT yes\nM1 1:1\nM2 1:1\n")
+    no_sol = write(tmp_path, "no.sol", "c method PolyLargeS\nRESULT no\n")
+    instance, gm = reduce_3sat_to_sdm(CnfFormula.make(3, [[1, -2, 3], [-1, 2, 3]]))
+    cnf = write(tmp_path, "f.cnf", "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+    unsat = write(tmp_path, "u.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+    empty = write(tmp_path, "empty.cnf", "p cnf 2 0\n")
+    f_map = write(tmp_path, "f.map", serialize_gadget_map(gm))
+    f_sol = write(tmp_path, "f.sol", serialize_solution(solve(instance).spair))
+    missing = str(tmp_path / "missing")
+    out = str(tmp_path / "out")
+    return [
+        ["solve", c8], ["solve", one], ["solve", k1212, "--budget", "1"], ["solve", k1212],
+        ["solve", k1212, "--budget", "-5"], ["solve"], ["solve", "--nope"],
+        ["solve", missing], ["solve", bad], ["solve", c8, "extra"],
+        ["verify", c8, c8_sol], ["verify", one, bad_sol], ["verify", one, no_sol], ["verify", c8],
+        ["lebensold", k22, "-k", "2"], ["lebensold", k22, "-k", "3"], ["lebensold", star, "-k", "1"],
+        ["lebensold", k22], ["lebensold", k22, "-k", "two"],
+        ["reduce-3sat", cnf], ["reduce-3sat", cnf, "--map", out + ".map"],
+        ["reduce-3sat", unsat], ["reduce-3sat", empty],
+        ["reduce-3sat", cnf, "--map", missing + "/f.map"],
+        ["decode", f_map, f_sol], ["decode", f_map, no_sol], ["decode", f_map],
+        ["reduce-dm", small_s], ["reduce-dm", one],
+        ["reduce-dm", small_s, "--g1", out + ".g1", "--g2", out + ".g2"],
+        ["reduce-dm", small_s, "--g1", out + ".g1", "--g2", missing + "/b.sdm"],
+        ["reduce-dm", small_s, "--g1", out + ".g", "--g2", out + ".g"],
+        ["gen", "--nx", "5", "--ny", "5", "--seed", "7", "--s-size", "2"],
+        ["gen", "--nx", "5", "--ny", "5", "--density", "0.6", "--s-size", "2", "--seed", "99"],
+        ["gen", "--nx", "-1", "--ny", "2", "--seed", "1"],
+        ["gen", "--nx", "5", "--ny", "5", "--seed", "1", "--density", "2"], ["gen", "--nx", "5"],
+        ["oracle", c8], ["oracle", c8, "--limit", "-1"], ["oracle", c8, "--limit", "3"],
+        [], ["nope"], ["solve", c8],
+    ]
+
+
+def test_run_in_one_process_matches_fresh_processes(tmp_path):
+    commands = mixed_commands(tmp_path)
+    in_process = [invoke(argv) for argv in commands]
+    assert {code for code, _, _ in in_process} == {0, 1, 2, 3}
+    env = cli_env()
+    for argv, got in zip(commands, in_process):
+        proc = subprocess.run([sys.executable, "-m", "sdmatch.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert got == (proc.returncode, proc.stdout.decode(), proc.stderr.decode()), argv
