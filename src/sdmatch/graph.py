@@ -98,10 +98,6 @@ class Matching:
     def covered_x(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.edges)
 
-    @cached_property
-    def covered_y(self) -> frozenset[int]:
-        return frozenset(y for _, y in self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 

@@ -237,16 +237,15 @@ def encode_assignment_to_spair(gm: GadgetMap, formula: CnfFormula,
 
 
 def reduce_sdm_to_dm(instance: SdmInstance) -> DmInstance:
-    """G1 = G; G2 = G plus every edge from X-S to Y."""
+    """G1 = G; G2 = G plus every edge from X-S to Y: an S row is G's own,
+    every other row is all of Y."""
     g = instance.graph
     if len(instance.s_set) >= g.nx - 1:
         raise ValueError("reduction requires |S| < |X|-1; use the polynomial solver")
     in_s = set(instance.s_set)
-    extra = [
-        (x, y) for x in range(g.nx) if x not in in_s for y in range(g.ny)
-    ]
-    g2 = BipartiteGraph.from_edges(g.nx, g.ny, g.edges() + extra)
-    return DmInstance(g, g2)
+    all_y = tuple(range(g.ny))
+    rows = tuple(row if x in in_s else all_y for x, row in enumerate(g.adj))
+    return DmInstance(g, BipartiteGraph(g.nx, g.ny, rows))
 
 
 def _check_dm_solution(dm: DmInstance, m1: Matching, m2: Matching) -> None:
@@ -273,9 +272,15 @@ def project_dm_to_spair(instance: SdmInstance, m1: Matching, m2: Matching) -> SP
 def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, Matching]:
     """Enlarge M2 to saturate all of X using the added (X-S) x Y edges.
 
-    Keeps M2's edges on S (the ones project_dm_to_spair keeps) and builds the
-    helper graph on (X-S) and the Y vertices they leave uncovered, minus M1's
-    edges; its saturating matching exists whenever |Y| >= |X|.
+    Keeps M2's edges on S (the ones project_dm_to_spair keeps). The helper
+    graph lives on the instance's own X and Y: an S row is empty, and an X-S
+    row holds the Y vertices the kept edges leave free, minus that vertex's
+    M1 mate. Its maximum matching is M2's new edges.
+
+    The helper always saturates X-S. M1 saturates X, so |Y| >= |X|, and with
+    |S| <= |X| - 2 at least |X-S| >= 2 Y vertices stay free. Each X-S vertex
+    loses at most its M1 mate, so any two of them together see every free Y
+    vertex, and Hall's condition holds; the raise below is a guard.
     """
     g = instance.graph
     if len(instance.s_set) >= g.nx - 1:
@@ -286,26 +291,15 @@ def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, M
         raise ValueError(f"invalid S-pair: {why}")
     in_s = set(instance.s_set)
     kept = [(x, y) for x, y in spair.m2.edges if x in in_s]
-    covered_y = {y for _, y in kept}
-    rest_x = [x for x in range(g.nx) if x not in in_s]
-    free_y = [y for y in range(g.ny) if y not in covered_y]
-    x_of = {xi: x for xi, x in enumerate(rest_x)}
-    y_of = {yi: y for yi, y in enumerate(free_y)}
-    m1_edges = spair.m1.edge_set
-    helper_edges = [
-        (xi, yi)
-        for xi, x in enumerate(rest_x)
-        for yi, y in enumerate(free_y)
-        if (x, y) not in m1_edges
-    ]
-    helper = BipartiteGraph.from_edges(len(rest_x), len(free_y), helper_edges)
-    extra = max_matching(helper)
-    if len(extra) != len(rest_x):
+    taken = {y for _, y in kept}
+    free_y = [y for y in range(g.ny) if y not in taken]
+    m1_mate = dict(spair.m1.edges)
+    rows = tuple(() if x in in_s else tuple(y for y in free_y if y != m1_mate[x])
+                 for x in range(g.nx))
+    extra = max_matching(BipartiteGraph(g.nx, g.ny, rows))
+    if len(extra) != g.nx - len(in_s):
         raise ValueError("helper graph has no saturating matching")
-    m2 = Matching.from_edges(
-        kept + [(x_of[xi], y_of[yi]) for xi, yi in extra.edges]
-    )
-    return spair.m1, m2
+    return spair.m1, Matching.from_edges(kept + list(extra.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Every public class, function and method of the package is referenced
+"""Every public top-level class and function of the package is referenced
 elsewhere in the package, not only exported from ``__init__`` or used by
-tests, and every public field of a top-level class is read as an attribute
-somewhere in the package."""
+tests, and every public method, property and field of a top-level class is
+read as an attribute somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -43,20 +43,19 @@ def fields(node):
 
 
 def definitions(tree):
-    """(qualified name, name, line, is field) of each public top-level class
-    and function and of each public method and field of a top-level class."""
+    """(qualified name, name, line, is member) of each public top-level class
+    and function and of each public method, property and field of a
+    top-level class."""
+    defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
-            members = [("", node)] + [(node.name + ".", item) for item in node.body]
-            for name, line in fields(node):
+            members = list(fields(node)) + [(item.name, item.lineno)
+                                            for item in node.body if isinstance(item, defs)]
+            for name, line in members:
                 if not name.startswith("_"):
                     yield node.name + "." + name, name, line, True
-        else:
-            members = [("", node)]
-        for prefix, item in members:
-            if isinstance(item, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and not item.name.startswith("_"):
-                yield prefix + item.name, item.name, item.lineno, False
 
 
 def references(tree):
@@ -79,17 +78,19 @@ def attribute_reads(tree):
 
 
 def orphans(package):
-    """{(module, qualified name): line} of every public class, function or
-    method that no module of the package but ``__init__`` refers to, and of
-    every public field that none of them reads as an attribute."""
+    """{(module, qualified name): line} of every public top-level class or
+    function that no module of the package but ``__init__`` refers to, and of
+    every public member of a top-level class that none of them reads as an
+    attribute: a local, parameter or function of the same name does not
+    count for a member."""
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     referenced = set().union(*map(references, trees.values()))
     read = set().union(*map(attribute_reads, trees.values()))
     return {(module, qualified): line
             for module, tree in trees.items()
-            for qualified, name, line, is_field in definitions(tree)
-            if name not in (read if is_field else referenced)}
+            for qualified, name, line, is_member in definitions(tree)
+            if name not in (read if is_member else referenced)}
 
 
 def test_every_public_function_in_src_has_a_reference_in_src():
@@ -110,18 +111,21 @@ def test_guard_sees_a_planted_orphan(tmp_path):
         "    _hidden: int = 0\n\n"
         "    def opened(self):\n        return used()\n\n"
         "    def shut(self):\n        return 0\n\n"
+        "    def weigh(self):\n        return 0\n\n"
         "    def _private(self):\n        return 0\n\n\n"
         "class Lonely:\n    pass\n\n\n"
         "class _Hidden:\n    pass\n")
     (tmp_path / "b.py").write_text(
         "from .a import Box as Crate\n\n\n"
         "def run():\n    return Crate().opened() + Crate().size\n\n\n"
-        "def main():\n    unread = run()\n    Crate().unread = unread\n    return unread\n")
+        "def main():\n    unread = run()\n    Crate().unread = unread\n"
+        "    weigh = unread\n    return weigh\n")
     # main has no caller at all; lonely, Lonely and Box.shut only an
     # __init__ export or none; an aliased import and an attribute read count
     # as references, and a private class is never flagged. Box.unread is
     # only written and shares its name with a local, neither of which reads
-    # it; a private field is never flagged
+    # it; a private field is never flagged. Box.weigh shares its name with a
+    # local of b.py, which is no attribute read of the method
     assert orphans(tmp_path) == {("a.py", "lonely"): 5, ("a.py", "Box.unread"): 11,
-                                 ("a.py", "Box.shut"): 17, ("a.py", "Lonely"): 24,
-                                 ("b.py", "main"): 8}
+                                 ("a.py", "Box.shut"): 17, ("a.py", "Box.weigh"): 20,
+                                 ("a.py", "Lonely"): 27, ("b.py", "main"): 8}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -255,6 +256,21 @@ def test_reduce_dm_keeps_s_rows():
     assert dm.g2.adj[0] == (0,)
     assert dm.g2.adj[1] == (0, 1, 2)
     assert dm.g2.adj[2] == (0, 1, 2)
+    # G2 matches the edge-list construction: G's edges plus every (X-S) x Y edge
+    rng = random.Random(45)
+    seen = set()
+    for _ in range(200):
+        nx = rng.randint(2, 6)
+        ny = rng.randint(0, 8)
+        g = random_graph(rng, nx, ny, rng.uniform(0.1, 0.9))
+        s_set = sorted(rng.sample(range(nx), rng.randint(0, nx - 2)))
+        added = [(x, y) for x in range(nx) if x not in s_set for y in range(ny)]
+        dm = reduce_sdm_to_dm(SdmInstance.make(g, s_set))
+        assert dm.g1 == g
+        assert dm.g2 == BipartiteGraph.from_edges(nx, ny, g.edges() + added)
+        cases = (("no Y", ny == 0), ("empty S", not s_set), ("wide Y", ny > nx))
+        seen.update(case for case, hit in cases if hit)
+    assert seen == {"no Y", "empty S", "wide Y"}
 
 
 def test_reduce_dm_precondition():
@@ -283,6 +299,7 @@ def test_project_drops_added_edges():
 
 def test_extend_builds_dm_solution():
     rng = random.Random(44)
+    digest = hashlib.sha256()
     checked = 0
     while checked < 40:
         nx = rng.randint(2, 5)
@@ -295,6 +312,7 @@ def test_extend_builds_dm_solution():
             continue
         checked += 1
         m1, m2 = extend_spair_to_dm(inst, spair)
+        digest.update(repr((m1.edges, m2.edges)).encode())
         dm = reduce_sdm_to_dm(inst)
         assert is_matching(dm.g1, m1.edges)
         assert is_matching(dm.g2, m2.edges)
@@ -304,6 +322,10 @@ def test_extend_builds_dm_solution():
         back = project_dm_to_spair(inst, m1, m2)
         assert back.m1 == spair.m1
         assert {e for e in back.m2.edges} == {e for e in spair.m2.edges if e[0] in s_set}
+    # the pairs, byte for byte. They extend solve_exact's S-pairs, so a change
+    # to the search's M2 re-pins this along with the other exact-route pins
+    assert digest.hexdigest() == \
+        "0ceda5a234ecf0df56be6ec10fed9c7532c0f79e4415fe9459dffdcf41440dfb"
 
 
 # The 8-cycle x_i - y_i - x_(i-1): edges (i, i) and (i, i+1 mod 4), S = {x0},
