@@ -15,7 +15,7 @@ from .graph import (
     verify_spair,
 )
 from .matching import HallCertificate, max_matching, x_saturating_certificate
-from .flow import feasible_flow, gf_factor
+from .flow import gf_factor
 from .coloring import konig_color
 from .lebensold import LebensoldVerdict, lebensold_condition
 from .solve import (

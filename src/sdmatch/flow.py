@@ -1,15 +1,17 @@
-"""Feasible flow with lower bounds, the capped degree factor, and degree_flow.
+"""One degree network under both polynomial routes, and the capped factor.
 
-The factor problem is reduced to feasible flow: source -> each X vertex with
-degree exactly cap_x(x), each graph edge as a unit-capacity arc, each Y vertex
--> sink with capacity cap_y(y) and no lower bound. An X vertex whose cap
-exceeds its degree refutes first, with no arc built: that is Hoffman's
-condition on the cut around one vertex. Arcs are plain (tail, head, low, up)
-tuples. Lower bounds are removed via the standard excess/deficit super-source
-and super-sink transformation; a fixed arc (low == up) only shifts excess and
-never enters the network, so no source -> X arc does. The max flow underneath
-is Dinic's algorithm, with no recursion in either phase. Both gf_factor and
-degree_flow return a factor as a tuple of edges in ``graph.edges()`` order.
+``feasible_flow(graph, cap_x, cap_y)`` is one max flow on source -> x
+(capacity cap_x[x]), x -> y for each edge (capacity 1) and y -> sink
+(capacity cap_y[y]). A flow of value sum(cap_x) is a factor with degree
+exactly cap_x[x] on X and at most cap_y[y] on Y; a smaller one leaves W, the
+X vertices on the source side of the minimal minimum cut. The S-pair factor
+(2 on S, 1 on the rest of X, at most 2 on Y) and Lebensold's k-factor (k
+everywhere) are both this network, so neither needs lower bounds.
+``gf_factor`` is its validating front door: an X vertex whose cap exceeds its
+degree refutes first, with no arc built, which is Hoffman's condition on the
+cut around one vertex. The max flow underneath is Dinic's algorithm, with no
+recursion in either phase. A factor comes back as a tuple of edges in
+``graph.edges()`` order.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .graph import BipartiteGraph
-
-_INF = 1 << 30
 
 
 class _MaxFlow:
@@ -108,71 +108,29 @@ class _MaxFlow:
             ptr[u] += 1
 
 
-def degree_flow(graph: BipartiteGraph, k: int
-                ) -> tuple[Optional[tuple[tuple[int, int], ...]], Optional[tuple[int, ...]]]:
+def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
+                  ) -> tuple[Optional[tuple[tuple[int, int], ...]], Optional[tuple[int, ...]]]:
     """(factor, None) or (None, W) from one max flow on source -> x (capacity
-    k), x -> y (1) and y -> sink (k).
+    cap_x[x]), x -> y (1) and y -> sink (cap_y[y]).
 
     The factor, the edges carrying flow in ``graph.edges()`` order, has degree
-    k at each x and at most k at each y. When none exists, W is the nonempty
-    set of X vertices on the source side of the minimal minimum cut:
-    k|W| > sum_y min(k, |N(y) cap W|).
+    cap_x[x] at each x and at most cap_y[y] at each y. When none exists, W is
+    the nonempty set of X vertices on the source side of the minimal minimum
+    cut: sum_{x in W} cap_x[x] > sum_y min(cap_y[y], |N(y) cap W|).
     """
     nx, ny = graph.nx, graph.ny
     # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
     src, snk = 0, nx + ny + 1
     net = _MaxFlow(snk + 1)
-    for x in range(nx):
-        net.add(src, 1 + x, k)
+    for x, c in enumerate(cap_x):
+        net.add(src, 1 + x, c)
     edges = graph.edges()
     edge_arcs = [net.add(1 + x, 1 + nx + y, 1) for x, y in edges]
-    for y in range(ny):
-        net.add(1 + nx + y, snk, k)
-    if net.run(src, snk) == k * nx:
+    for y, c in enumerate(cap_y):
+        net.add(1 + nx + y, snk, c)
+    if net.run(src, snk) == sum(cap_x):
         return tuple(e for e, idx in zip(edges, edge_arcs) if net.cap[idx] == 0), None
     return None, tuple(x for x in range(nx) if net.level[1 + x] >= 0)
-
-
-def feasible_flow(num_nodes: int, arcs: Sequence[tuple[int, int, int, int]],
-                  source: int, sink: int) -> Optional[list[int]]:
-    """A feasible integral flow meeting all arc bounds, or None.
-
-    Each arc is a (tail, head, low, up) tuple. Returns per-arc flow values
-    in input order; a fixed arc (low == up) shifts its bound between the
-    excesses of its ends, stays out of the max-flow network, and reports
-    up. Raises ValueError on a malformed network (dangling endpoints,
-    low > up, low < 0).
-    """
-    ss, tt = num_nodes, num_nodes + 1
-    net = _MaxFlow(num_nodes + 2)
-    excess = [0] * num_nodes
-    arc_idx = []  # the network arc of each arc, -1 for a fixed one
-    for a in arcs:
-        tail, head, low, up = a
-        if not (0 <= tail < num_nodes and 0 <= head < num_nodes):
-            raise ValueError(f"dangling arc endpoint: {a}")
-        if low > up:
-            raise ValueError(f"lower bound exceeds capacity: {a}")
-        if low < 0:
-            raise ValueError(f"negative lower bound: {a}")
-        excess[head] += low
-        excess[tail] -= low
-        arc_idx.append(net.add(tail, head, up - low) if low < up else -1)
-    if not (0 <= source < num_nodes and 0 <= sink < num_nodes):
-        raise ValueError("source or sink out of range")
-    net.add(sink, source, _INF)
-    required = 0
-    for v in range(num_nodes):
-        if excess[v] > 0:
-            net.add(ss, v, excess[v])
-            required += excess[v]
-        elif excess[v] < 0:
-            net.add(v, tt, -excess[v])
-    if net.run(ss, tt) != required:
-        return None
-    # flow on a network arc = its upper bound less the capacity left over
-    cap = net.cap
-    return [a[3] if idx < 0 else a[3] - cap[idx] for a, idx in zip(arcs, arc_idx)]
 
 
 def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
@@ -181,26 +139,14 @@ def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
     cap_x[x] at each X vertex and d_H(y) <= cap_y[y] at each Y vertex, or None.
 
     An X vertex with fewer neighbours than its cap refutes before any arc is
-    built; otherwise one feasible flow decides. Raises ValueError on a
+    built; otherwise one ``feasible_flow`` decides. Raises ValueError on a
     negative cap or on caps that do not cover every vertex.
     """
-    nx = graph.nx
-    if len(cap_x) != nx or len(cap_y) != graph.ny:
+    if len(cap_x) != graph.nx or len(cap_y) != graph.ny:
         raise ValueError("caps must cover every vertex of the graph")
     if min(cap_x, default=0) < 0 or min(cap_y, default=0) < 0:
         raise ValueError("degree caps must be nonnegative")
     # Hoffman's condition on the cut around one vertex
-    adj = graph.adj
-    if any(len(adj[x]) < c for x, c in enumerate(cap_x)):
+    if any(len(graph.adj[x]) < c for x, c in enumerate(cap_x)):
         return None
-    # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
-    src = 0
-    snk = nx + graph.ny + 1
-    arcs = [(src, 1 + x, c, c) for x, c in enumerate(cap_x)]
-    edges = graph.edges()
-    arcs += [(1 + x, 1 + nx + y, 0, 1) for x, y in edges]
-    arcs += [(1 + nx + y, snk, 0, c) for y, c in enumerate(cap_y)]
-    flow = feasible_flow(snk + 1, arcs, src, snk)
-    if flow is None:
-        return None
-    return tuple(e for e, used in zip(edges, flow[nx:]) if used)
+    return feasible_flow(graph, cap_x, cap_y)[0]

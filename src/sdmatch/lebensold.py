@@ -1,13 +1,14 @@
 """k disjoint X-saturating matchings: counting condition and construction.
 
-Both rest on one max flow, ``flow.degree_flow`` with capacity k on every
-vertex. A flow of value k|X| is a factor with degree exactly k on X and at
-most k on Y, and ``konig_color(graph, factor, k)`` returns its k color
-classes: k disjoint X-saturating matchings. A smaller flow leaves a minimum
-cut of value k(|X| - |W|) + sum_y min(k, |N(y) cap W|) < k|X|, where W is
-the set of X vertices on its source side; so W violates Lebensold's counting
-condition sum_y min(k, |N(y) cap W|) >= k|W|. Deciding, constructing and
-certifying "no" thus take one max flow, in polynomial time.
+Both rest on one max flow, ``flow.feasible_flow`` with capacity k on every
+vertex, the same degree network the S-pair factor runs on. A flow of value
+k|X| is a factor with degree exactly k on X and at most k on Y, and
+``konig_color(graph, factor, k)`` returns its k color classes: k disjoint
+X-saturating matchings. A smaller flow leaves a minimum cut of value
+k(|X| - |W|) + sum_y min(k, |N(y) cap W|) < k|X|, where W is the set of X
+vertices on its source side; so W violates Lebensold's counting condition
+sum_y min(k, |N(y) cap W|) >= k|W|. Deciding, constructing and certifying
+"no" thus take one max flow, in polynomial time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 from .coloring import konig_color
 # gf_factor is not used here; perfbench's tracer self-test reads it from this
 # module, so the name stays until that test stops doing so.
-from .flow import degree_flow, gf_factor  # noqa: F401
+from .flow import feasible_flow, gf_factor  # noqa: F401
 from .graph import BipartiteGraph, Matching
 
 
@@ -41,7 +42,7 @@ def lebensold_condition(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    factor, w = degree_flow(graph, k)
+    factor, w = feasible_flow(graph, [k] * graph.nx, [k] * graph.ny)
     if factor is None:
         return LebensoldVerdict(False, w)
     return LebensoldVerdict(True, None, konig_color(graph, factor, k))

@@ -37,8 +37,8 @@ class CnfFormula:
 
     @staticmethod
     def make(num_vars: int, clauses: Iterable[Iterable[int]]) -> "CnfFormula":
-        if num_vars < 1:
-            raise ValueError("formula needs at least one variable")
+        if num_vars < 0:
+            raise ValueError(f"negative variable count: {num_vars}")
         cleaned = []
         for clause in clauses:
             lits = []

@@ -206,6 +206,15 @@ def test_reduce_3sat_without_clauses_is_trivially_satisfiable(tmp_path):
     assert not map_path.exists()
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("p cnf 0 0\n", (0, "c trivially satisfiable (no clauses); nothing to reduce\n", "")),
+    # with no variable, a clause can only be the empty one
+    ("p cnf 0 1\n0\n", (2, "", "error: empty clause\n")),
+], ids=["no-clause", "empty-clause"])
+def test_reduce_3sat_without_variables(tmp_path, text, expected):
+    assert invoke(["reduce-3sat", write(tmp_path, "f.cnf", text)]) == expected
+
+
 def test_verify_and_decode_on_a_no_answer(tmp_path):
     inst = write(tmp_path, "i.sdm", "p sdm 1 1 1\ne 1 1\ns 1\n")
     sol = write(tmp_path, "no.sol", "c method PolyLargeS\nRESULT no\n")

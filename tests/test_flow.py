@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sdmatch import BipartiteGraph, SdmInstance, feasible_flow, gf_factor, solve
+from sdmatch import BipartiteGraph, SdmInstance, gf_factor, solve
+from sdmatch.flow import feasible_flow
 from sdmatch.matching import max_matching
 from conftest import factor_degrees_ok, random_graph
 
@@ -25,47 +26,15 @@ def k22():
     return BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
-def test_single_arc_zero_flow():
-    flow = feasible_flow(2, [(0, 1, 0, 1)], 0, 1)
-    assert flow == [0]
-
-
-def test_single_arc_forced_lower_bound():
-    flow = feasible_flow(2, [(0, 1, 2, 3)], 0, 1)
-    assert flow == [2]
-
-
-def test_malformed_bounds_rejected():
-    with pytest.raises(ValueError, match="lower bound exceeds"):
-        feasible_flow(2, [(0, 1, 2, 1)], 0, 1)
-
-
-def test_dangling_arc_rejected():
-    with pytest.raises(ValueError, match="dangling"):
-        feasible_flow(2, [(0, 5, 0, 1)], 0, 1)
-
-
-@pytest.mark.parametrize("source, sink", [(2, 1), (0, 2), (-1, 1), (0, -1)])
-def test_source_or_sink_out_of_range(source, sink):
-    with pytest.raises(ValueError, match="source or sink out of range"):
-        feasible_flow(2, [(0, 1, 0, 1)], source, sink)
-
-
 def test_k22_full_factor():
     g = k22()
     assert gf_factor(g, [2] * g.nx, [2] * g.ny) == tuple(g.edges())
 
 
 def test_k22_flow_saturates_edge_arcs():
-    # the induced network must route one unit through every edge arc
+    # the degree network must route one unit through every edge arc
     g = k22()
-    src, snk = 0, g.nx + g.ny + 1
-    arcs = [(src, 1 + x, 2, 2) for x in range(g.nx)]
-    arcs += [(1 + x, 1 + g.nx + y, 0, 1) for x, y in g.edges()]
-    arcs += [(1 + g.nx + y, snk, 0, 2) for y in range(g.ny)]
-    flow = feasible_flow(snk + 1, arcs, src, snk)
-    assert flow is not None
-    assert flow[g.nx:g.nx + 4] == [1, 1, 1, 1]
+    assert feasible_flow(g, [2, 2], [2, 2]) == (tuple(g.edges()), None)
 
 
 def test_unit_bounds_match_saturating_matching():
@@ -202,61 +171,10 @@ def test_factor_verdict_matches_networkx_flow(flow_runs):
         assert (factor is not None) == networkx_factor_exists(g, cap_x, cap_y)
         if factor is not None:
             assert factor_degrees_ok(g, cap_x, cap_y, factor)
-            # a tuple in graph.edges() order, the shape degree_flow returns
+            # a tuple in graph.edges() order, the shape feasible_flow returns
             assert factor == tuple(e for e in g.edges() if e in set(factor))
         # the flow is skipped exactly when one vertex's degree refutes
         short = any(len(g.adj[x]) < cap_x[x] for x in range(g.nx))
-        assert flow_runs == ([] if short else [g.nx + g.ny + 2])
+        assert flow_runs == ([] if short else [0])
         seen.add(("one-vertex cut" if short else "flow", factor is not None))
     assert seen == {("one-vertex cut", False), ("flow", False), ("flow", True)}
-
-
-def random_network(rng):
-    """A random network on n nodes (source 0, sink n-1, no self-loops) with
-    one fixed arc (low == up > 0) out of the source, one between inner
-    nodes and one into the sink, each at a random position."""
-    n = rng.randint(4, 9)
-    sink = n - 1
-    arcs = []
-    for _ in range(rng.randint(n, 3 * n)):
-        u, v = rng.sample(range(n), 2)
-        low = rng.choice((0, 0, 1, 2))
-        arcs.append((u, v, low, low + rng.choice((0, 1, 2, 3))))
-    inner = rng.sample(range(1, sink), 2)
-    for u, v in ((0, rng.randint(1, sink)), inner, (rng.randint(0, sink - 1), sink)):
-        c = rng.randint(1, 3)
-        arcs.insert(rng.randrange(len(arcs) + 1), (u, v, c, c))
-    return n, arcs
-
-
-def test_feasible_flow_matches_networkx_on_general_networks():
-    pytest.importorskip("networkx")
-    rng = random.Random(21)
-    verdicts = set()
-    for _ in range(300):
-        n, arcs = random_network(rng)
-        flow = feasible_flow(n, arcs, 0, n - 1)
-        assert (flow is not None) == networkx_feasible(n, arcs, 0, n - 1)
-        verdicts.add(flow is not None)
-        if flow is None:
-            continue
-        net = [0] * n
-        for (u, v, low, up), f in zip(arcs, flow):
-            assert low <= f <= up
-            if low == up:
-                assert f == low
-            net[u] -= f
-            net[v] += f
-        assert all(net[v] == 0 for v in range(1, n - 1))
-    assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("arc, message", [
-    ((0, 5, 0, 1), "dangling arc endpoint: {}"),
-    ((0, 1, 2, 1), "lower bound exceeds capacity: {}"),
-    ((0, 1, -1, 1), "negative lower bound: {}"),
-])
-def test_malformed_arc_messages(arc, message):
-    with pytest.raises(ValueError) as info:
-        feasible_flow(2, [(0, 1, 0, 1), arc], 0, 1)
-    assert str(info.value) == message.format(arc)

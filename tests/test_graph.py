@@ -30,8 +30,10 @@ def test_validate_dedupes():
 
 
 def test_validate_rejects_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="y-index out of range"):
         BipartiteGraph.from_edges(1, 1, [(0, 5)])
+    with pytest.raises(ValueError, match="x-index out of range"):
+        BipartiteGraph.from_edges(1, 1, [(1, 0)])
     with pytest.raises(ValueError, match="negative"):
         BipartiteGraph.from_edges(-1, 1, [])
 

@@ -8,7 +8,8 @@ from sdmatch import (
     lebensold_condition,
     x_saturating_certificate,
 )
-from conftest import lebensold_brute_force, random_graph, y_adj
+from sdmatch.flow import feasible_flow
+from conftest import factor_degrees_ok, lebensold_brute_force, random_graph, y_adj
 
 
 def k22():
@@ -132,49 +133,66 @@ def d_out_graph(rng, nx, ny, d):
     return BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
 
 
-def networkx_network(nx_mod, g, k):
-    """Lebensold's network s -> x (k), x -> y (1), y -> t (k) in networkx."""
+def networkx_network(nx_mod, g, cap_x, cap_y):
+    """The degree network s -> x (cap_x[x]), x -> y (1), y -> t (cap_y[y]) in
+    networkx; Lebensold's has k everywhere."""
     net = nx_mod.DiGraph()
     for x in range(g.nx):
-        net.add_edge("s", ("x", x), capacity=k)
+        net.add_edge("s", ("x", x), capacity=cap_x[x])
     for x, y in g.edges():
         net.add_edge(("x", x), ("y", y), capacity=1)
     for y in range(g.ny):
-        net.add_edge(("y", y), "t", capacity=k)
+        net.add_edge(("y", y), "t", capacity=cap_y[y])
     return net
 
 
 def flow_value_networkx(g, k):
     nx_mod = pytest.importorskip("networkx")
-    return nx_mod.maximum_flow_value(networkx_network(nx_mod, g, k), "s", "t")
+    return nx_mod.maximum_flow_value(networkx_network(nx_mod, g, [k] * g.nx, [k] * g.ny), "s", "t")
 
 
 def test_witness_is_the_minimal_min_cut_of_networkx():
     """W is the set of X vertices reachable from s in the residual network of
     any maximum flow: the source side of the unique minimal minimum cut. So
-    the residual network of networkx's own Edmonds-Karp flow must give it."""
+    the residual network of networkx's own Edmonds-Karp flow must give it,
+    for Lebensold's uniform caps and for random per-vertex caps alike."""
     nx_mod = pytest.importorskip("networkx")
     from networkx.algorithms.flow import edmonds_karp
 
     rng = random.Random(26)
+    # the caps draw from a stream of their own, so the graphs stay the same
+    caps_rng = random.Random(27)
     violated = 0
+    cap_verdicts = set()
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random())
+        cases = []
         for k in (1, 2, 3, 4):
-            residual = edmonds_karp(networkx_network(nx_mod, g, k), "s", "t")
             verdict = lebensold_condition(g, k)
-            assert verdict.holds == (residual.graph["flow_value"] == k * g.nx)
-            if verdict.holds:
+            violated += not verdict.holds
+            cases.append(([k] * g.nx, [k] * g.ny, verdict.holds, verdict.violating_set))
+        cap_x = [caps_rng.randint(0, 3) for _ in range(g.nx)]
+        cap_y = [caps_rng.randint(0, 3) for _ in range(g.ny)]
+        factor, w = feasible_flow(g, cap_x, cap_y)
+        if factor is not None:
+            assert factor_degrees_ok(g, cap_x, cap_y, factor)
+        cap_verdicts.add(factor is not None)
+        cases.append((cap_x, cap_y, factor is not None, w))
+        for cap_x, cap_y, holds, w in cases:
+            residual = edmonds_karp(networkx_network(nx_mod, g, cap_x, cap_y), "s", "t")
+            assert holds == (residual.graph["flow_value"] == sum(cap_x))
+            if holds:
+                assert w is None
                 continue
-            violated += 1
             seen, queue = {"s"}, ["s"]
             for u in queue:
                 for v, arc in residual[u].items():
                     if arc["capacity"] - arc["flow"] > 0 and v not in seen:
                         seen.add(v)
                         queue.append(v)
-            assert verdict.violating_set == tuple(x for x in range(g.nx) if ("x", x) in seen)
+            assert w == tuple(x for x in range(g.nx) if ("x", x) in seen)
     assert 100 < violated < 1200  # both verdicts occur
+    assert cap_verdicts == {True, False}
 
 
 def test_lebensold_above_old_subset_limit():

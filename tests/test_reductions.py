@@ -101,6 +101,17 @@ def test_clause_arity_limit():
         CnfFormula.make(4, [[1, 2, 3, 4]])
 
 
+@pytest.mark.parametrize("num_vars, clauses, message", [
+    (-1, [], "negative variable count: -1"),
+    (2, [[1, 3]], "literal out of range: 3"),
+    (2, [[1, 0]], "literal out of range: 0"),
+], ids=["negative-vars", "past-num-vars", "zero-literal"])
+def test_cnf_make_rejects(num_vars, clauses, message):
+    with pytest.raises(ValueError) as info:
+        CnfFormula.make(num_vars, clauses)
+    assert str(info.value) == message
+
+
 def test_repeated_literal_deduplicated():
     f = CnfFormula.make(1, [[1, 1, 1]])
     assert f.clauses == ((1,),)
