@@ -21,9 +21,16 @@ def konig_color(graph: BipartiteGraph, edges: Iterable[tuple[int, int]],
     """The k color classes of a proper coloring of the given edges of graph,
     colored in the order given; class i holds color i + 1.
 
-    Raises ValueError when some vertex has more than k of the edges.
+    Raises ValueError when an edge is not in graph or is given twice, and
+    when some vertex has more than k of the edges.
     """
-    nx = graph.nx
+    nx, adj = graph.nx, graph.adj
+    edges = tuple(edges)
+    for x, y in edges:
+        if not (0 <= x < nx and y in adj[x]):
+            raise ValueError(f"({x}, {y}) is not an edge of the graph")
+    if len(set(edges)) != len(edges):
+        raise ValueError("an edge is given twice")
     # per global vertex: color -> neighbor global id
     used: list[dict[int, int]] = [dict() for _ in range(nx + graph.ny)]
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from typing import Optional
 
 import pytest
@@ -17,6 +18,11 @@ from sdmatch.solve import (
 )
 
 DEFAULT_DM_EDGE_LIMIT = 64
+
+
+def k22() -> BipartiteGraph:
+    """The complete bipartite graph K2,2."""
+    return BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def chain_graph(n: int) -> BipartiteGraph:
@@ -74,20 +80,6 @@ def brute_force_spair_count(graph: BipartiteGraph, s_set) -> int:
     full_x, want_s = set(range(graph.nx)), set(s_set)
     return sum(1 for m1, x1 in matchings if x1 == full_x
                for m2, x2 in matchings if x2 == want_s and not m1 & m2)
-
-
-def brute_force_spair_presence(graph: BipartiteGraph, s_set) -> bool:
-    """Independent oracle: enumerate all matching pairs as edge subsets."""
-    matchings = edge_subset_matchings(graph)
-    full_x = set(range(graph.nx))
-    want_s = set(s_set)
-    for m1, x1 in matchings:
-        if x1 != full_x:
-            continue
-        for m2, x2 in matchings:
-            if not (m1 & m2) and want_s <= x2:
-                return True
-    return False
 
 
 def lebensold_brute_force(graph: BipartiteGraph, k: int) -> bool:
@@ -163,6 +155,37 @@ def factor_degrees_ok(graph: BipartiteGraph, cap_x, cap_y,
         dx[x] += 1
         dy[y] += 1
     return dx == list(cap_x) and all(dy[y] <= cap_y[y] for y in range(graph.ny))
+
+
+def networkx_network(graph: BipartiteGraph, cap_x, cap_y):
+    """The degree network s -> x (cap_x[x]), x -> y (1), y -> t (cap_y[y]) in
+    networkx. A factor with degree cap_x[x] at every x and at most cap_y[y]
+    at every y exists exactly when its maximum flow value is sum(cap_x);
+    Lebensold's k-factor has k everywhere. Skips the test without networkx."""
+    networkx = pytest.importorskip("networkx")
+    net = networkx.DiGraph()
+    for x in range(graph.nx):
+        net.add_edge("s", ("x", x), capacity=cap_x[x])
+    for x, y in graph.edges():
+        net.add_edge(("x", x), ("y", y), capacity=1)
+    for y in range(graph.ny):
+        net.add_edge(("y", y), "t", capacity=cap_y[y])
+    return net
+
+
+def random_formula(rng: random.Random, max_vars=3, max_clauses=3) -> CnfFormula:
+    """A random CNF over 1..max_vars variables with 1..max_clauses clauses of
+    1..3 literals each."""
+    t = rng.randint(1, max_vars)
+    s = rng.randint(1, max_clauses)
+    clauses = []
+    for _ in range(s):
+        clause = []
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randint(1, t)
+            clause.append(v if rng.random() < 0.5 else -v)
+        clauses.append(clause)
+    return CnfFormula.make(t, clauses)
 
 
 def reference_search(instance: SdmInstance, prune: bool, budget=None):
@@ -278,14 +301,20 @@ def reference_parse_instance(text: str) -> SdmInstance:
     return SdmInstance.make(graph, s_set)
 
 
-@pytest.fixture
-def c8_gadget():
-    """The length-8 variable cycle with its distinguished vertex set."""
+def c8_cycle() -> tuple[SdmInstance, GadgetMap]:
+    """The length-8 variable cycle with its distinguished vertex set, and the
+    gadget map that names its vertices."""
     gm = GadgetMap(2, 1)
     edges = [gm.cycle_edge(1, j) for j in range(1, 9)]
     graph = BipartiteGraph.from_edges(4, 4, edges)
     s_set = [gm.cycle_x(1, j) for j in (2, 6)]
     return SdmInstance.make(graph, s_set), gm
+
+
+@pytest.fixture
+def c8_gadget():
+    """c8_cycle() as a fixture."""
+    return c8_cycle()
 
 
 @pytest.fixture

@@ -5,12 +5,10 @@ lines and timings.
 """
 
 import io
-import itertools
 import random
 import time
 
 from sdmatch import (
-    BipartiteGraph,
     SdmInstance,
     konig_color,
     lebensold_condition,
@@ -22,7 +20,6 @@ from sdmatch import (
 )
 from sdmatch.cli import run
 from sdmatch.reductions import (
-    CnfFormula,
     decode_spair_to_assignment,
     encode_assignment_to_spair,
     extend_spair_to_dm,
@@ -41,6 +38,7 @@ from conftest import (
     is_proper,
     lebensold_brute_force,
     max_degree,
+    random_formula,
     random_graph,
     satisfies,
     solve_dm_exact,
@@ -109,16 +107,7 @@ def test_criterion_4_sat_round_trip():
     rng = random.Random(1004)
     ok = True
     for _ in range(500):
-        t = rng.randint(1, 3)
-        s = rng.randint(1, 3)
-        clauses = []
-        for _ in range(s):
-            clause = []
-            for _ in range(rng.randint(1, 3)):
-                v = rng.randint(1, t)
-                clause.append(v if rng.random() < 0.5 else -v)
-            clauses.append(clause)
-        formula = CnfFormula.make(t, clauses)
+        formula = random_formula(rng)
         sat = brute_force_satisfiable(formula) is not None
         inst, gm = reduce_3sat_to_sdm(formula)
         spair = solve_exact(inst)

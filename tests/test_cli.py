@@ -13,7 +13,9 @@ from sdmatch import (BipartiteGraph, SdmInstance, is_matching, parse_instance, s
 from sdmatch import cli
 from sdmatch.cli import run
 from sdmatch.reductions import CnfFormula, GadgetMap, reduce_3sat_to_sdm, serialize_gadget_map
-from conftest import chain_graph
+from conftest import c8_cycle, chain_graph
+
+C8_TEXT = serialize_instance(c8_cycle()[0])
 
 
 def invoke(argv):
@@ -28,16 +30,8 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def c8_instance_text():
-    gm = GadgetMap(2, 1)
-    edges = [gm.cycle_edge(1, j) for j in range(1, 9)]
-    g = BipartiteGraph.from_edges(4, 4, edges)
-    s_set = [gm.cycle_x(1, j) for j in (2, 6)]
-    return serialize_instance(SdmInstance.make(g, s_set))
-
-
 def test_solve_c8_yes(tmp_path):
-    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    path = write(tmp_path, "c8.sdm", C8_TEXT)
     code, out, _ = invoke(["solve", path])
     assert code == 0
     assert "RESULT yes" in out
@@ -60,7 +54,7 @@ def test_solve_budget_exhausted(tmp_path):
 
 
 def test_verify_accepts_solve_output(tmp_path):
-    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    path = write(tmp_path, "c8.sdm", C8_TEXT)
     code, out, _ = invoke(["solve", path])
     solution = write(tmp_path, "c8.sol", out)
     code, out, _ = invoke(["verify", path, solution])
@@ -77,7 +71,7 @@ def test_verify_rejects_bad_solution(tmp_path):
 
 
 def test_oracle_c8_counts_two(tmp_path):
-    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    path = write(tmp_path, "c8.sdm", C8_TEXT)
     code, out, _ = invoke(["oracle", path])
     assert code == 0
     assert out == "2\n"
@@ -415,7 +409,7 @@ def test_crash_exits_2_not_no(tmp_path, monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr("sdmatch.cli.solve_instance", crash)
-    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    path = write(tmp_path, "c8.sdm", C8_TEXT)
     code, out, err = invoke(["solve", path])
     assert code == 2
     assert "RESULT" not in out
@@ -428,7 +422,7 @@ def test_keyboard_interrupt_propagates(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr("sdmatch.cli.solve_instance", interrupt)
-    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    path = write(tmp_path, "c8.sdm", C8_TEXT)
     with pytest.raises(KeyboardInterrupt):
         invoke(["solve", path])
 
@@ -445,7 +439,7 @@ class ClosedPipe(io.StringIO):
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):
-    path = write(tmp_path, "c8.sdm", c8_instance_text())
+    path = write(tmp_path, "c8.sdm", C8_TEXT)
     err = io.StringIO()
     assert run(["solve", path], stdout=ClosedPipe(), stderr=err) == 2
     assert "Traceback" not in err.getvalue()
@@ -453,7 +447,7 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize("text", [
-    c8_instance_text(),  # output stays buffered until main() flushes it
+    C8_TEXT,  # output stays buffered until main() flushes it
     serialize_instance(SdmInstance.make(chain_graph(1500), [])),  # a write inside run() fails
 ])
 def test_main_on_closed_pipe_is_quiet(tmp_path, text):
@@ -494,7 +488,7 @@ def test_usage_error_repeats_without_system_exit(argv, message):
 
 def mixed_commands(tmp_path):
     """Commands of every subcommand, among them usage and input errors."""
-    c8 = write(tmp_path, "c8.sdm", c8_instance_text())
+    c8 = write(tmp_path, "c8.sdm", C8_TEXT)
     one = write(tmp_path, "e.sdm", "p sdm 1 1 1\ne 1 1\ns 1\n")
     k1212 = write(tmp_path, "k1212.sdm", complete_instance(12, 12, 8))
     k22 = write(tmp_path, "k22.sdm", "p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n")

@@ -5,7 +5,7 @@ import pytest
 from sdmatch import konig_color
 from sdmatch import BipartiteGraph, is_matching
 from sdmatch.flow import gf_factor
-from conftest import is_proper, max_degree, random_graph
+from conftest import is_proper, k22, max_degree, random_graph
 
 
 def nonempty(classes) -> int:
@@ -77,9 +77,23 @@ def test_konig_color_rejects_a_vertex_over_k(nx, ny, edges, k):
     assert is_proper(edges, konig_color(g, edges, max_degree(g)))
 
 
+@pytest.mark.parametrize("edges, k, message", [
+    # x = 2 is past X, so its colors would land on Y vertex 0
+    ([(2, 0)], 1, "not an edge"),
+    ([(-1, 1)], 1, "not an edge"),
+    ([(1, 0)], 1, "not an edge"),
+    ([(0, 5)], 1, "not an edge"),
+    ([(0, 0), (0, 0)], 2, "given twice"),
+], ids=["x-past-x", "negative-x", "non-edge", "y-past-y", "edge-twice"])
+def test_konig_color_rejects_edges_outside_the_graph_or_given_twice(edges, k, message):
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match=message):
+        konig_color(g, edges, k)
+
+
 def test_konig_color_splits_a_subgraph_in_the_order_given():
     # the 4-cycle's edges colored in two orders: the first edge gets color 1
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = k22()
     first = konig_color(g, [(0, 0), (1, 1), (0, 1), (1, 0)], 2)
     assert [cls.edges for cls in first] == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
     second = konig_color(g, [(0, 1), (1, 0), (0, 0), (1, 1)], 2)

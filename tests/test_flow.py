@@ -5,25 +5,13 @@ import pytest
 from sdmatch import BipartiteGraph, SdmInstance, gf_factor, solve
 from sdmatch.flow import feasible_flow
 from sdmatch.matching import max_matching
-from conftest import factor_degrees_ok, random_graph
+from conftest import factor_degrees_ok, k22, networkx_network, random_graph
 
 
 def brute_force_factor_exists(g, cap_x, cap_y):
     edges = g.edges()
-    for mask in range(1 << len(edges)):
-        dx = [0] * g.nx
-        dy = [0] * g.ny
-        for i, (x, y) in enumerate(edges):
-            if mask >> i & 1:
-                dx[x] += 1
-                dy[y] += 1
-        if dx == cap_x and all(dy[y] <= cap_y[y] for y in range(g.ny)):
-            return True
-    return False
-
-
-def k22():
-    return BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    return any(factor_degrees_ok(g, cap_x, cap_y, [e for i, e in enumerate(edges) if mask >> i & 1])
+               for mask in range(1 << len(edges)))
 
 
 def test_k22_full_factor():
@@ -99,8 +87,7 @@ def test_one_vertex_cut_refutes_without_a_flow(flow_runs):
 
 def test_degrees_that_meet_g_still_run_one_flow(flow_runs):
     # every X degree meets its cap, yet no factor exists
-    k22 = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert gf_factor(k22, [2, 2], [1, 1]) is None
+    assert gf_factor(k22(), [2, 2], [1, 1]) is None
     assert len(flow_runs) == 1
     # the path y0 - x0 - y1 - x1 - y2 with caps 0 at both ends: both X
     # vertices need y1
@@ -112,49 +99,8 @@ def test_degrees_that_meet_g_still_run_one_flow(flow_runs):
     assert len(flow_runs) == 3
 
 
-def networkx_feasible(num_nodes, arcs, source, sink):
-    """Hoffman feasibility via a networkx max flow on the lower-bound reduction:
-    each arc u->v with bounds [l, c] becomes capacity c - l (parallel arcs
-    add up), l moves to the excess of v and the deficit of u, and a
-    circulation arc sink->source closes the network. A feasible flow exists
-    iff the super source can saturate every excess."""
-    import networkx
-    net = networkx.DiGraph()
-    net.add_nodes_from(("S*", "T*"))
-
-    def add(u, v, capacity):
-        if net.has_edge(u, v):
-            net[u][v]["capacity"] += capacity
-        else:
-            net.add_edge(u, v, capacity=capacity)
-
-    excess = [0] * num_nodes
-    for u, v, low, up in arcs:
-        add(u, v, up - low)
-        excess[v] += low
-        excess[u] -= low
-    add(sink, source, sum(a[3] for a in arcs) + 1)
-    required = 0
-    for node, e in enumerate(excess):
-        if e > 0:
-            add("S*", node, e)
-            required += e
-        elif e < 0:
-            add(node, "T*", -e)
-    return networkx.maximum_flow_value(net, "S*", "T*") == required
-
-
-def networkx_factor_exists(g, cap_x, cap_y):
-    """networkx_feasible on the factor network: source -> x, x -> y, y -> sink."""
-    snk = g.nx + g.ny + 1
-    arcs = [(0, 1 + x, cap_x[x], cap_x[x]) for x in range(g.nx)]
-    arcs += [(1 + x, 1 + g.nx + y, 0, 1) for x, y in g.edges()]
-    arcs += [(1 + g.nx + y, snk, 0, cap_y[y]) for y in range(g.ny)]
-    return networkx_feasible(snk + 1, arcs, 0, snk)
-
-
 def test_factor_verdict_matches_networkx_flow(flow_runs):
-    pytest.importorskip("networkx")
+    networkx = pytest.importorskip("networkx")
     rng = random.Random(12)
     seen = set()
     for _ in range(80):
@@ -168,7 +114,8 @@ def test_factor_verdict_matches_networkx_flow(flow_runs):
         cap_y = [rng.randint(0, 3) for _ in range(g.ny)]
         flow_runs.clear()
         factor = gf_factor(g, cap_x, cap_y)
-        assert (factor is not None) == networkx_factor_exists(g, cap_x, cap_y)
+        flow = networkx.maximum_flow_value(networkx_network(g, cap_x, cap_y), "s", "t")
+        assert (factor is not None) == (flow == sum(cap_x))
         if factor is not None:
             assert factor_degrees_ok(g, cap_x, cap_y, factor)
             # a tuple in graph.edges() order, the shape feasible_flow returns

@@ -16,7 +16,7 @@ from sdmatch import (
     serialize_solution,
     verify_spair,
 )
-from conftest import random_graph, y_adj
+from conftest import k22, random_graph, y_adj
 
 
 def test_validate_empty_graph():
@@ -74,7 +74,7 @@ def test_is_matching_shared_endpoint():
 
 
 def test_is_matching_k22_perfect():
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = k22()
     assert is_matching(g, [(0, 0), (1, 1)])
 
 

@@ -9,11 +9,14 @@ from sdmatch import (
     x_saturating_certificate,
 )
 from sdmatch.flow import feasible_flow
-from conftest import factor_degrees_ok, lebensold_brute_force, random_graph, y_adj
-
-
-def k22():
-    return BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+from conftest import (
+    factor_degrees_ok,
+    k22,
+    lebensold_brute_force,
+    networkx_network,
+    random_graph,
+    y_adj,
+)
 
 
 def test_k1_equals_hall():
@@ -133,30 +136,12 @@ def d_out_graph(rng, nx, ny, d):
     return BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
 
 
-def networkx_network(nx_mod, g, cap_x, cap_y):
-    """The degree network s -> x (cap_x[x]), x -> y (1), y -> t (cap_y[y]) in
-    networkx; Lebensold's has k everywhere."""
-    net = nx_mod.DiGraph()
-    for x in range(g.nx):
-        net.add_edge("s", ("x", x), capacity=cap_x[x])
-    for x, y in g.edges():
-        net.add_edge(("x", x), ("y", y), capacity=1)
-    for y in range(g.ny):
-        net.add_edge(("y", y), "t", capacity=cap_y[y])
-    return net
-
-
-def flow_value_networkx(g, k):
-    nx_mod = pytest.importorskip("networkx")
-    return nx_mod.maximum_flow_value(networkx_network(nx_mod, g, [k] * g.nx, [k] * g.ny), "s", "t")
-
-
 def test_witness_is_the_minimal_min_cut_of_networkx():
     """W is the set of X vertices reachable from s in the residual network of
     any maximum flow: the source side of the unique minimal minimum cut. So
     the residual network of networkx's own Edmonds-Karp flow must give it,
     for Lebensold's uniform caps and for random per-vertex caps alike."""
-    nx_mod = pytest.importorskip("networkx")
+    pytest.importorskip("networkx")
     from networkx.algorithms.flow import edmonds_karp
 
     rng = random.Random(26)
@@ -179,7 +164,7 @@ def test_witness_is_the_minimal_min_cut_of_networkx():
         cap_verdicts.add(factor is not None)
         cases.append((cap_x, cap_y, factor is not None, w))
         for cap_x, cap_y, holds, w in cases:
-            residual = edmonds_karp(networkx_network(nx_mod, g, cap_x, cap_y), "s", "t")
+            residual = edmonds_karp(networkx_network(g, cap_x, cap_y), "s", "t")
             assert holds == (residual.graph["flow_value"] == sum(cap_x))
             if holds:
                 assert w is None
@@ -196,6 +181,7 @@ def test_witness_is_the_minimal_min_cut_of_networkx():
 
 
 def test_lebensold_above_old_subset_limit():
+    networkx = pytest.importorskip("networkx")
     rng = random.Random(25)
     outcomes = set()
     for nx in (21, 60, 150):
@@ -204,7 +190,8 @@ def test_lebensold_above_old_subset_limit():
             for ny, d in ((nx * 3 // 2, 2 * k), (nx, k + 1)):
                 g = d_out_graph(rng, nx, ny, d)
                 verdict = lebensold_condition(g, k)
-                assert verdict.holds == (flow_value_networkx(g, k) == k * nx)
+                flow = networkx.maximum_flow_value(networkx_network(g, [k] * nx, [k] * ny), "s", "t")
+                assert verdict.holds == (flow == k * nx)
                 assert_verdict_certified(g, k, verdict)
                 outcomes.add(verdict.holds)
     assert outcomes == {True, False}

@@ -3,19 +3,7 @@ import random
 import pytest
 
 from sdmatch import BipartiteGraph, max_matching, x_saturating_certificate
-from conftest import chain_graph, random_graph
-
-
-def brute_force_max_matching_size(g: BipartiteGraph) -> int:
-    edges = g.edges()
-    best = 0
-    for mask in range(1 << len(edges)):
-        sub = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        xs = [x for x, _ in sub]
-        ys = [y for _, y in sub]
-        if len(set(xs)) == len(xs) and len(set(ys)) == len(ys):
-            best = max(best, len(sub))
-    return best
+from conftest import chain_graph, edge_subset_matchings, k22, random_graph
 
 
 def test_empty_graph():
@@ -24,7 +12,7 @@ def test_empty_graph():
 
 
 def test_k22_perfect():
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = k22()
     assert len(max_matching(g)) == 2
 
 
@@ -39,7 +27,7 @@ def test_maximum_against_brute_force():
         g = random_graph(rng, rng.randint(1, 4), rng.randint(1, 4), 0.6)
         if g.num_edges() > 12:
             continue
-        assert len(max_matching(g)) == brute_force_max_matching_size(g)
+        assert len(max_matching(g)) == max(len(m) for m, _ in edge_subset_matchings(g))
 
 
 def test_determinism_under_reserialization():
@@ -58,7 +46,7 @@ def test_certificate_violator_simple():
 
 
 def test_certificate_saturating_k22():
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = k22()
     cert = x_saturating_certificate(g)
     assert cert.violator is None
     assert len(cert.saturating_matching) == 2

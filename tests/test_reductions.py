@@ -23,21 +23,14 @@ from sdmatch import (
     verify_spair,
 )
 from sdmatch.reductions import _check_dm_solution, parse_gadget_map, serialize_gadget_map
-from sdmatch.solve import count_spairs_exact
-from conftest import brute_force_satisfiable, random_graph, satisfies, solve_dm_exact, y_adj
-
-
-def random_formula(rng: random.Random, max_vars=3, max_clauses=3) -> CnfFormula:
-    t = rng.randint(1, max_vars)
-    s = rng.randint(1, max_clauses)
-    clauses = []
-    for _ in range(s):
-        clause = []
-        for _ in range(rng.randint(1, 3)):
-            v = rng.randint(1, t)
-            clause.append(v if rng.random() < 0.5 else -v)
-        clauses.append(clause)
-    return CnfFormula.make(t, clauses)
+from conftest import (
+    brute_force_satisfiable,
+    random_formula,
+    random_graph,
+    satisfies,
+    solve_dm_exact,
+    y_adj,
+)
 
 
 def test_parse_dimacs_basic():
