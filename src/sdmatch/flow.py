@@ -1,111 +1,30 @@
 """One degree network under both polynomial routes, and the capped factor.
 
 ``feasible_flow(graph, cap_x, cap_y)`` is one max flow on source -> x
-(capacity cap_x[x]), x -> y for each edge (capacity 1) and y -> sink
-(capacity cap_y[y]). A flow of value sum(cap_x) is a factor with degree
-exactly cap_x[x] on X and at most cap_y[y] on Y; a smaller one leaves W, the
-X vertices on the source side of the minimal minimum cut. The S-pair factor
-(2 on S, 1 on the rest of X, at most 2 on Y) and Lebensold's k-factor (k
-everywhere) are both this network, so neither needs lower bounds.
-``gf_factor`` is its validating front door: an X vertex whose cap exceeds its
-degree refutes first, with no arc built, which is Hoffman's condition on the
-cut around one vertex. The max flow underneath is Dinic's algorithm, with no
-recursion in either phase. A factor comes back as a tuple of edges in
-``graph.edges()`` order.
+(capacity cap_x[x]), x -> y for each edge (1) and y -> sink (cap_y[y]). It
+returns a factor with degree exactly cap_x[x] on X and at most cap_y[y] on Y,
+or else W, the X vertices on the source side of the minimal minimum cut. The
+S-pair factor (2 on S, 1 on the rest of X, at most 2 on Y) and Lebensold's
+k-factor (k everywhere) are both this network. ``gf_factor`` is its
+validating front door: an X vertex whose cap exceeds its degree refutes
+first, which is Hoffman's condition on the cut around one vertex.
+
+The network is a bipartite b-matching, so the engine is Hopcroft-Karp with
+per-vertex caps on the graph's adjacency lists: a greedy start, then phases
+of a BFS that layers X from the X vertices with room and a DFS with an
+explicit stack and one arc pointer per X vertex. Nothing recurses. W is what
+the last BFS reached. Each Y vertex keeps its holders in ascending order, the
+order in which Dinic's algorithm on the network scans its reverse arcs, so
+each phase augments as Dinic's would and the factor stays the same. A factor
+is a tuple of edges in ``graph.edges()`` order.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Optional, Sequence
 
 from .graph import BipartiteGraph
-
-
-class _MaxFlow:
-    """Dinic's max flow on paired arcs (arc i and its reverse i ^ 1).
-
-    Arcs are explored in insertion order, so the flow found is deterministic.
-    Both phases are iterative: a BFS builds the level graph, then a DFS with
-    an explicit path and one current-arc pointer per node finds a blocking
-    flow in it.
-
-    ``run(s, t)`` keeps the level array of its last BFS, the one that did not
-    reach t, as ``level``: level[v] >= 0 exactly for the nodes reachable from
-    s in the residual graph, the source side of the minimal minimum s-t cut.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.head: list[int] = []
-        self.cap: list[int] = []
-        self.out: list[list[int]] = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.head)
-        self.head += (v, u)
-        self.cap += (cap, 0)
-        self.out[u].append(idx)
-        self.out[v].append(idx + 1)
-        return idx
-
-    def run(self, s: int, t: int) -> int:
-        head, cap, out = self.head, self.cap, self.out
-        total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                next_level = level[u] + 1
-                for idx in out[u]:
-                    v = head[idx]
-                    if cap[idx] > 0 and level[v] < 0:
-                        level[v] = next_level
-                        queue.append(v)
-            if level[t] < 0:
-                self.level = level
-                return total
-            total += self._blocking_flow(s, t, level)
-
-    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
-        head, cap, out = self.head, self.cap, self.out
-        ptr = [0] * self.n
-        path: list[int] = []  # arcs from s to u
-        u = s
-        pushed = 0
-        while True:
-            if u == t:
-                # the first arc of least capacity is the first one saturated
-                cut, bottleneck = 0, cap[path[0]]
-                for k, idx in enumerate(path):
-                    if cap[idx] < bottleneck:
-                        cut, bottleneck = k, cap[idx]
-                for idx in path:
-                    cap[idx] -= bottleneck
-                    cap[idx ^ 1] += bottleneck
-                pushed += bottleneck
-                # retreat to its tail
-                u = head[path[cut] ^ 1]
-                del path[cut:]
-                continue
-            arcs = out[u]
-            i, end, next_level = ptr[u], len(arcs), level[u] + 1
-            while i < end:
-                idx = arcs[i]
-                if cap[idx] and level[head[idx]] == next_level:
-                    break
-                i += 1
-            ptr[u] = i
-            if i < end:
-                path.append(idx)
-                u = head[idx]
-                continue
-            # dead end: drop u from the level graph and retreat one arc
-            if u == s:
-                return pushed
-            level[u] = -1
-            u = head[path.pop() ^ 1]
-            ptr[u] += 1
 
 
 def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
@@ -118,19 +37,95 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
     the nonempty set of X vertices on the source side of the minimal minimum
     cut: sum_{x in W} cap_x[x] > sum_y min(cap_y[y], |N(y) cap W|).
     """
-    nx, ny = graph.nx, graph.ny
-    # node ids: 0 = source, 1..nx = X, nx+1..nx+ny = Y, nx+ny+1 = sink
-    src, snk = 0, nx + ny + 1
-    net = _MaxFlow(snk + 1)
-    for x, c in enumerate(cap_x):
-        net.add(src, 1 + x, c)
-    edges = graph.edges()
-    edge_arcs = [net.add(1 + x, 1 + nx + y, 1) for x, y in edges]
-    for y, c in enumerate(cap_y):
-        net.add(1 + nx + y, snk, c)
-    if net.run(src, snk) == sum(cap_x):
-        return tuple(e for e, idx in zip(edges, edge_arcs) if net.cap[idx] == 0), None
-    return None, tuple(x for x in range(nx) if net.level[1 + x] >= 0)
+    adj, nx = graph.adj, graph.nx
+    room_x, room_y = list(cap_x), list(cap_y)
+    held: list[list[int]] = [[] for _ in range(nx)]  # the Y vertices x sends a unit to
+    # the X vertices that send y a unit, ascending: the order in which Dinic's
+    # algorithm scans y's reverse arcs, so the DFS below steps back through the
+    # same holder and finds the same factor
+    holders: list[list[int]] = [[] for _ in range(graph.ny)]
+    for x in range(nx):
+        for y in adj[x]:
+            if room_x[x] and room_y[y]:
+                held[x].append(y)
+                holders[y].append(x)
+                room_x[x] -= 1
+                room_y[y] -= 1
+    free = [x for x in range(nx) if room_x[x]]
+    dist: list[int] = []
+    while free:
+        # BFS: layer X by alternating distance from the X vertices with room
+        # and stop after the first layer that reaches a Y vertex with room
+        dist = [-1] * nx
+        for x in free:
+            dist[x] = 0
+        layer = free
+        found = False
+        while layer and not found:
+            next_layer = []
+            for x in layer:
+                d = dist[x] + 1
+                mine = held[x]
+                for y in adj[x]:
+                    if y in mine:
+                        continue
+                    if room_y[y]:
+                        found = True
+                    for x2 in holders[y]:
+                        if dist[x2] == -1:
+                            dist[x2] = d
+                            next_layer.append(x2)
+            layer = next_layer
+        if not found:
+            break
+        for x in layer:  # beyond the shortest augmenting path length
+            dist[x] = -1
+        # DFS: ptr[x] is the arc x is trying; a dead X vertex leaves the layers
+        ptr = [0] * nx
+        for root in free:
+            stack = [root]
+            while stack:
+                x = stack[-1]
+                neighbors, mine = adj[x], held[x]
+                i, end, d = ptr[x], len(neighbors), dist[x] + 1
+                while i < end:
+                    y = neighbors[i]
+                    if y not in mine:
+                        for x2 in holders[y]:
+                            if dist[x2] == d:
+                                break
+                        else:
+                            x2 = -1
+                        if x2 != -1 or room_y[y]:
+                            break
+                    i += 1
+                ptr[x] = i
+                if i == end:
+                    dist[x] = -1
+                    stack.pop()
+                elif x2 != -1:
+                    stack.append(x2)
+                else:
+                    # augment: each stacked x takes the Y vertex of its arc
+                    # and gives up the one its parent took
+                    y = -1
+                    for x in stack:
+                        given, y = y, adj[x][ptr[x]]
+                        if given == -1:
+                            held[x].append(y)
+                        else:
+                            held[x][held[x].index(given)] = y
+                            holders[given].remove(x)
+                        insort(holders[y], x)
+                    room_y[y] -= 1
+                    room_x[root] -= 1
+                    if not room_x[root]:
+                        break
+                    del stack[1:]
+        free = [x for x in free if room_x[x]]
+    if not free:
+        return tuple((x, y) for x in range(nx) for y in adj[x] if y in held[x]), None
+    return None, tuple(x for x in range(nx) if dist[x] >= 0)
 
 
 def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
@@ -138,8 +133,8 @@ def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
     """The edges, in ``graph.edges()`` order, of a subgraph H with d_H(x) ==
     cap_x[x] at each X vertex and d_H(y) <= cap_y[y] at each Y vertex, or None.
 
-    An X vertex with fewer neighbours than its cap refutes before any arc is
-    built; otherwise one ``feasible_flow`` decides. Raises ValueError on a
+    An X vertex with fewer neighbours than its cap refutes before any flow
+    runs; otherwise one ``feasible_flow`` decides. Raises ValueError on a
     negative cap or on caps that do not cover every vertex.
     """
     if len(cap_x) != graph.nx or len(cap_y) != graph.ny:

@@ -5,7 +5,8 @@ from typing import Optional
 import pytest
 
 from sdmatch import BipartiteGraph, DmInstance, FormatError, Matching, SdmInstance, SPair
-from sdmatch.flow import _MaxFlow
+from sdmatch import flow, lebensold
+from sdmatch.flow import feasible_flow
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
 from sdmatch.reductions import CnfFormula, GadgetMap
@@ -319,8 +320,14 @@ def c8_gadget():
 
 @pytest.fixture
 def flow_runs(monkeypatch):
-    """The source node of every max flow run (_MaxFlow.run), in call order."""
+    """The graph of every feasible_flow call, in call order, whether it comes
+    through gf_factor or through lebensold_condition."""
     runs = []
-    original = _MaxFlow.run
-    monkeypatch.setattr(_MaxFlow, "run", lambda net, s, t: runs.append(s) or original(net, s, t))
+
+    def recording(graph, cap_x, cap_y):
+        runs.append(graph)
+        return feasible_flow(graph, cap_x, cap_y)
+
+    for module in (flow, lebensold):
+        monkeypatch.setattr(module, "feasible_flow", recording)
     return runs

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from sdmatch import BipartiteGraph, SdmInstance, gf_factor, solve
 from sdmatch.flow import feasible_flow
-from sdmatch.matching import max_matching
+from sdmatch.matching import max_matching, x_saturating_certificate
 from conftest import factor_degrees_ok, k22, networkx_network, random_graph
 
 
@@ -26,11 +27,26 @@ def test_k22_flow_saturates_edge_arcs():
 
 
 def test_unit_bounds_match_saturating_matching():
+    # with every cap 1 the degree network is the matching problem, so the
+    # degree engine gives Hopcroft-Karp's matching, or its Hall violator W
     rng = random.Random(3)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5)
+    graphs = [random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5) for _ in range(200)]
+    graphs += [BipartiteGraph.from_edges(0, 0, []), BipartiteGraph.from_edges(0, 3, []),
+               BipartiteGraph.from_edges(3, 0, [])]
+    graphs += [random_graph(rng, rng.randint(0, 12), rng.randint(0, 12), rng.random())
+               for _ in range(400)]
+    graphs += [random_graph(rng, n, n + rng.randint(-2, 2), 2.5 / n)
+               for n in (40, 80, 160) for _ in range(20)]
+    saturated = set()
+    for g in graphs:
         factor = gf_factor(g, [1] * g.nx, [1] * g.ny)
         assert (factor is not None) == (len(max_matching(g)) == g.nx)
+        violator = x_saturating_certificate(g).violator
+        expected = (None, violator) if violator else (max_matching(g).edges, None)
+        assert feasible_flow(g, [1] * g.nx, [1] * g.ny) == expected
+        assert feasible_flow(g, [0] * g.nx, [0] * g.ny) == ((), None)
+        saturated.add(factor is not None)
+    assert saturated == {True, False}
 
 
 def test_spair_factor_bounds_single_edge_infeasible():
@@ -122,6 +138,30 @@ def test_factor_verdict_matches_networkx_flow(flow_runs):
             assert factor == tuple(e for e in g.edges() if e in set(factor))
         # the flow is skipped exactly when one vertex's degree refutes
         short = any(len(g.adj[x]) < cap_x[x] for x in range(g.nx))
-        assert flow_runs == ([] if short else [0])
+        assert flow_runs == ([] if short else [g])
         seen.add(("one-vertex cut" if short else "flow", factor is not None))
     assert seen == {("one-vertex cut", False), ("flow", False), ("flow", True)}
+
+
+# sha256 over repr(feasible_flow(...)) of the networks below, as Dinic's
+# max flow on source -> x -> y -> sink found them: the engine must find the
+# same factor and the same W, not just a valid one
+FACTOR_DIGEST = "76dcdb8ab7161bf26dfd1dfb55ffc21bc41fb7bfc985c34509d917ef92f87bd1"
+
+
+def test_factor_digest_is_pinned():
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    found = 0
+    for _ in range(300):
+        n = rng.choice((60, 120, 240))
+        g = random_graph(rng, n, n, 8.5 / n)
+        cap_x = [rng.randint(0, 4) for _ in range(g.nx)]
+        cap_y = [rng.randint(0, 4) for _ in range(g.ny)]
+        # random caps, the S-pair caps with S = X, then Lebensold's k = 3
+        for caps in ((cap_x, cap_y), ([2] * n, [2] * n), ([3] * n, [3] * n)):
+            result = feasible_flow(g, *caps)
+            digest.update(repr(result).encode())
+            found += result[0] is not None
+    assert 0 < found < 900
+    assert digest.hexdigest() == FACTOR_DIGEST
