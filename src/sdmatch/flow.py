@@ -6,8 +6,10 @@ returns a factor with degree exactly cap_x[x] on X and at most cap_y[y] on Y,
 or else W, the X vertices on the source side of the minimal minimum cut. The
 S-pair factor (2 on S, 1 on the rest of X, at most 2 on Y) and Lebensold's
 k-factor (k everywhere) are both this network. ``gf_factor`` is its
-validating front door: an X vertex whose cap exceeds its degree refutes
-first, which is Hoffman's condition on the cut around one vertex.
+validating front door, and two counts refute before the flow, each Hoffman's
+condition on one cut: an X vertex whose cap exceeds its degree (the cut
+around one vertex), and sum_x cap_x[x] > sum_y min(cap_y[y], deg y) (the cut
+W = X).
 
 The network is a bipartite b-matching, so the engine is Hopcroft-Karp with
 per-vertex caps on the graph's adjacency lists: a greedy start, then phases
@@ -22,6 +24,8 @@ is a tuple of edges in ``graph.edges()`` order.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
+from itertools import chain
 from typing import Optional, Sequence
 
 from .graph import BipartiteGraph
@@ -133,15 +137,20 @@ def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
     """The edges, in ``graph.edges()`` order, of a subgraph H with d_H(x) ==
     cap_x[x] at each X vertex and d_H(y) <= cap_y[y] at each Y vertex, or None.
 
-    An X vertex with fewer neighbours than its cap refutes before any flow
-    runs; otherwise one ``feasible_flow`` decides. Raises ValueError on a
-    negative cap or on caps that do not cover every vertex.
+    Two cuts refute before any flow runs, each in O(E): an X vertex with
+    fewer neighbours than its cap, and caps on X that sum past
+    sum_y min(cap_y[y], deg y), what Y can take. Otherwise one
+    ``feasible_flow`` decides. Raises ValueError on a negative cap or on caps
+    that do not cover every vertex.
     """
     if len(cap_x) != graph.nx or len(cap_y) != graph.ny:
         raise ValueError("caps must cover every vertex of the graph")
     if min(cap_x, default=0) < 0 or min(cap_y, default=0) < 0:
         raise ValueError("degree caps must be nonnegative")
-    # Hoffman's condition on the cut around one vertex
+    # Hoffman's condition on the cut around one vertex, then on W = X
     if any(len(graph.adj[x]) < c for x, c in enumerate(cap_x)):
+        return None
+    degree_y = Counter(chain.from_iterable(graph.adj))
+    if sum(cap_x) > sum(min(c, degree_y[y]) for y, c in enumerate(cap_y)):
         return None
     return feasible_flow(graph, cap_x, cap_y)[0]

@@ -3,12 +3,14 @@
 Both rest on one max flow, ``flow.feasible_flow`` with capacity k on every
 vertex, the same degree network the S-pair factor runs on. A flow of value
 k|X| is a factor with degree exactly k on X and at most k on Y, and
-``konig_color(graph, factor, k)`` returns its k color classes: k disjoint
-X-saturating matchings. A smaller flow leaves a minimum cut of value
+``konig_color(graph, factor, k)`` splits it by Euler partitions into its k
+color classes: k disjoint X-saturating matchings. A smaller flow leaves a
+minimum cut of value
 k(|X| - |W|) + sum_y min(k, |N(y) cap W|) < k|X|, where W is the set of X
 vertices on its source side; so W violates Lebensold's counting condition
 sum_y min(k, |N(y) cap W|) >= k|W|. Deciding, constructing and certifying
-"no" thus take one max flow, in polynomial time.
+"no" thus take one max flow, in polynomial time. The flow runs without
+``gf_factor``'s counting cuts, so W is always the flow's own minimal cut.
 """
 
 from __future__ import annotations

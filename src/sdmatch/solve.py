@@ -3,9 +3,10 @@
 Two algorithms behind three labels. |S| >= |X|-1 takes the polynomial
 algorithm (PolyLargeS): a degree factor with degree 2 on S, 1 on the rest of
 X and at most 2 on Y is exactly a union M1 | M2, and konig_color splits it into
-two color classes, M1 being the one that holds the edge of the X vertex
-outside S. An X vertex with fewer neighbours than its factor degree answers
-"no" before any flow network is built.
+two color classes. The split walks the path of the X vertex outside S first,
+so that vertex's edge lands in the first class, M1, and no swap is needed. An
+X vertex with fewer neighbours than its factor degree, or factor degrees on X
+that sum past what Y can take, answers "no" before any flow network is built.
 Every smaller S takes one exact search, labelled BoundedS when |S|
 is within the cap and ExactBacktrack otherwise (the general case is NP-hard),
 with the same step budget under both labels. It walks _matchings, the one
@@ -61,14 +62,11 @@ def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
     factor = gf_factor(g, [2 if x in in_s else 1 for x in range(g.nx)], [2] * g.ny)
     if factor is None:
         return None
-    # Each S vertex has degree 2 in the factor and so sees both colors; the
-    # X vertex outside S, if any, has degree 1, and M1 is the class of its
-    # edge, so M1 saturates X and M2 saturates S.
-    m1, m2 = konig_color(g, factor, 2)
-    anchor = next((x for x in range(g.nx) if x not in in_s), None)
-    if anchor is not None and anchor not in m1.covered_x:
-        m1, m2 = m2, m1
-    return SPair(m1, m2)
+    # Each S vertex has degree 2 in the factor and so sees both colors. The
+    # X vertex outside S, if any, is the one X vertex of degree 1, so the
+    # split walks its path first and puts its edge in M1: M1 saturates X and
+    # M2 saturates S.
+    return SPair(*konig_color(g, factor, 2))
 
 
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 from sdmatch import konig_color
 from sdmatch import BipartiteGraph, is_matching
-from sdmatch.flow import gf_factor
-from conftest import is_proper, k22, max_degree, random_graph
+from sdmatch.flow import feasible_flow, gf_factor
+from conftest import is_proper, k22, max_degree, random_graph, y_adj
 
 
 def nonempty(classes) -> int:
@@ -118,3 +119,63 @@ def test_factor_coloring_uses_both_colors_at_s_vertices():
         assert is_proper(factor, classes)
         for x in s_set:
             assert all(x in cls.covered_x for cls in classes)
+
+
+def test_split_is_proper_for_every_k_from_the_max_degree():
+    # shuffled edge orders and k = max degree .. max degree + 3: odd levels
+    # peel a matching first, and k = 5, 6, 7 pass through several levels
+    rng = random.Random(15)
+    seen_k = set()
+    short_x = short_y = False
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 12), rng.randint(1, 12), rng.uniform(0.2, 0.9))
+        edges = g.edges()
+        rng.shuffle(edges)
+        delta = max_degree(g)
+        for k in range(delta, delta + 4):
+            classes = konig_color(g, edges, k)
+            assert len(classes) == k
+            assert is_proper(edges, classes)
+            seen_k.add(k)
+            if k % 2 and k >= 3:
+                short_x |= any(0 < len(a) < k for a in g.adj)
+                short_y |= any(0 < len(xs) < k for xs in y_adj(g))
+    assert {3, 5, 6, 7} <= seen_k and short_x and short_y
+
+
+def test_lebensold_factor_classes_saturate_x():
+    rng = random.Random(16)
+    for k in range(1, 7):
+        split = 0
+        while split < 5:
+            nx = rng.randint(2, 10)
+            g = random_graph(rng, nx, nx + rng.randint(0, 6), min(1.0, (k + 2) / nx))
+            factor, _ = feasible_flow(g, [k] * g.nx, [k] * g.ny)
+            if factor is None:
+                continue
+            split += 1
+            classes = konig_color(g, factor, k)
+            assert is_proper(factor, classes)
+            assert all(cls.covered_x == frozenset(range(nx)) for cls in classes)
+
+
+def labelled_path(n: int) -> BipartiteGraph:
+    """The path y0 x0 y1 x1 ... x(n-1) yn, with y_i labelled n - i/2 for even
+    i and n + 1 + i//2 for odd i and then ranked: coloring the edges one at a
+    time, each new edge clashes at the far end of the path built so far."""
+    labels = [n - i // 2 if i % 2 == 0 else n + 1 + i // 2 for i in range(n + 1)]
+    rank = {label: r for r, label in enumerate(sorted(labels))}
+    ys = [rank[label] for label in labels]
+    return BipartiteGraph.from_edges(n, n + 1, [(i, ys[i + j]) for i in range(n) for j in (0, 1)])
+
+
+def test_labelled_path_splits_in_linear_time():
+    # chain flips take minutes here: each new edge flips the whole path
+    g = labelled_path(16000)
+    start = time.perf_counter()
+    classes = konig_color(g, g.edges(), 2)
+    assert time.perf_counter() - start < 2
+    assert is_proper(g.edges(), classes)
+    # the walk runs from one end of the path to the other, so every X vertex
+    # has an edge of each class
+    assert all(cls.covered_x == frozenset(range(16000)) for cls in classes)

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from sdmatch import BipartiteGraph, SdmInstance, gf_factor, solve
+from sdmatch import BipartiteGraph, SdmInstance, gf_factor, lebensold_condition, solve
 from sdmatch.flow import feasible_flow
 from sdmatch.matching import max_matching, x_saturating_certificate
-from conftest import factor_degrees_ok, k22, networkx_network, random_graph
+from conftest import factor_degrees_ok, k22, networkx_network, random_graph, y_adj
 
 
 def brute_force_factor_exists(g, cap_x, cap_y):
@@ -102,17 +102,37 @@ def test_one_vertex_cut_refutes_without_a_flow(flow_runs):
 
 
 def test_degrees_that_meet_g_still_run_one_flow(flow_runs):
-    # every X degree meets its cap, yet no factor exists
-    assert gf_factor(k22(), [2, 2], [1, 1]) is None
+    # every X degree meets its cap and the caps on X sum to what Y can take,
+    # yet no factor exists: x0 and x1 both need y0
+    g = BipartiteGraph.from_edges(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
+    assert gf_factor(g, [1, 1, 1], [1, 1, 1]) is None
     assert len(flow_runs) == 1
-    # the path y0 - x0 - y1 - x1 - y2 with caps 0 at both ends: both X
-    # vertices need y1
-    g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
-    assert gf_factor(g, [1, 1], [0, 1, 0]) is None
+    # x0 and x1 need two units each from y0 and y1, which take one each;
+    # x2's three neighbours make up the count
+    g = BipartiteGraph.from_edges(3, 5, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (2, 4)])
+    assert gf_factor(g, [2, 2, 1], [1, 1, 2, 2, 2]) is None
     assert len(flow_runs) == 2
-    # a cap equal to the degree is no refutation
+    # a cap equal to the degree is no refutation: the path y0 - x0 - y1 - x1 - y2
+    g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
     assert gf_factor(g, [2, 2], [2, 2, 2]) == tuple(g.edges())
     assert len(flow_runs) == 3
+
+
+def test_counting_cut_refutes_without_a_flow(flow_runs):
+    # every X degree meets its cap, but the caps on X sum past
+    # sum_y min(cap_y[y], deg y): Hoffman's condition on the cut W = X
+    assert gf_factor(k22(), [2, 2], [1, 1]) is None
+    # the path y0 - x0 - y1 - x1 - y2 with caps 0 at both ends
+    path = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    assert gf_factor(path, [1, 1], [0, 1, 0]) is None
+    # K3,2 with S = X: six units of M1 | M2 against four that Y can take
+    k32 = BipartiteGraph.from_edges(3, 2, [(x, y) for x in range(3) for y in range(2)])
+    assert solve(SdmInstance.make(k32, [0, 1, 2])).spair is None
+    assert flow_runs == []
+    # lebensold_condition calls the flow itself, so its W is the flow's
+    verdict = lebensold_condition(k32, 2)
+    assert not verdict.holds and verdict.violating_set == (0, 1, 2)
+    assert flow_runs == [k32]
 
 
 def test_factor_verdict_matches_networkx_flow(flow_runs):
@@ -136,11 +156,15 @@ def test_factor_verdict_matches_networkx_flow(flow_runs):
             assert factor_degrees_ok(g, cap_x, cap_y, factor)
             # a tuple in graph.edges() order, the shape feasible_flow returns
             assert factor == tuple(e for e in g.edges() if e in set(factor))
-        # the flow is skipped exactly when one vertex's degree refutes
+        # the flow is skipped exactly when one vertex's degree refutes or the
+        # caps on X sum past what Y can take
         short = any(len(g.adj[x]) < cap_x[x] for x in range(g.nx))
-        assert flow_runs == ([] if short else [g])
-        seen.add(("one-vertex cut" if short else "flow", factor is not None))
-    assert seen == {("one-vertex cut", False), ("flow", False), ("flow", True)}
+        counted = sum(cap_x) > sum(min(c, len(xs)) for c, xs in zip(cap_y, y_adj(g)))
+        cut = "one-vertex cut" if short else "counting cut" if counted else "flow"
+        assert flow_runs == ([g] if cut == "flow" else [])
+        seen.add((cut, factor is not None))
+    assert seen == {("one-vertex cut", False), ("counting cut", False), ("flow", False),
+                    ("flow", True)}
 
 
 # sha256 over repr(feasible_flow(...)) of the networks below, as Dinic's

@@ -72,11 +72,11 @@ def test_poly_tiny_x_matches_brute_force():
     assert checked == 4 + 2 * (1 + 2 + 4 + 8)
 
 
-def test_poly_anchor_edge_in_either_konig_color():
-    # |S| = |X|-1: M1 must be the color class that holds the edge of the one
-    # X vertex outside S, whichever color konig_color gives that edge
+def test_poly_anchor_edge_in_first_konig_class():
+    # |S| = |X|-1: the split walks the path of the one X vertex outside S
+    # first, so its edge lands in class 1 on every factor, and that class is M1
     rng = random.Random(41)
-    anchor_colors = []
+    found = 0
     for _ in range(300):
         nx = rng.randint(2, 7)
         g = random_graph(rng, nx, rng.randint(2, 8), rng.uniform(0.3, 0.8))
@@ -87,11 +87,13 @@ def test_poly_anchor_edge_in_either_konig_color():
         assert (spair is None) == (factor is None)
         if spair is None:
             continue
+        found += 1
         assert verify_spair(inst, spair)[0]
         classes = konig_color(g, factor, 2)
         (edge,) = [e for e in factor if e[0] == anchor]
-        anchor_colors.append(1 if edge in classes[0].edge_set else 2)
-    assert anchor_colors.count(2) >= 1 and anchor_colors.count(1) >= 1
+        assert edge in classes[0].edge_set
+        assert (spair.m1, spair.m2) == classes
+    assert found >= 30
 
 
 def test_poly_precondition():
