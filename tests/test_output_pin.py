@@ -79,6 +79,9 @@ LEBENSOLD_PINS = {
     7: (2, 0, '947efebfd6a28519'),
     8: (3, 1, '51d81d3a900b5d55'),
     9: (3, 1, '77fa9c5ca5379bbb'),
+    # odd k that holds: the split peels one matching before it halves
+    15: (3, 0, 'b3850ed74e469ac7'),
+    20: (3, 0, '3939323280507531'),  # |X| = |Y|: the peel's padded graph is two copies
 }
 
 
