@@ -7,9 +7,12 @@ two color classes. The split walks the path of the X vertex outside S first,
 so that vertex's edge lands in the first class, M1, and no swap is needed. An
 X vertex with fewer neighbours than its factor degree, or factor degrees on X
 that sum past what Y can take, answers "no" before any flow network is built.
-Every smaller S takes one exact search, labelled BoundedS when |S|
-is within the cap and ExactBacktrack otherwise (the general case is NP-hard),
-with the same step budget under both labels. It walks _matchings, the one
+Every smaller S takes one exact search, labelled BoundedS when |S| is within
+the cap and ExactBacktrack otherwise (the general case is NP-hard), with the
+same step budget under both labels. Before its first step it checks Hall's
+condition on X: fewer Y vertices with a neighbour than X vertices answers "no"
+in O(E), and only a graph that passes this count runs Hopcroft-Karp for the
+X-saturating matching the search starts from. It walks _matchings, the one
 depth-first enumerator of this module, which picks the M2 partner of each S
 vertex in turn with an explicit stack. The search keeps one X-saturating
 matching of the residual graph G - M2 and filters the picks with it: a pick
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .coloring import konig_color
@@ -76,8 +80,12 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
     """
     g = instance.graph
     s = instance.s_set
-    # Hall pre-check: without an X-saturating matching of G there is no M1;
-    # with an empty S that matching is already the answer
+    # Hall pre-check: without an X-saturating matching of G there is no M1.
+    # First Hall's condition on W = X, counted in O(E): fewer Y vertices with
+    # a neighbour than X vertices. Then Hopcroft-Karp; with an empty S its
+    # matching is already the answer.
+    if len(set(chain.from_iterable(g.adj))) < g.nx:
+        return None
     m1 = max_matching(g)
     if len(m1) < g.nx:
         return None

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from sdmatch import (
 )
 from sdmatch.coloring import konig_color
 from sdmatch.flow import gf_factor
-from sdmatch.solve import DEFAULT_BOUNDED_S_CAP
+from sdmatch.matching import max_matching
+from sdmatch.solve import DEFAULT_BOUNDED_S_CAP, SolveOutcome
 from conftest import (
     all_graphs_3x3,
     all_s_subsets,
@@ -118,6 +120,41 @@ def test_bounded_hall_precheck_answers_before_any_step():
     inst = SdmInstance.make(g, range(8))
     assert solve_exact(inst, budget=0) is None
     assert solve(inst, budget=0).spair is None
+
+
+@pytest.fixture
+def matching_runs(monkeypatch):
+    """The graph of every max_matching call of the exact route, in call order."""
+    runs = []
+
+    def recording(graph):
+        runs.append(graph)
+        return max_matching(graph)
+
+    # sdmatch.solve the module, not the function sdmatch exports by that name
+    monkeypatch.setattr(importlib.import_module("sdmatch.solve"), "max_matching", recording)
+    return runs
+
+
+def test_hall_count_refutes_before_hopcroft_karp(matching_runs):
+    # x0 and x1 share y0, the only Y vertex with a neighbour: |N(X)| < |X|
+    inst = SdmInstance.make(BipartiteGraph.from_edges(2, 3, [(0, 0), (1, 0)]), ())
+    for budget in (0, None):
+        assert solve_exact(inst, budget) is None
+        assert solve(inst, budget).spair is None
+    assert matching_runs == []
+
+
+def test_hopcroft_karp_refutes_past_the_hall_count(matching_runs):
+    # |N(X)| = |X| = 3, but x0 and x1 both need y0
+    g = BipartiteGraph.from_edges(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
+    inst = SdmInstance.make(g, [2])
+    for budget in (0, None):
+        assert solve_exact(inst, budget) is None
+        assert len(matching_runs) == 1
+        assert solve(inst, budget) == SolveOutcome(None, Method.BOUNDED_S)
+        assert len(matching_runs) == 2
+        matching_runs.clear()
 
 
 def test_negative_budget_rejected_on_every_route():
