@@ -14,7 +14,7 @@ from .graph import (
     serialize_solution,
     verify_spair,
 )
-from .matching import HallCertificate, max_matching, x_saturating_certificate
+from .matching import max_matching
 from .flow import gf_factor
 from .coloring import konig_color
 from .lebensold import LebensoldVerdict, lebensold_condition

@@ -11,6 +11,10 @@ vertices on its source side; so W violates Lebensold's counting condition
 sum_y min(k, |N(y) cap W|) >= k|W|. Deciding, constructing and certifying
 "no" thus take one max flow, in polynomial time. The flow runs without
 ``gf_factor``'s counting cuts, so W is always the flow's own minimal cut.
+
+k = 1 is Hall's theorem: one X-saturating matching, or a W with
+|W| - |N(W)| = |X| - nu(G), since the cut's value |X| - |W| + |N(W)| is the
+maximum matching size nu(G).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Maximum bipartite matching and Hall-condition certificates.
+"""Maximum bipartite matching.
 
 Matchings come from Hopcroft-Karp (Dinic's algorithm on the unit-capacity
 network) over the graph's own X-side adjacency lists: a greedy start, then
@@ -7,38 +7,17 @@ explicit stack and one arc pointer per X vertex, that augments along shortest
 alternating paths. Nothing recurses, so path length is bounded by memory, not
 by the Python stack. Scan orders are fixed, so the matching is deterministic.
 
-When X is not saturated, the last BFS found no augmenting path, so the X
-vertices it reached form a Hall violator; the certificate reads it off
-without a search of its own.
-
 `rematch` is the incremental step of the exact search: after one matched
 edge leaves the graph, a single alternating BFS repairs the matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .graph import BipartiteGraph, Matching
 
 
-@dataclass(frozen=True)
-class HallCertificate:
-    """Either an X-saturating matching or a violating set W with |N(W)| < |W|."""
-
-    saturating_matching: Optional[Matching]
-    violator: Optional[tuple[int, ...]]
-
-
-def _hopcroft_karp(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
-    """Maximum matching as match_x (y index or -1), plus the alternating
-    distance of each X vertex in the last BFS (-1 where it did not reach).
-
-    The distances matter only when match_x leaves X unsaturated: then the
-    last BFS found no augmenting path and reached every X vertex that an
-    alternating path from a free X vertex reaches.
-    """
+def _hopcroft_karp(graph: BipartiteGraph) -> list[int]:
+    """Maximum matching as match_x: the y index of each X vertex, or -1."""
     adj = graph.adj
     nx = graph.nx
     match_x = [-1] * nx
@@ -50,7 +29,6 @@ def _hopcroft_karp(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
                 match_y[y] = x
                 break
     free = [x for x in range(nx) if match_x[x] == -1]
-    dist: list[int] = []
     while free:
         # BFS: layer X by alternating distance from the free X vertices and
         # stop after the first layer that reaches a free Y vertex
@@ -104,7 +82,7 @@ def _hopcroft_karp(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
                         match_y[y] = x
                     break
         free = [x for x in free if match_x[x] == -1]
-    return match_x, dist
+    return match_x
 
 
 def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
@@ -145,17 +123,4 @@ def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
 
 def max_matching(graph: BipartiteGraph) -> Matching:
     """Deterministic maximum matching (ascending x, ascending neighbor scan)."""
-    match_x, _ = _hopcroft_karp(graph)
-    return Matching.from_match_x(match_x)
-
-
-def x_saturating_certificate(graph: BipartiteGraph) -> HallCertificate:
-    """An X-saturating matching, or the Hall violator W of Hopcroft-Karp's
-    last BFS, with |W| - |N(W)| = |X| - nu(G)."""
-    match_x, dist = _hopcroft_karp(graph)
-    if -1 not in match_x:
-        return HallCertificate(Matching.from_match_x(match_x), None)
-    # W holds the free X vertices and every X vertex an alternating path
-    # reaches from them. Each y in N(W) is matched (else the BFS would have
-    # found an augmenting path) to a mate in W, so |N(W)| = |W| - #free.
-    return HallCertificate(None, tuple(x for x in range(graph.nx) if dist[x] >= 0))
+    return Matching.from_match_x(_hopcroft_karp(graph))

@@ -174,6 +174,25 @@ def networkx_network(graph: BipartiteGraph, cap_x, cap_y):
     return net
 
 
+def networkx_min_cut_x(graph: BipartiteGraph, cap_x, cap_y) -> tuple[int, ...]:
+    """The X side of the minimal minimum cut of the degree network: the X
+    vertices reachable from s in the residual network of networkx's own
+    Edmonds-Karp flow, ascending. It is empty exactly when the flow value is
+    sum(cap_x), that is when a factor exists. Skips the test without networkx."""
+    net = networkx_network(graph, cap_x, cap_y)
+    net.add_nodes_from(("s", "t"))  # absent when X or Y is empty
+    from networkx.algorithms.flow import edmonds_karp
+
+    residual = edmonds_karp(net, "s", "t")
+    seen, queue = {"s"}, ["s"]
+    for u in queue:
+        for v, arc in residual[u].items():
+            if arc["capacity"] - arc["flow"] > 0 and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return tuple(x for x in range(graph.nx) if ("x", x) in seen)
+
+
 def random_formula(rng: random.Random, max_vars=3, max_clauses=3) -> CnfFormula:
     """A random CNF over 1..max_vars variables with 1..max_clauses clauses of
     1..3 literals each."""

@@ -16,7 +16,6 @@ from sdmatch import (
     reduce_sdm_to_dm,
     true_false_pairs,
     verify_spair,
-    x_saturating_certificate,
 )
 from sdmatch.cli import run
 from sdmatch.reductions import (
@@ -94,9 +93,6 @@ def test_criterion_3_lebensold_equivalence():
                 ok = False
             if (verdict.matchings is not None) != expected:
                 ok = False
-        hall = x_saturating_certificate(g).saturating_matching is not None
-        if hall != lebensold_brute_force(g, 1):
-            ok = False
     ok = ok and time.time() - started < 30
     report("criterion 3: counting condition and construction match brute force, k=1..3",
            ok, started)

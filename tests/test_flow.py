@@ -5,8 +5,9 @@ import pytest
 
 from sdmatch import BipartiteGraph, SdmInstance, gf_factor, lebensold_condition, solve
 from sdmatch.flow import feasible_flow
-from sdmatch.matching import max_matching, x_saturating_certificate
-from conftest import factor_degrees_ok, k22, networkx_network, random_graph, y_adj
+from sdmatch.matching import max_matching
+from conftest import (factor_degrees_ok, k22, networkx_min_cut_x, networkx_network, random_graph,
+                      y_adj)
 
 
 def brute_force_factor_exists(g, cap_x, cap_y):
@@ -28,7 +29,9 @@ def test_k22_flow_saturates_edge_arcs():
 
 def test_unit_bounds_match_saturating_matching():
     # with every cap 1 the degree network is the matching problem, so the
-    # degree engine gives Hopcroft-Karp's matching, or its Hall violator W
+    # degree engine gives Hopcroft-Karp's matching, or the Hall violator W
+    # that networkx's residual network gives: the minimal min cut's X side
+    pytest.importorskip("networkx")
     rng = random.Random(3)
     graphs = [random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5) for _ in range(200)]
     graphs += [BipartiteGraph.from_edges(0, 0, []), BipartiteGraph.from_edges(0, 3, []),
@@ -41,7 +44,7 @@ def test_unit_bounds_match_saturating_matching():
     for g in graphs:
         factor = gf_factor(g, [1] * g.nx, [1] * g.ny)
         assert (factor is not None) == (len(max_matching(g)) == g.nx)
-        violator = x_saturating_certificate(g).violator
+        violator = networkx_min_cut_x(g, [1] * g.nx, [1] * g.ny)
         expected = (None, violator) if violator else (max_matching(g).edges, None)
         assert feasible_flow(g, [1] * g.nx, [1] * g.ny) == expected
         assert feasible_flow(g, [0] * g.nx, [0] * g.ny) == ((), None)

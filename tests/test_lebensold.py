@@ -6,13 +6,14 @@ from sdmatch import (
     BipartiteGraph,
     is_matching,
     lebensold_condition,
-    x_saturating_certificate,
+    max_matching,
 )
 from sdmatch.flow import feasible_flow
 from conftest import (
     factor_degrees_ok,
     k22,
     lebensold_brute_force,
+    networkx_min_cut_x,
     networkx_network,
     random_graph,
     y_adj,
@@ -24,8 +25,7 @@ def test_k1_equals_hall():
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 5), rng.randint(1, 5), 0.4)
         verdict = lebensold_condition(g, 1)
-        cert = x_saturating_certificate(g)
-        assert verdict.holds == (cert.saturating_matching is not None)
+        assert verdict.holds == (len(max_matching(g)) == g.nx)
         assert verdict.holds == lebensold_brute_force(g, 1)
 
 
@@ -131,6 +131,34 @@ def test_every_witness_has_positive_deficit():
     assert violated > 100
 
 
+def test_violator_deficiency_equals_matching_deficiency():
+    # at k = 1 the cut's value |X| - |W| + |N(W)| is nu(G), so W is short by
+    # |X| - nu(G) neighbours, not just one
+    rng = random.Random(15)
+    pair = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])  # x0, x1 -> {y0}
+    graphs = [pair, k22()]
+    graphs += [random_graph(rng, rng.randint(1, 9), rng.randint(1, 7), rng.uniform(0.1, 0.5))
+               for _ in range(300)]
+    deficiencies = set()
+    for g in graphs:
+        verdict = lebensold_condition(g, 1)
+        assert_verdict_certified(g, 1, verdict)
+        deficiency = g.nx - len(max_matching(g))
+        if verdict.holds:
+            assert deficiency == 0
+            assert verdict.violating_set is None
+            assert verdict.matchings == (max_matching(g),)
+            continue
+        assert verdict.matchings is None
+        w = verdict.violating_set
+        neigh = {y for x in w for y in g.adj[x]}
+        assert len(w) - len(neigh) == deficiency
+        deficiencies.add(deficiency)
+    assert lebensold_condition(pair, 1).violating_set == (0, 1)
+    assert [len(m) for m in lebensold_condition(k22(), 1).matchings] == [2]
+    assert max(deficiencies) >= 3
+
+
 def d_out_graph(rng, nx, ny, d):
     """Each X vertex gets d distinct random neighbours."""
     return BipartiteGraph.from_edges(nx, ny, [(x, y) for x in range(nx) for y in rng.sample(range(ny), d)])
@@ -142,8 +170,6 @@ def test_witness_is_the_minimal_min_cut_of_networkx():
     the residual network of networkx's own Edmonds-Karp flow must give it,
     for Lebensold's uniform caps and for random per-vertex caps alike."""
     pytest.importorskip("networkx")
-    from networkx.algorithms.flow import edmonds_karp
-
     rng = random.Random(26)
     # the caps draw from a stream of their own, so the graphs stay the same
     caps_rng = random.Random(27)
@@ -164,18 +190,9 @@ def test_witness_is_the_minimal_min_cut_of_networkx():
         cap_verdicts.add(factor is not None)
         cases.append((cap_x, cap_y, factor is not None, w))
         for cap_x, cap_y, holds, w in cases:
-            residual = edmonds_karp(networkx_network(g, cap_x, cap_y), "s", "t")
-            assert holds == (residual.graph["flow_value"] == sum(cap_x))
-            if holds:
-                assert w is None
-                continue
-            seen, queue = {"s"}, ["s"]
-            for u in queue:
-                for v, arc in residual[u].items():
-                    if arc["capacity"] - arc["flow"] > 0 and v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-            assert w == tuple(x for x in range(g.nx) if ("x", x) in seen)
+            cut = networkx_min_cut_x(g, cap_x, cap_y)
+            assert holds == (cut == ())
+            assert w == (cut or None)
     assert 100 < violated < 1200  # both verdicts occur
     assert cap_verdicts == {True, False}
 

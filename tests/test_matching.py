@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdmatch import BipartiteGraph, max_matching, x_saturating_certificate
+from sdmatch import BipartiteGraph, max_matching
 from conftest import chain_graph, edge_subset_matchings, k22, random_graph
 
 
@@ -36,53 +36,6 @@ def test_determinism_under_reserialization():
         g = random_graph(rng, 5, 5, 0.5)
         g2 = BipartiteGraph.from_edges(g.nx, g.ny, reversed(g.edges()))
         assert max_matching(g) == max_matching(g2)
-
-
-def test_certificate_violator_simple():
-    g = BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)])
-    cert = x_saturating_certificate(g)
-    assert cert.saturating_matching is None
-    assert cert.violator == (0, 1)
-
-
-def test_certificate_saturating_k22():
-    g = k22()
-    cert = x_saturating_certificate(g)
-    assert cert.violator is None
-    assert len(cert.saturating_matching) == 2
-
-
-def test_certificate_exactly_one_arm_and_violator_checks():
-    rng = random.Random(8)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 6), rng.randint(1, 6), 0.4)
-        cert = x_saturating_certificate(g)
-        assert (cert.saturating_matching is None) != (cert.violator is None)
-        if cert.violator is not None:
-            neigh = set()
-            for x in cert.violator:
-                neigh.update(g.adj[x])
-            assert len(neigh) < len(cert.violator)
-        else:
-            assert cert.saturating_matching.covered_x == frozenset(range(g.nx))
-
-
-def test_violator_deficiency_equals_matching_deficiency():
-    # the violator holds every X vertex that an alternating path reaches from
-    # a free X vertex, so it is short by |X| - nu(G) neighbors, not just one
-    rng = random.Random(15)
-    deficiencies = set()
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 9), rng.randint(1, 7), rng.uniform(0.1, 0.5))
-        cert = x_saturating_certificate(g)
-        deficiency = g.nx - len(max_matching(g))
-        if cert.violator is None:
-            assert deficiency == 0
-            continue
-        neigh = {y for x in cert.violator for y in g.adj[x]}
-        assert len(cert.violator) - len(neigh) == deficiency
-        deficiencies.add(deficiency)
-    assert max(deficiencies) >= 3
 
 
 def sparse_random_graphs(seed: int, count: int):

@@ -12,15 +12,6 @@ import sdmatch
 ALLOWED = {
     ("cli.py", "_Parser.error"):
         "overrides argparse.ArgumentParser.error, which argparse calls",
-    ("matching.py", "x_saturating_certificate"):
-        "the Hall certificate of the library API; the Hall witness of ROADMAP item 4 "
-        "gives it a caller",
-    ("matching.py", "HallCertificate.saturating_matching"):
-        "the Hall certificate of the library API; the Hall witness of ROADMAP item 4 "
-        "gives it a caller",
-    ("matching.py", "HallCertificate.violator"):
-        "the Hall certificate of the library API; the Hall witness of ROADMAP item 4 "
-        "gives it a caller",
     ("reductions.py", "encode_assignment_to_spair"):
         "the paper's certificate translation, assignment to S-pair",
     ("reductions.py", "project_dm_to_spair"):
