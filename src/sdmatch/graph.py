@@ -2,16 +2,20 @@
 
 Vertices are identified by (side, index): X vertices 0..nx-1, Y vertices
 0..ny-1. All types are immutable after construction; operations are pure.
-Indices are 0-based in memory and 1-based in the text format. Parsing an
-instance builds the X-side adjacency lists directly, in one pass over the
-text, without an intermediate edge list.
+Indices are 0-based in memory and 1-based in the text format. An instance
+is read by one of two readers with the same result: text in the plain form
+that `serialize_instance` writes is read in bulk, and every other text, or
+a plain one that fails a check, line by line. Only the line reader raises.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 
@@ -182,10 +186,55 @@ def serialize_graph(graph: BipartiteGraph) -> str:
     return serialize_instance(SdmInstance(graph, ()))
 
 
+# Exactly the form serialize_instance writes, in any edge order. The
+# quantifiers are possessive, so the match keeps no backtracking state per
+# line; [0-9] is ASCII, where \d would also take other scripts' digits.
+_PLAIN = re.compile(
+    r"p sdm ([0-9]+) ([0-9]+) ([0-9]+)\n"
+    r"((?:e [1-9][0-9]* [1-9][0-9]*\n)*+)"
+    r"(?:s((?: [0-9]+)*+)\n)?"
+)
+
+
 def parse_instance(text: str) -> SdmInstance:
+    """Read an instance. Text in the plain form is read in bulk; any other
+    text, and a plain one that fails a check, goes to the line reader, which
+    gives the same instance or raises FormatError naming the line. Duplicate
+    e lines count toward the header's m but add no edge."""
+    return _parse_plain(text) or _parse_lines(text)
+
+
+def _parse_plain(text: str) -> Optional[SdmInstance]:
+    """The instance of a plain-form text, or None for the line reader: when
+    the text is not in the plain form, a number does not convert, m is not
+    the number of e lines, or an endpoint or S member is out of range."""
+    match = _PLAIN.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        nx, ny, m = int(match[1]), int(match[2]), int(match[3])
+        # json's C scanner reads the numbers without one string per number
+        nums = json.loads("[" + match[4][2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+        s_line = json.loads("[" + match[5][1:].replace(" ", ",") + "]") if match[5] else []
+    except ValueError:
+        return None
+    if (len(nums) != 2 * m
+            or max(islice(nums, 0, None, 2), default=0) > nx
+            or max(islice(nums, 1, None, 2), default=0) > ny
+            or not all(1 <= x <= nx for x in s_line)):
+        return None
+    neigh: list[list[int]] = [[] for _ in range(nx)]
+    pairs = iter(nums)
+    for x, y in zip(pairs, pairs):
+        neigh[x - 1].append(y - 1)
+    del nums, pairs  # freed before the tuples are built, which lowers the peak
+    graph = BipartiteGraph(nx, ny, tuple(tuple(sorted(set(a))) for a in neigh))
+    return SdmInstance.make(graph, [x - 1 for x in s_line])
+
+
+def _parse_lines(text: str) -> SdmInstance:
     """Read an instance in one pass: each e line is checked once and goes
-    straight into the neighbour set of its X vertex. Duplicate e lines count
-    toward the header's m but add no edge."""
+    straight into the neighbour set of its X vertex."""
     nx = ny = m = -1
     neigh: list[set[int]] = []
     n_edges = 0
