@@ -43,15 +43,14 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
     """
     adj, nx = graph.adj, graph.nx
     room_x, room_y = list(cap_x), list(cap_y)
-    held: list[list[int]] = [[] for _ in range(nx)]  # the Y vertices x sends a unit to
     # the X vertices that send y a unit, ascending: the order in which Dinic's
     # algorithm scans y's reverse arcs, so the DFS below steps back through the
-    # same holder and finds the same factor
+    # same holder and finds the same factor. It is the one record of the flow:
+    # x sends y a unit exactly when x is in holders[y].
     holders: list[list[int]] = [[] for _ in range(graph.ny)]
     for x in range(nx):
         for y in adj[x]:
             if room_x[x] and room_y[y]:
-                held[x].append(y)
                 holders[y].append(x)
                 room_x[x] -= 1
                 room_y[y] -= 1
@@ -69,13 +68,13 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
             next_layer = []
             for x in layer:
                 d = dist[x] + 1
-                mine = held[x]
                 for y in adj[x]:
-                    if y in mine:
+                    held_by = holders[y]
+                    if x in held_by:
                         continue
                     if room_y[y]:
                         found = True
-                    for x2 in holders[y]:
+                    for x2 in held_by:
                         if dist[x2] == -1:
                             dist[x2] = d
                             next_layer.append(x2)
@@ -90,12 +89,13 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
             stack = [root]
             while stack:
                 x = stack[-1]
-                neighbors, mine = adj[x], held[x]
+                neighbors = adj[x]
                 i, end, d = ptr[x], len(neighbors), dist[x] + 1
                 while i < end:
                     y = neighbors[i]
-                    if y not in mine:
-                        for x2 in holders[y]:
+                    held_by = holders[y]
+                    if x not in held_by:
+                        for x2 in held_by:
                             if dist[x2] == d:
                                 break
                         else:
@@ -115,10 +115,7 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
                     y = -1
                     for x in stack:
                         given, y = y, adj[x][ptr[x]]
-                        if given == -1:
-                            held[x].append(y)
-                        else:
-                            held[x][held[x].index(given)] = y
+                        if given != -1:
                             holders[given].remove(x)
                         insort(holders[y], x)
                     room_y[y] -= 1
@@ -128,7 +125,7 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
                     del stack[1:]
         free = [x for x in free if room_x[x]]
     if not free:
-        return tuple((x, y) for x in range(nx) for y in adj[x] if y in held[x]), None
+        return tuple((x, y) for x in range(nx) for y in adj[x] if x in holders[y]), None
     return None, tuple(x for x in range(nx) if dist[x] >= 0)
 
 

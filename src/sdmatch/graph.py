@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class FormatError(ValueError):
@@ -232,6 +232,16 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
     return SdmInstance.make(graph, [x - 1 for x in s_line])
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(lineno, line.strip()), lineno from 1, for each line that is neither
+    blank nor a comment (first non-blank character ``c``): the line rule of
+    the instance, solution, DIMACS CNF and gadget map formats."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "c":
+            yield lineno, line
+
+
 def _parse_lines(text: str) -> SdmInstance:
     """Read an instance in one pass: each e line is checked once and goes
     straight into the neighbour set of its X vertex."""
@@ -240,31 +250,27 @@ def _parse_lines(text: str) -> SdmInstance:
     n_edges = 0
     s_line: Optional[list[int]] = None
     seen_p = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
+    for lineno, line in content_lines(text):
+        tokens = line.split()
         kind = tokens[0]
         if kind == "e":
             if not seen_p:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: malformed edge line {raw.strip()!r}")
+                raise FormatError(f"line {lineno}: malformed edge line {line!r}")
             try:
                 x, y = int(tokens[1]), int(tokens[2])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer endpoint") from exc
             if not (1 <= x <= nx and 1 <= y <= ny):
-                raise FormatError(f"line {lineno}: endpoint out of range in {raw.strip()!r}")
+                raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
             neigh[x - 1].add(y - 1)
             n_edges += 1
-        elif kind[0] == "c":
-            continue
         elif kind == "p":
             if seen_p:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(tokens) != 5 or tokens[1] != "sdm":
-                raise FormatError(f"line {lineno}: malformed problem line {raw.strip()!r}")
+                raise FormatError(f"line {lineno}: malformed problem line {line!r}")
             try:
                 nx, ny, m = int(tokens[2]), int(tokens[3]), int(tokens[4])
             except ValueError as exc:
@@ -331,11 +337,7 @@ def _parse_matching_line(line: str, label: str, lineno: int) -> Matching:
 
 
 def parse_solution(text: str) -> Optional[SPair]:
-    lines = [
-        (i, ln.strip())
-        for i, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("c")
-    ]
+    lines = list(content_lines(text))
     if not lines:
         raise FormatError("empty solution")
     lineno, first = lines[0]

@@ -22,6 +22,7 @@ from .graph import (
     Matching,
     SdmInstance,
     SPair,
+    content_lines,
     is_matching,
     verify_spair,
 )
@@ -59,10 +60,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     num_vars = num_clauses = -1
     clauses: list[list[int]] = []
     current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("p"):
             if num_vars >= 0:  # a header was read already
                 raise FormatError(f"line {lineno}: duplicate header")
@@ -319,10 +317,7 @@ def parse_gadget_map(text: str) -> GadgetMap:
     variables = 0
     clauses = 0
     entries: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if tokens[0] != "m" or len(tokens) < 3:
             raise FormatError(f"line {lineno}: unknown directive {line!r}")

@@ -185,6 +185,20 @@ def test_reduce_3sat_unsat_formula_roundtrip(tmp_path):
     assert code == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_decode_refuses_a_pair_that_verify_rejects(tmp_path):
+    # the true pair of cycle 1 alone leaves the clause gadgets x5 and x6
+    # unmatched, so it is no S-pair of the reduction and decodes to nothing
+    cnf = write(tmp_path, "u.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+    map_path = str(tmp_path / "u.map")
+    code, out, _ = invoke(["reduce-3sat", cnf, "--map", map_path])
+    assert code == 0
+    inst_path = write(tmp_path, "u.sdm", out)
+    sol = write(tmp_path, "u.sol", "RESULT yes\nM1 1:1 2:2 3:3 4:4\nM2 1:2 3:4\n")
+    assert invoke(["verify", inst_path, sol]) == (1, "INVALID m1 does not saturate X\n", "")
+    assert invoke(["decode", map_path, sol])[0] != 0
+
+
 def test_reduce_3sat_without_map_prints_it_after_the_instance(tmp_path):
     cnf = write(tmp_path, "f.cnf", "p cnf 2 2\n1 -2 0\n2 0\n")
     instance, gm = reduce_3sat_to_sdm(CnfFormula.make(2, [[1, -2], [2]]))
