@@ -61,10 +61,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reduce-3sat", help="reduce a DIMACS CNF to SDM")
     p.add_argument("cnf")
     p.add_argument("--map", dest="map_path", default=None,
-                   help="write the mapping sidecar here instead of stdout")
+                   help="write a copy of the CNF here, for decode")
 
     p = sub.add_parser("decode", help="decode a solution into an assignment")
-    p.add_argument("mapping")
+    p.add_argument("cnf", help="the reduced CNF, or the copy that --map wrote")
     p.add_argument("solution")
 
     p = sub.add_parser("reduce-dm", help="reduce SDM to the two-graph problem")
@@ -165,28 +165,25 @@ def _cmd_lebensold(args, out: IO[str]) -> int:
 
 
 def _cmd_reduce_3sat(args, out: IO[str]) -> int:
-    formula = rmod.parse_dimacs_cnf(_read(args.cnf))
+    cnf = _read(args.cnf)
+    formula = rmod.parse_dimacs_cnf(cnf)
     if not formula.clauses:
         out.write("c trivially satisfiable (no clauses); nothing to reduce\n")
         return EXIT_YES
-    instance, gm = rmod.reduce_3sat_to_sdm(formula)
-    text = gmod.serialize_instance(instance)
-    mapping = rmod.serialize_gadget_map(gm)
-    if args.map_path is None:
-        text += mapping
-    else:
-        _write_files([(args.map_path, mapping)])
-    out.write(text)
+    instance, _ = rmod.reduce_3sat_to_sdm(formula)
+    if args.map_path is not None:
+        _write_files([(args.map_path, cnf)])
+    out.write(gmod.serialize_instance(instance))
     return EXIT_YES
 
 
 def _cmd_decode(args, out: IO[str]) -> int:
-    gm = rmod.parse_gadget_map(_read(args.mapping))
+    formula = rmod.parse_dimacs_cnf(_read(args.cnf))
     spair = gmod.parse_solution(_read(args.solution))
     if spair is None:
         out.write("c RESULT no: nothing to decode\n")
         return EXIT_NO
-    values = rmod.decode_spair_to_assignment(gm, spair)
+    values = rmod.decode_spair_to_assignment(formula, spair)
     lits = [i if values[i] else -i for i in sorted(values)]
     out.write("v " + " ".join(str(l) for l in lits) + " 0\n")
     return EXIT_YES

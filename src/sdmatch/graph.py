@@ -235,7 +235,7 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(lineno, line.strip()), lineno from 1, for each line that is neither
     blank nor a comment (first non-blank character ``c``): the line rule of
-    the instance, solution, DIMACS CNF and gadget map formats."""
+    the instance, solution and DIMACS CNF formats."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and line[0] != "c":

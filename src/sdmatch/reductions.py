@@ -145,13 +145,19 @@ class GadgetMap:
         return sorted(members)
 
 
+def gadget_map(formula: CnfFormula) -> GadgetMap:
+    """The gadget layout of a formula, which its clause and variable counts
+    fix; a formula with no clauses has none."""
+    if not formula.clauses:
+        raise ValueError("formula has no clauses (trivially satisfiable)")
+    return GadgetMap(len(formula.clauses), formula.num_vars)
+
+
 def reduce_3sat_to_sdm(formula: CnfFormula) -> tuple[SdmInstance, GadgetMap]:
     """Build the gadget instance: per-variable cycles, per-clause edges,
     plus one literal edge for each occurrence."""
-    s, t = len(formula.clauses), formula.num_vars
-    if s == 0:
-        raise ValueError("formula has no clauses (trivially satisfiable)")
-    gm = GadgetMap(s, t)
+    gm = gadget_map(formula)
+    s, t = gm.s, gm.t
     nx = 2 * s * t + s
     ny = 2 * s * t + s
     edges: list[tuple[int, int]] = []
@@ -189,8 +195,10 @@ def true_false_pairs(gm: GadgetMap, i: int) -> tuple[SPair, SPair]:
     )
 
 
-def decode_spair_to_assignment(gm: GadgetMap, spair: SPair) -> dict[int, bool]:
-    """Read off the variable values from which pair each cycle carries."""
+def decode_spair_to_assignment(formula: CnfFormula, spair: SPair) -> dict[int, bool]:
+    """Read off the variable values from which pair each cycle carries, and
+    refuse them unless they satisfy every clause of the formula."""
+    gm = gadget_map(formula)
     m1, m2 = spair.m1.edge_set, spair.m2.edge_set
     values: dict[int, bool] = {}
     for i in range(1, gm.t + 1):
@@ -200,15 +208,18 @@ def decode_spair_to_assignment(gm: GadgetMap, spair: SPair) -> dict[int, bool]:
                 break
         else:
             raise ValueError(f"cycle {i} carries neither the true nor the false pair")
+    for k, clause in enumerate(formula.clauses, start=1):
+        if not any(values[abs(lit)] == (lit > 0) for lit in clause):
+            raise ValueError(f"decoded assignment does not satisfy clause {k}")
     return values
 
 
-def encode_assignment_to_spair(gm: GadgetMap, formula: CnfFormula,
-                               assignment: dict[int, bool]) -> SPair:
+def encode_assignment_to_spair(formula: CnfFormula, assignment: dict[int, bool]) -> SPair:
     """Build a certificate from a satisfying assignment.
 
     Clause witness: the lowest-index variable satisfying the clause.
     """
+    gm = gadget_map(formula)
     m1: list[tuple[int, int]] = []
     m2: list[tuple[int, int]] = []
     for i in range(1, gm.t + 1):
@@ -299,39 +310,3 @@ def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, M
         raise ValueError("helper graph has no saturating matching")
     return spair.m1, Matching.from_edges(kept + list(extra.edges))
 
-
-# ---------------------------------------------------------------------------
-# Sidecar mapping format
-
-
-def serialize_gadget_map(gm: GadgetMap) -> str:
-    lines = []
-    for i in range(1, gm.t + 1):
-        lines.append(f"m variable {i} cycle y{gm.cycle_y(i, 1) + 1}")
-    for k in range(1, gm.s + 1):
-        lines.append(f"m clause {k} w x{gm.clause_w(k) + 1} z y{gm.clause_z(k) + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_gadget_map(text: str) -> GadgetMap:
-    variables = 0
-    clauses = 0
-    entries: list[list[str]] = []
-    for lineno, line in content_lines(text):
-        tokens = line.split()
-        if tokens[0] != "m" or len(tokens) < 3:
-            raise FormatError(f"line {lineno}: unknown directive {line!r}")
-        if tokens[1] == "variable":
-            variables += 1
-        elif tokens[1] == "clause":
-            clauses += 1
-        else:
-            raise FormatError(f"line {lineno}: unknown mapping kind {tokens[1]!r}")
-        entries.append(tokens)
-    if variables == 0 or clauses == 0:
-        raise FormatError("mapping must list at least one variable and one clause")
-    gm = GadgetMap(clauses, variables)
-    # cross-check ids against the canonical numbering
-    if serialize_gadget_map(gm).split() != [t for e in entries for t in e]:
-        raise FormatError("mapping ids do not match the canonical gadget numbering")
-    return gm

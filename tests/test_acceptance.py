@@ -105,16 +105,16 @@ def test_criterion_4_sat_round_trip():
     for _ in range(500):
         formula = random_formula(rng)
         sat = brute_force_satisfiable(formula) is not None
-        inst, gm = reduce_3sat_to_sdm(formula)
+        inst, _ = reduce_3sat_to_sdm(formula)
         spair = solve_exact(inst)
         if (spair is not None) != sat:
             ok = False
             continue
         if spair is not None:
-            values = decode_spair_to_assignment(gm, spair)
+            values = decode_spair_to_assignment(formula, spair)
             if not satisfies(formula, values):
                 ok = False
-            encoded = encode_assignment_to_spair(gm, formula, values)
+            encoded = encode_assignment_to_spair(formula, values)
             if not verify_spair(inst, encoded)[0]:
                 ok = False
     ok = ok and time.time() - started < 300

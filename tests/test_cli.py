@@ -12,7 +12,7 @@ from sdmatch import (BipartiteGraph, SdmInstance, is_matching, parse_instance, s
                      serialize_solution, solve)
 from sdmatch import cli
 from sdmatch.cli import run
-from sdmatch.reductions import CnfFormula, GadgetMap, reduce_3sat_to_sdm, serialize_gadget_map
+from sdmatch.reductions import CnfFormula, reduce_3sat_to_sdm
 from conftest import c8_cycle, chain_graph
 
 C8_TEXT = serialize_instance(c8_cycle()[0])
@@ -185,7 +185,6 @@ def test_reduce_3sat_unsat_formula_roundtrip(tmp_path):
     assert code == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
 def test_decode_refuses_a_pair_that_verify_rejects(tmp_path):
     # the true pair of cycle 1 alone leaves the clause gadgets x5 and x6
     # unmatched, so it is no S-pair of the reduction and decodes to nothing
@@ -196,14 +195,43 @@ def test_decode_refuses_a_pair_that_verify_rejects(tmp_path):
     inst_path = write(tmp_path, "u.sdm", out)
     sol = write(tmp_path, "u.sol", "RESULT yes\nM1 1:1 2:2 3:3 4:4\nM2 1:2 3:4\n")
     assert invoke(["verify", inst_path, sol]) == (1, "INVALID m1 does not saturate X\n", "")
-    assert invoke(["decode", map_path, sol])[0] != 0
+    assert invoke(["decode", map_path, sol]) == \
+        (2, "", "error: decoded assignment does not satisfy clause 2\n")
 
 
-def test_reduce_3sat_without_map_prints_it_after_the_instance(tmp_path):
+def test_map_is_a_copy_of_the_cnf_and_decodes_alike(tmp_path):
+    text = "c two clauses\np cnf 2 2\n1 -2 0\n2 0\n"
+    cnf = write(tmp_path, "f.cnf", text)
+    map_path = tmp_path / "f.map"
+    code, out, _ = invoke(["reduce-3sat", cnf, "--map", str(map_path)])
+    assert code == 0
+    assert map_path.read_text() == text
+    sol = write(tmp_path, "f.sol", invoke(["solve", write(tmp_path, "f.sdm", out)])[1])
+    decoded = invoke(["decode", str(map_path), sol])
+    assert decoded == invoke(["decode", cnf, sol]) == (0, "v 1 2 0\n", "")
+
+
+def test_decode_refuses_an_old_map(tmp_path):
+    # the m-line map that reduce-3sat --map used to write for one variable
+    # and one clause
+    old = write(tmp_path, "f.map", "m variable 1 cycle y1\nm clause 1 w x3 z y3\n")
+    sol = write(tmp_path, "f.sol", "RESULT yes\nM1 1:1 2:2 3:3\nM2 1:2 3:1\n")
+    assert invoke(["decode", old, sol]) == (2, "", "error: line 1: clause before header\n")
+
+
+def test_decode_refuses_a_cnf_without_clauses(tmp_path):
+    cnf = write(tmp_path, "empty.cnf", "p cnf 2 0\n")
+    sol = write(tmp_path, "f.sol", "RESULT yes\nM1 1:1 2:2 3:3\nM2 1:2 3:1\n")
+    assert invoke(["decode", cnf, sol]) == \
+        (2, "", "error: formula has no clauses (trivially satisfiable)\n")
+
+
+def test_reduce_3sat_without_map_prints_only_the_instance(tmp_path):
     cnf = write(tmp_path, "f.cnf", "p cnf 2 2\n1 -2 0\n2 0\n")
-    instance, gm = reduce_3sat_to_sdm(CnfFormula.make(2, [[1, -2], [2]]))
-    assert invoke(["reduce-3sat", cnf]) == \
-        (0, serialize_instance(instance) + serialize_gadget_map(gm), "")
+    instance, _ = reduce_3sat_to_sdm(CnfFormula.make(2, [[1, -2], [2]]))
+    code, out, err = invoke(["reduce-3sat", cnf])
+    assert (code, out, err) == (0, serialize_instance(instance), "")
+    assert invoke(["solve", write(tmp_path, "f.sdm", out)])[0] in (0, 1)
 
 
 def test_reduce_3sat_without_clauses_is_trivially_satisfiable(tmp_path):
@@ -226,9 +254,9 @@ def test_reduce_3sat_without_variables(tmp_path, text, expected):
 def test_verify_and_decode_on_a_no_answer(tmp_path):
     inst = write(tmp_path, "i.sdm", "p sdm 1 1 1\ne 1 1\ns 1\n")
     sol = write(tmp_path, "no.sol", "c method PolyLargeS\nRESULT no\n")
-    mapping = write(tmp_path, "f.map", serialize_gadget_map(GadgetMap(1, 1)))
+    cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
     assert invoke(["verify", inst, sol]) == (0, "VALID no certificate to verify\n", "")
-    assert invoke(["decode", mapping, sol]) == (1, "c RESULT no: nothing to decode\n", "")
+    assert invoke(["decode", cnf, sol]) == (1, "c RESULT no: nothing to decode\n", "")
 
 
 def test_reduce_dm_files(tmp_path):
@@ -512,11 +540,10 @@ def mixed_commands(tmp_path):
     c8_sol = write(tmp_path, "c8.sol", "RESULT yes\nM1 1:2 2:3 3:4 4:1\nM2 1:1 3:3\n")
     bad_sol = write(tmp_path, "bad.sol", "RESULT yes\nM1 1:1\nM2 1:1\n")
     no_sol = write(tmp_path, "no.sol", "c method PolyLargeS\nRESULT no\n")
-    instance, gm = reduce_3sat_to_sdm(CnfFormula.make(3, [[1, -2, 3], [-1, 2, 3]]))
+    instance, _ = reduce_3sat_to_sdm(CnfFormula.make(3, [[1, -2, 3], [-1, 2, 3]]))
     cnf = write(tmp_path, "f.cnf", "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
     unsat = write(tmp_path, "u.cnf", "p cnf 1 2\n1 0\n-1 0\n")
     empty = write(tmp_path, "empty.cnf", "p cnf 2 0\n")
-    f_map = write(tmp_path, "f.map", serialize_gadget_map(gm))
     f_sol = write(tmp_path, "f.sol", serialize_solution(solve(instance).spair))
     missing = str(tmp_path / "missing")
     out = str(tmp_path / "out")
@@ -530,7 +557,8 @@ def mixed_commands(tmp_path):
         ["reduce-3sat", cnf], ["reduce-3sat", cnf, "--map", out + ".map"],
         ["reduce-3sat", unsat], ["reduce-3sat", empty],
         ["reduce-3sat", cnf, "--map", missing + "/f.map"],
-        ["decode", f_map, f_sol], ["decode", f_map, no_sol], ["decode", f_map],
+        ["decode", cnf, f_sol], ["decode", cnf, no_sol], ["decode", cnf],
+        ["decode", unsat, f_sol], ["decode", empty, f_sol],
         ["reduce-dm", small_s], ["reduce-dm", one],
         ["reduce-dm", small_s, "--g1", out + ".g1", "--g2", out + ".g2"],
         ["reduce-dm", small_s, "--g1", out + ".g1", "--g2", missing + "/b.sdm"],

@@ -1,6 +1,6 @@
-"""One line scanner serves the four text readers (instance, solution, DIMACS
-CNF and gadget map): `graph.content_lines` alone splits a text into lines, so
-the blank and comment rule and the 1-based line numbers are written once. A
+"""One line scanner serves the three text readers (instance, solution and
+DIMACS CNF): `graph.content_lines` alone splits a text into lines, so the
+blank and comment rule and the 1-based line numbers are written once. A
 second caller of `.splitlines()` would be a second copy of that rule."""
 
 import ast

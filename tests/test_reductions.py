@@ -22,7 +22,7 @@ from sdmatch import (
     true_false_pairs,
     verify_spair,
 )
-from sdmatch.reductions import _check_dm_solution, parse_gadget_map, serialize_gadget_map
+from sdmatch.reductions import _check_dm_solution
 from conftest import (
     brute_force_satisfiable,
     random_formula,
@@ -174,26 +174,35 @@ def test_figure_pairs_s2(c8_gadget):
 
 def test_decode_reads_cycle_value():
     f = CnfFormula.make(1, [[1]])
-    inst, gm = reduce_3sat_to_sdm(f)
+    inst, _ = reduce_3sat_to_sdm(f)
     spair = solve_exact(inst)
-    values = decode_spair_to_assignment(gm, spair)
+    values = decode_spair_to_assignment(f, spair)
     assert values == {1: True}
 
 
 def test_decode_rejects_a_cycle_with_neither_pair(c8_gadget):
     _, gm = c8_gadget
+    f = CnfFormula.make(1, [[-1], [-1]])  # two clauses over one variable: the c8 layout
     true_pair, false_pair = true_false_pairs(gm, 1)
     for mixed in (SPair(true_pair.m1, false_pair.m2), SPair(false_pair.m1, true_pair.m2)):
         with pytest.raises(ValueError, match="cycle 1 carries neither"):
-            decode_spair_to_assignment(gm, mixed)
-    assert decode_spair_to_assignment(gm, false_pair) == {1: False}
+            decode_spair_to_assignment(f, mixed)
+    assert decode_spair_to_assignment(f, false_pair) == {1: False}
+
+
+def test_decode_refuses_values_that_fail_a_clause(c8_gadget):
+    _, gm = c8_gadget
+    true_pair, _ = true_false_pairs(gm, 1)
+    # the true pair alone is no S-pair of the reduction, and x1 fails clause 2
+    with pytest.raises(ValueError, match="^decoded assignment does not satisfy clause 2$"):
+        decode_spair_to_assignment(CnfFormula.make(1, [[1], [-1]]), true_pair)
 
 
 def test_encode_clause_witness_rule():
     f = CnfFormula.make(3, [[1, -2, 3]])
     inst, gm = reduce_3sat_to_sdm(f)
     assignment = {1: True, 2: True, 3: True}
-    spair = encode_assignment_to_spair(gm, f, assignment)
+    spair = encode_assignment_to_spair(f, assignment)
     # lowest satisfying variable is 1 (true), so the witness edge sits at position 1
     assert (gm.clause_w(1), gm.cycle_y(1, 1)) in spair.m2.edge_set
     assert (gm.clause_w(1), gm.clause_z(1)) in spair.m1.edge_set
@@ -202,9 +211,8 @@ def test_encode_clause_witness_rule():
 
 def test_encode_rejects_unsatisfying_assignment():
     f = CnfFormula.make(1, [[1]])
-    _, gm = reduce_3sat_to_sdm(f)
     with pytest.raises(ValueError, match="clause 1"):
-        encode_assignment_to_spair(gm, f, {1: False})
+        encode_assignment_to_spair(f, {1: False})
 
 
 def test_round_trip_random_formulas():
@@ -212,39 +220,15 @@ def test_round_trip_random_formulas():
     for _ in range(60):
         f = random_formula(rng)
         sat = brute_force_satisfiable(f)
-        inst, gm = reduce_3sat_to_sdm(f)
+        inst, _ = reduce_3sat_to_sdm(f)
         spair = solve_exact(inst)
         assert (spair is not None) == (sat is not None)
         if spair is not None:
-            values = decode_spair_to_assignment(gm, spair)
+            values = decode_spair_to_assignment(f, spair)
             assert satisfies(f, values)
-            encoded = encode_assignment_to_spair(gm, f, values)
+            encoded = encode_assignment_to_spair(f, values)
             assert verify_spair(inst, encoded)[0]
-            assert decode_spair_to_assignment(gm, encoded) == values
-
-
-def test_gadget_map_sidecar_round_trip():
-    f = CnfFormula.make(2, [[1, -2], [2]])
-    _, gm = reduce_3sat_to_sdm(f)
-    assert parse_gadget_map(serialize_gadget_map(gm)) == gm
-
-
-@pytest.mark.parametrize("text, message", [
-    ("x variable 1 cycle y1\n", "line 1: unknown directive 'x variable 1 cycle y1'"),
-    ("c x\nm variable\n", "line 2: unknown directive 'm variable'"),
-    ("m variable 1 cycle y1\nm literal 1 x1\n", "line 2: unknown mapping kind 'literal'"),
-    ("m variable 1 cycle y1\n", "mapping must list at least one variable and one clause"),
-    ("m clause 1 w x3 z y3\n", "mapping must list at least one variable and one clause"),
-    ("m variable 1 cycle y2\nm clause 1 w x3 z y3\n",
-     "mapping ids do not match the canonical gadget numbering"),
-], ids=["unknown-directive", "short-line", "unknown-kind", "no-clause", "no-variable",
-        "wrong-ids"])
-def test_parse_gadget_map_error_messages(text, message):
-    # the map of one variable and one clause reads
-    # "m variable 1 cycle y1" and "m clause 1 w x3 z y3"
-    with pytest.raises(FormatError) as info:
-        parse_gadget_map(text)
-    assert str(info.value) == message
+            assert decode_spair_to_assignment(f, encoded) == values
 
 
 def test_reduce_dm_edgeless():
