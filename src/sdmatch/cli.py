@@ -11,7 +11,6 @@ import functools
 import os
 import random
 import sys
-import traceback
 from typing import IO, Optional, Sequence
 
 from . import graph as gmod
@@ -266,6 +265,7 @@ def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
         return EXIT_ERROR
     except Exception as exc:  # a crash must never read as "no"
         err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        import traceback  # here, so that only a crash pays for loading it
         traceback.print_exc(file=err)
         return EXIT_ERROR
 

@@ -13,23 +13,31 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class FormatError(ValueError):
     """Raised when a text instance or solution cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """An (X,Y)-bigraph stored as sorted X-side adjacency lists."""
+def _frozen(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
 
+
+# A record with a cached property is a subclass of its NamedTuple, since the
+# cache needs an instance __dict__; _frozen keeps new attributes out of it.
+class _Bigraph(NamedTuple):
     nx: int
     ny: int
     adj: tuple[tuple[int, ...], ...]
+
+
+class BipartiteGraph(_Bigraph):
+    """An (X,Y)-bigraph stored as sorted X-side adjacency lists."""
+
+    __setattr__ = _frozen
 
     @staticmethod
     def from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -68,11 +76,14 @@ def random_graph(rng: random.Random, nx: int, ny: int, density: float) -> Bipart
     return BipartiteGraph.from_edges(nx, ny, edges)
 
 
-@dataclass(frozen=True)
-class Matching:
+class _Edges(NamedTuple):
+    edges: tuple[tuple[int, int], ...]
+
+
+class Matching(_Edges):
     """A set of pairwise endpoint-disjoint edges, stored sorted by x."""
 
-    edges: tuple[tuple[int, int], ...]
+    __setattr__ = _frozen
 
     @staticmethod
     def from_edges(edges: Iterable[tuple[int, int]]) -> "Matching":
@@ -116,8 +127,7 @@ def is_matching(graph: BipartiteGraph, edges: Iterable[tuple[int, int]]) -> bool
     return len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
 
 
-@dataclass(frozen=True)
-class SdmInstance:
+class SdmInstance(NamedTuple):
     """A bigraph together with the distinguished set S of X vertices."""
 
     graph: BipartiteGraph
@@ -132,24 +142,28 @@ class SdmInstance:
         return SdmInstance(graph, tuple(s))
 
 
-@dataclass(frozen=True)
-class SPair:
+class SPair(NamedTuple):
     """Candidate certificate: disjoint matchings (M1 saturating X, M2 saturating S)."""
 
     m1: Matching
     m2: Matching
 
 
-@dataclass(frozen=True)
-class DmInstance:
-    """Two bigraphs on the same vertex set."""
-
+# a NamedTuple body may not define __new__, so the shape check subclasses it
+class _GraphPair(NamedTuple):
     g1: BipartiteGraph
     g2: BipartiteGraph
 
-    def __post_init__(self) -> None:
-        if (self.g1.nx, self.g1.ny) != (self.g2.nx, self.g2.ny):
+
+class DmInstance(_GraphPair):
+    """Two bigraphs on the same vertex set."""
+
+    __slots__ = ()
+
+    def __new__(cls, g1: BipartiteGraph, g2: BipartiteGraph) -> "DmInstance":
+        if (g1.nx, g1.ny) != (g2.nx, g2.ny):
             raise ValueError("g1 and g2 must share nx and ny")
+        return super().__new__(cls, g1, g2)
 
 
 def verify_spair(instance: SdmInstance, candidate: SPair) -> tuple[bool, str]:

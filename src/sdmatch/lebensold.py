@@ -19,8 +19,7 @@ maximum matching size nu(G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coloring import konig_color
 # gf_factor is not used here; perfbench's tracer self-test reads it from this
@@ -29,8 +28,7 @@ from .flow import feasible_flow, gf_factor  # noqa: F401
 from .graph import BipartiteGraph, Matching
 
 
-@dataclass(frozen=True)
-class LebensoldVerdict:
+class LebensoldVerdict(NamedTuple):
     holds: bool
     violating_set: Optional[tuple[int, ...]]
     # when the condition holds: k pairwise disjoint X-saturating matchings

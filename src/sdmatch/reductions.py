@@ -12,8 +12,7 @@ indices assigned by parity), then clause gadgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import (
     BipartiteGraph,
@@ -29,8 +28,7 @@ from .graph import (
 from .matching import max_matching
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(NamedTuple):
     """Clauses in DIMACS literal convention: +v / -v, variables 1..num_vars."""
 
     num_vars: int
@@ -102,8 +100,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
         raise FormatError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class GadgetMap:
+class GadgetMap(NamedTuple):
     """Bookkeeping linking CNF variables and clauses to gadget vertices."""
 
     s: int  # clause count

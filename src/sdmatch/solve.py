@@ -25,9 +25,8 @@ enumerator for M1 and again, refusing M1's edges, for M2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coloring import konig_color
 from .flow import gf_factor
@@ -44,8 +43,7 @@ class Method(enum.Enum):
     EXACT_BACKTRACK = "ExactBacktrack"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     spair: Optional[SPair]
     method: Method
 
