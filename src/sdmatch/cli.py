@@ -6,12 +6,12 @@ Exit codes: 0 = yes/valid/holds, 1 = no/invalid/violated, 2 = error,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import random
+import re
 import sys
-from typing import IO, Optional, Sequence
+from types import SimpleNamespace
+from typing import IO, NoReturn, Optional, Sequence
 
 from . import graph as gmod
 from . import lebensold as lmod
@@ -32,56 +32,6 @@ EXIT_BUDGET = 3
 
 class _CliError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _CliError(message)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sdmatch", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", parents=[], help="solve an SDM instance")
-    p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=None,
-                   help="step budget for the exact search")
-
-    p = sub.add_parser("verify", help="check a solution against an instance")
-    p.add_argument("instance")
-    p.add_argument("solution")
-
-    p = sub.add_parser("lebensold", help="k disjoint saturating matchings")
-    p.add_argument("graph")
-    p.add_argument("-k", type=int, required=True)
-
-    p = sub.add_parser("reduce-3sat", help="reduce a DIMACS CNF to SDM")
-    p.add_argument("cnf")
-    p.add_argument("--map", dest="map_path", default=None,
-                   help="write a copy of the CNF here, for decode")
-
-    p = sub.add_parser("decode", help="decode a solution into an assignment")
-    p.add_argument("cnf", help="the reduced CNF, or the copy that --map wrote")
-    p.add_argument("solution")
-
-    p = sub.add_parser("reduce-dm", help="reduce SDM to the two-graph problem")
-    p.add_argument("instance")
-    p.add_argument("--g1", dest="g1_path", default=None)
-    p.add_argument("--g2", dest="g2_path", default=None)
-
-    p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--s-size", type=int, default=0)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = sub.add_parser("oracle", help="exact S-pair count (size-limited)")
-    p.add_argument("instance")
-    p.add_argument("--limit", type=int, default=DEFAULT_COUNT_EDGE_LIMIT)
-    return parser
 
 
 def _read(path: str) -> str:
@@ -230,16 +180,175 @@ def _cmd_oracle(args, out: IO[str]) -> int:
     return EXIT_YES
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "lebensold": _cmd_lebensold,
-    "reduce-3sat": _cmd_reduce_3sat,
-    "decode": _cmd_decode,
-    "reduce-dm": _cmd_reduce_dm,
-    "gen": _cmd_gen,
-    "oracle": _cmd_oracle,
+_REQUIRED = object()  # the default of an option that must be given
+
+# command -> (handler, positionals, options, help); options map each flag to
+# (dest, type, default). A missing argument is named positionals first, then
+# options, each in table order.
+_COMMANDS = {
+    "solve": (_cmd_solve, ("instance",), {"--budget": ("budget", int, None)},
+              "solve an SDM instance; --budget caps the steps of the exact search"),
+    "verify": (_cmd_verify, ("instance", "solution"), {},
+               "check a solution against an instance"),
+    "lebensold": (_cmd_lebensold, ("graph",), {"-k": ("k", int, _REQUIRED)},
+                  "k disjoint saturating matchings"),
+    "reduce-3sat": (_cmd_reduce_3sat, ("cnf",), {"--map": ("map_path", str, None)},
+                    "reduce a DIMACS CNF to SDM; --map writes a copy of the CNF, for decode"),
+    "decode": (_cmd_decode, ("cnf", "solution"), {},
+               "decode a solution into an assignment; cnf is the reduced CNF or its --map copy"),
+    "reduce-dm": (_cmd_reduce_dm, ("instance",),
+                  {"--g1": ("g1_path", str, None), "--g2": ("g2_path", str, None)},
+                  "reduce SDM to the two-graph problem"),
+    "gen": (_cmd_gen, (), {"--nx": ("nx", int, _REQUIRED), "--ny": ("ny", int, _REQUIRED),
+                           "--density": ("density", float, 0.5),
+                           "--s-size": ("s_size", int, 0), "--seed": ("seed", int, _REQUIRED)},
+            "generate a seeded random instance"),
+    "oracle": (_cmd_oracle, ("instance",),
+               {"--limit": ("limit", int, DEFAULT_COUNT_EDGE_LIMIT)},
+               "exact S-pair count (size-limited)"),
 }
+_HELP_FLAGS = {"-h": None, "--help": None}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Help(Exception):
+    """-h or --help was read: the argument is the command whose usage to
+    print, or None for all of them."""
+
+
+def _option(token: str, flags: dict) -> Optional[tuple]:
+    """Read one token as argparse reads it against `flags` (-h and --help
+    first): None for a positional, else (flag, value given with the flag or
+    None), where flag is None for an option that `flags` lacks."""
+    if not token or token[0] != "-":
+        return None
+    if token in flags:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":  # a unique prefix of a long flag stands for it
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            raise _CliError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] in flags:  # -kVALUE
+        return token[:2], token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(command: Optional[str], flag: str, value: Optional[str], flags: dict,
+          value_follows: bool) -> NoReturn:
+    """Raise _Help for a help flag, unless argparse reports an error first:
+    text after -h names more single-dash flags (-hk 3 is -h -k 3), and a
+    value given to --help, or to -h by `=`, is refused."""
+    while value is not None:
+        if flag == "--help" or not value or "-" + value[0] not in flags:
+            raise _CliError(f"argument -h/--help: ignored explicit argument {value!r}")
+        flag, value = "-" + value[0], value[1:] or None
+        if flag != "-h":
+            if value is None and not value_follows:
+                raise _CliError(f"argument {flag}: expected one argument")
+            break
+    raise _Help(command)
+
+
+def _parse_command(name: str, tokens: Sequence[str], extras: list) -> SimpleNamespace:
+    """Read the tokens after the command name `name` by argparse's rules
+    for a subparser, appending the ones no argument takes to `extras`."""
+    _, positionals, options, _ = _COMMANDS[name]
+    flags = _HELP_FLAGS | options
+    # every token is read before any is taken, so an ambiguous prefix is
+    # reported before a bad value; every token after the first -- is a
+    # positional
+    kinds = []
+    for i, token in enumerate(tokens):
+        if token == "--":
+            kinds += ["--"] + [None] * (len(tokens) - i - 1)
+            break
+        kinds.append(_option(token, flags))
+    args = {dest: default for dest, _, default in options.values() if default is not _REQUIRED}
+    values = []
+    taken = False  # whether the token before was taken as a positional
+    i = 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None:
+            taken = len(values) < len(positionals)
+            (values if taken else extras).append(token)
+        elif kind == "--":  # dropped when a positional takes a token beside it
+            if not taken and len(values) == len(positionals):
+                extras.append(token)
+        else:
+            taken = False
+            flag, value = kind
+            if flag is None:
+                extras.append(token)
+            elif flag in _HELP_FLAGS:
+                _help(name, flag, value, flags, i < len(tokens) and kinds[i] is None)
+            else:
+                if value is None:
+                    if i == len(tokens) or kinds[i] is not None:
+                        raise _CliError(f"argument {flag}: expected one argument")
+                    value = tokens[i]
+                    i += 1
+                dest, convert, _ = options[flag]
+                try:
+                    args[dest] = convert(value)
+                except (TypeError, ValueError):
+                    raise _CliError(f"argument {flag}: invalid {convert.__name__} value: "
+                                    f"{value!r}") from None
+    missing = list(positionals[len(values):]) + [
+        flag for flag, (dest, _, _) in options.items() if dest not in args]
+    if missing:
+        raise _CliError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=name, **dict(zip(positionals, values)), **args)
+
+
+def _parse_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv against _COMMANDS by argparse's rules, with its messages
+    in its order: an ambiguous prefix, a bad or missing value as its token
+    is read, missing arguments, then unrecognized ones. Before the command,
+    only -h and --help are options; the first positional, or the first --,
+    is the command name."""
+    extras = []
+    i = 0
+    while i < len(argv) and argv[i] != "--" and (kind := _option(argv[i], _HELP_FLAGS)):
+        if kind[0] is None:
+            extras.append(argv[i])
+        else:
+            _help(None, *kind, _HELP_FLAGS, False)
+        i += 1
+    # a -- with nothing after it names no command; with more, it is the name
+    if i == len(argv) or i + 1 == len(argv) and argv[i] == "--":
+        raise _CliError("the following arguments are required: command")
+    name = argv[i]
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _CliError(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    args = _parse_command(name, argv[i + 1:], extras)
+    if extras:
+        raise _CliError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _help_text(name: Optional[str]) -> str:
+    """The usage of command `name`, or with None that of every command."""
+    lines = [] if name else [__doc__.strip(), "", "usage (sdmatch COMMAND -h for one):"]
+    for command, (_, positionals, options, text) in _COMMANDS.items():
+        if name in (None, command):
+            words = ["sdmatch", command, *positionals]
+            for flag, (dest, _, default) in options.items():
+                word = f"{flag} {dest.upper()}"
+                words.append(word if default is _REQUIRED else f"[{word}]")
+            lines += [("usage: " if name else "  ") + " ".join(words), f"      {text}"]
+    return "\n".join(lines) + "\n"
 
 
 def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
@@ -247,17 +356,19 @@ def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
     """Run one sdmatch command and return its exit code.
 
     run may be called many times in one process; each call gives the bytes
-    and exit code a fresh `sdmatch` process would. The parser is built on the
-    first call and reused: parse_args returns a fresh Namespace each time, no
-    handler writes to the parser or to args, and the subparsers are _Parsers
-    too, so their usage errors still raise _CliError.
+    and exit code a fresh `sdmatch` process would. argv is read against the
+    command table _COMMANDS on every call, into a fresh attribute object;
+    no handler writes to the table. -h or --help prints usage to stdout and
+    returns 0.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        return _HANDLERS[args.command](args, out)
+        args = _parse_argv(argv)
+        return _COMMANDS[args.command][0](args, out)
+    except _Help as request:
+        out.write(_help_text(request.args[0]))
+        return EXIT_YES
     except (_CliError, FormatError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -10,7 +10,6 @@ import pytest
 import sdmatch
 from sdmatch import (BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance,
                      serialize_solution, solve)
-from sdmatch import cli
 from sdmatch.cli import run
 from sdmatch.reductions import CnfFormula, reduce_3sat_to_sdm
 from conftest import c8_cycle, chain_graph
@@ -507,10 +506,6 @@ def test_main_on_closed_pipe_is_quiet(tmp_path, text):
     assert proc.stderr == b""
 
 
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
-
-
 def test_a_budget_does_not_stick_to_the_next_call(tmp_path):
     path = write(tmp_path, "k1212.sdm", complete_instance(12, 12, 8))
     assert invoke(["solve", path, "--budget", "1"]) == (3, "c step budget 1 exhausted\n", "")
@@ -519,13 +514,79 @@ def test_a_budget_does_not_stick_to_the_next_call(tmp_path):
     assert out.startswith("c method BoundedS\nRESULT yes\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["lebensold", "g.sdm"], "the following arguments are required: -k"),
-    (["solve"], "the following arguments are required: instance"),
+COMMANDS = ["solve", "verify", "lebensold", "reduce-3sat", "decode", "reduce-dm", "gen", "oracle"]
+CHOICES = ", ".join(map(repr, COMMANDS))
+
+
+# argv -> (exit code, stderr), with stderr worded as argparse words it. In
+# the working directory, g is K12,12 with |S| = 8 (exit 3 on --budget 1, else
+# 0), k22 is K2,2 (-k 2 holds, -k 3 is violated), -x is C8 (yes) and -5 is
+# one edge with S = X (no).
+@pytest.mark.parametrize("argv, expected", [
+    ([], (2, "error: the following arguments are required: command\n")),
+    (["x"], (2, f"error: argument command: invalid choice: 'x' (choose from {CHOICES})\n")),
+    (["--", "solve", "g"], (2, f"error: argument command: invalid choice: '--' (choose from {CHOICES})\n")),
+    (["solve"], (2, "error: the following arguments are required: instance\n")),
+    (["solve", "--nope"], (2, "error: the following arguments are required: instance\n")),
+    (["lebensold", "g.sdm"], (2, "error: the following arguments are required: -k\n")),
+    (["gen", "--nx", "5"], (2, "error: the following arguments are required: --ny, --seed\n")),
+    (["lebensold", "g", "-k"], (2, "error: argument -k: expected one argument\n")),
+    (["solve", "g", "--budget", "--nope"], (2, "error: argument --budget: expected one argument\n")),
+    (["lebensold", "g", "-k", "two"], (2, "error: argument -k: invalid int value: 'two'\n")),
+    (["gen", "--nx", "5", "--ny", "5", "--seed", "1", "--density", "x"],
+     (2, "error: argument --density: invalid float value: 'x'\n")),
+    (["solve", "g", "extra"], (2, "error: unrecognized arguments: extra\n")),
+    (["--nope", "solve", "g", "--bad"], (2, "error: unrecognized arguments: --nope --bad\n")),
+    (["reduce-dm", "g", "--g", "3"], (2, "error: ambiguous option: --g could match --g1, --g2\n")),
+    # every token is read before a value is checked, and a value before -h
+    (["gen", "--nx", "two", "--n", "3"], (2, "error: ambiguous option: --n could match --nx, --ny\n")),
+    (["solve", "g", "--budget", "two", "-h"], (2, "error: argument --budget: invalid int value: 'two'\n")),
+    (["solve", "g", "--budget=1"], (3, "")),
+    (["solve", "g", "--bud", "1"], (3, "")),
+    (["lebensold", "k22", "-k3"], (1, "")),
+    (["lebensold", "k22", "-k=2"], (0, "")),
+    (["lebensold", "-k", "2", "k22"], (0, "")),
+    (["solve", "--", "-x"], (0, "")),
+    (["solve", "-5"], (1, "")),
+    (["solve", "g", "--budget", "-5"], (2, "error: budget must be >= 0\n")),
+    (["solve", "g", "--budget", "1", "--budget", "100000"], (0, "")),
+    (["solve", "g", "--budget", "100000", "--budget", "1"], (3, "")),
 ])
-def test_usage_error_repeats_without_system_exit(argv, message):
+def test_argv_corpus(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g", complete_instance(12, 12, 8))
+    write(tmp_path, "k22", "p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n")
+    write(tmp_path, "-x", C8_TEXT)
+    write(tmp_path, "-5", "p sdm 1 1 1\ne 1 1\ns 1\n")
+    for _ in range(3):  # no call leaves anything behind for the next
+        code, _, err = invoke(argv)
+        assert (code, err) == expected
+
+
+def test_a_double_dash_value_is_a_path(tmp_path, monkeypatch):
+    # `--` given with `=`, or a second `--` after the one that ends the
+    # options, is a value like any other word
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "g", C8_TEXT)
+    write(tmp_path, "--", "RESULT no\n")
+    assert invoke(["verify", "--", "g", "--"]) == (0, "VALID no certificate to verify\n", "")
+    write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
+    assert invoke(["reduce-3sat", "f.cnf", "--map=--"])[0] == 0
+    assert (tmp_path / "--").read_text() == "p cnf 1 1\n1 0\n"
+    assert invoke(["solve", "g", "--budget=--"]) == (
+        2, "", "error: argument --budget: invalid int value: '--'\n")
+
+
+@pytest.mark.parametrize("argv", [[flag] for flag in ("-h", "--help")] + [
+    [command, flag] for command in COMMANDS for flag in ("-h", "--help")])
+def test_help_goes_to_stdout_and_returns_0(argv):
     for _ in range(3):
-        assert invoke(argv) == (2, "", f"error: {message}\n")
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        if len(argv) == 1:
+            assert all(f"\n  sdmatch {command} " in out for command in COMMANDS)
+        else:
+            assert out.startswith(f"usage: sdmatch {argv[0]} ")
 
 
 def mixed_commands(tmp_path):
@@ -568,7 +629,7 @@ def mixed_commands(tmp_path):
         ["gen", "--nx", "-1", "--ny", "2", "--seed", "1"],
         ["gen", "--nx", "5", "--ny", "5", "--seed", "1", "--density", "2"], ["gen", "--nx", "5"],
         ["oracle", c8], ["oracle", c8, "--limit", "-1"], ["oracle", c8, "--limit", "3"],
-        [], ["nope"], ["solve", c8],
+        [], ["nope"], ["solve", c8], ["--help"], ["oracle", "-h"],
     ]
 
 

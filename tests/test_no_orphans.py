@@ -10,8 +10,6 @@ import sdmatch
 
 # (module, qualified name) -> why it stays although nothing in src/ refers to it
 ALLOWED = {
-    ("cli.py", "_Parser.error"):
-        "overrides argparse.ArgumentParser.error, which argparse calls",
     ("reductions.py", "encode_assignment_to_spair"):
         "the paper's certificate translation, assignment to S-pair",
     ("reductions.py", "project_dm_to_spair"):

@@ -26,7 +26,8 @@ from sdmatch import (
 def test_import_loads_no_dataclasses_inspect_or_traceback():
     src = str(Path(sdmatch.__file__).resolve().parents[1])
     probe = ("import sys, sdmatch.cli\n"
-             "print(*sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))")
+             "print(*sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'traceback'}"
+             " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
