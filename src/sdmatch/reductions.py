@@ -1,18 +1,25 @@
 """Executable reductions: CNF satisfiability to SDM, and SDM to the
 two-graph disjoint-matchings problem, with certificate translation both ways.
 
-Gadget layout for the CNF reduction: per variable i a cycle of length 4s
-(vertices v_{i,1}..v_{i,4s}; even positions on the X side), per clause k an
-edge w_k z_k with w_k on the X side. A clause touches the cycles only at the
-odd positions 4k-3 (positive literal) and 4k-1 (negative literal).
+Gadget layout for the CNF reduction of s clauses over t variables: per
+variable i a cycle of length 4s (vertices v_{i,1}..v_{i,4s}; even positions
+on the X side), per clause k an edge w_k z_k with w_k on the X side. A
+clause touches the cycles only at the odd positions 4k-3 (positive literal)
+and 4k-1 (negative literal).
 
-Vertex numbering: cycles first (variable-major, position ascending, X and Y
-indices assigned by parity), then clause gadgets.
+Vertex numbering, in closed form with c = 2s, b = (i-1)c, 1-based i and k,
+and 0 <= q < c: v_{i,2q+2} is X vertex b+q and v_{i,2q+1} is Y vertex b+q,
+so X vertex b+q has the cycle neighbours b+q and b+(q+1) mod c. Then
+w_k = z_k = ct+k-1; literal +i joins w_k to Y b+2k-2, and -i to Y b+2k-1.
+S is {b+2q : q < s} (positions 2, 6, ..., 4s-2) plus every w_k. On cycle i
+the value-true pair is M1 = {(b+q, b+q)}, M2 = {(b+2q, b+2q+1) : q < s},
+and the value-false pair M1 = {(b+q, b+(q+1) mod c)}, M2 = {(b+2q, b+2q)}.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
     BipartiteGraph,
@@ -101,45 +108,10 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
 
 
 class GadgetMap(NamedTuple):
-    """Bookkeeping linking CNF variables and clauses to gadget vertices."""
+    """The clause and variable counts that fix the gadget layout."""
 
     s: int  # clause count
     t: int  # variable count
-
-    def cycle_len(self) -> int:
-        return 4 * self.s
-
-    def cycle_x(self, i: int, j: int) -> int:
-        # v_{i,j} for even j; X index
-        assert j % 2 == 0
-        return (i - 1) * 2 * self.s + (j // 2 - 1)
-
-    def cycle_y(self, i: int, j: int) -> int:
-        # v_{i,j} for odd j; Y index
-        assert j % 2 == 1
-        return (i - 1) * 2 * self.s + (j - 1) // 2
-
-    def clause_w(self, k: int) -> int:
-        return 2 * self.s * self.t + (k - 1)
-
-    def clause_z(self, k: int) -> int:
-        return 2 * self.s * self.t + (k - 1)
-
-    def cycle_edge(self, i: int, j: int) -> tuple[int, int]:
-        """Edge v_{i,j} v_{i,j+1} (position wraps) as an (x, y) pair."""
-        j2 = j % self.cycle_len() + 1
-        if j % 2 == 0:
-            return self.cycle_x(i, j), self.cycle_y(i, j2)
-        return self.cycle_x(i, j2), self.cycle_y(i, j)
-
-    def s_set(self) -> list[int]:
-        members = [
-            self.cycle_x(i, j)
-            for i in range(1, self.t + 1)
-            for j in range(2, self.cycle_len() + 1, 4)
-        ]
-        members.extend(self.clause_w(k) for k in range(1, self.s + 1))
-        return sorted(members)
 
 
 def gadget_map(formula: CnfFormula) -> GadgetMap:
@@ -150,46 +122,46 @@ def gadget_map(formula: CnfFormula) -> GadgetMap:
     return GadgetMap(len(formula.clauses), formula.num_vars)
 
 
+def _literal_y(c: int, k: int, lit: int) -> int:
+    """The Y vertex that clause k's literal lit joins on its variable's cycle."""
+    return (abs(lit) - 1) * c + 2 * k - 2 + (lit < 0)
+
+
 def reduce_3sat_to_sdm(formula: CnfFormula) -> tuple[SdmInstance, GadgetMap]:
     """Build the gadget instance: per-variable cycles, per-clause edges,
     plus one literal edge for each occurrence."""
     gm = gadget_map(formula)
-    s, t = gm.s, gm.t
-    nx = 2 * s * t + s
-    ny = 2 * s * t + s
-    edges: list[tuple[int, int]] = []
-    for i in range(1, t + 1):
-        for j in range(1, gm.cycle_len() + 1):
-            edges.append(gm.cycle_edge(i, j))
-    for k in range(1, s + 1):
-        edges.append((gm.clause_w(k), gm.clause_z(k)))
-        for lit in formula.clauses[k - 1]:
-            i = abs(lit)
-            j = 4 * k - 3 if lit > 0 else 4 * k - 1
-            edges.append((gm.clause_w(k), gm.cycle_y(i, j)))
-    graph = BipartiteGraph.from_edges(nx, ny, edges)
-    return SdmInstance.make(graph, gm.s_set()), gm
+    c = 2 * gm.s
+    ct = c * gm.t
+    rows: list[tuple[int, ...]] = []
+    for b in range(0, ct, c):
+        # X vertex b+q sees Y b+q and b+q+1; the last one wraps to Y b
+        rows.extend(zip(range(b, b + c - 1), range(b + 1, b + c)))
+        rows.append((b, b + c - 1))
+    for k, clause in enumerate(formula.clauses, start=1):
+        rows.append((*sorted({_literal_y(c, k, lit) for lit in clause}), ct + k - 1))
+    n = ct + gm.s
+    graph = BipartiteGraph(n, n, tuple(rows))
+    # S: the even X vertices of the cycles (b+2q, q < s), then every w_k
+    return SdmInstance.make(graph, chain(range(0, ct, 2), range(ct, n))), gm
 
 
-def _true_false_edges(gm: GadgetMap, i: int) -> tuple[tuple[list, list], tuple[list, list]]:
-    """The (M1, M2) edge lists of the value-true and the value-false pair on cycle i."""
-    n = gm.cycle_len()
-    true_m1 = [gm.cycle_edge(i, j) for j in range(1, n + 1, 2)]
-    true_m2 = [gm.cycle_edge(i, 4 * j - 2) for j in range(1, gm.s + 1)]
-    false_m1 = [gm.cycle_edge(i, j) for j in range(2, n + 1, 2)]
-    false_m2 = [gm.cycle_edge(i, 4 * j - 3) for j in range(1, gm.s + 1)]
-    return (true_m1, true_m2), (false_m1, false_m2)
+def _true_false_edges(gm: GadgetMap, i: int) -> tuple[tuple[Iterator, Iterator], ...]:
+    """The (M1, M2) edges of the value-true and the value-false pair on cycle
+    i, each a one-pass iterator of (x, y) pairs."""
+    c = 2 * gm.s
+    b = (i - 1) * c
+    xs, s_xs = range(b, b + c), range(b, b + c, 2)
+    return ((zip(xs, xs), zip(s_xs, range(b + 1, b + c, 2))),
+            (zip(xs, chain(range(b + 1, b + c), (b,))), zip(s_xs, s_xs)))
 
 
 def true_false_pairs(gm: GadgetMap, i: int) -> tuple[SPair, SPair]:
     """The two possible pairs on cycle i: value-true and value-false."""
     if not 1 <= i <= gm.t:
         raise ValueError(f"variable index out of range: {i}")
-    (true_m1, true_m2), (false_m1, false_m2) = _true_false_edges(gm, i)
-    return (
-        SPair(Matching.from_edges(true_m1), Matching.from_edges(true_m2)),
-        SPair(Matching.from_edges(false_m1), Matching.from_edges(false_m2)),
-    )
+    return tuple(SPair(Matching.from_edges(m1), Matching.from_edges(m2))
+                 for m1, m2 in _true_false_edges(gm, i))
 
 
 def decode_spair_to_assignment(formula: CnfFormula, spair: SPair) -> dict[int, bool]:
@@ -217,24 +189,24 @@ def encode_assignment_to_spair(formula: CnfFormula, assignment: dict[int, bool])
     Clause witness: the lowest-index variable satisfying the clause.
     """
     gm = gadget_map(formula)
+    c = 2 * gm.s
     m1: list[tuple[int, int]] = []
     m2: list[tuple[int, int]] = []
     for i in range(1, gm.t + 1):
+        if i not in assignment:
+            raise ValueError(f"assignment has no value for variable {i}")
         true_pair, false_pair = true_false_pairs(gm, i)
         pair = true_pair if assignment[i] else false_pair
         m1.extend(pair.m1.edges)
         m2.extend(pair.m2.edges)
-    for k in range(1, gm.s + 1):
-        clause = formula.clauses[k - 1]
-        witnesses = sorted(
-            abs(lit) for lit in clause if assignment[abs(lit)] == (lit > 0)
-        )
-        if not witnesses:
+    for k, clause in enumerate(formula.clauses, start=1):
+        lit = min((lit for lit in clause if assignment[abs(lit)] == (lit > 0)),
+                  key=abs, default=0)
+        if not lit:
             raise ValueError(f"assignment does not satisfy clause {k}")
-        i = witnesses[0]
-        m1.append((gm.clause_w(k), gm.clause_z(k)))
-        j = 4 * k - 3 if assignment[i] else 4 * k - 1
-        m2.append((gm.clause_w(k), gm.cycle_y(i, j)))
+        w = c * gm.t + k - 1
+        m1.append((w, w))
+        m2.append((w, _literal_y(c, k, lit)))
     return SPair(Matching.from_edges(m1), Matching.from_edges(m2))
 
 

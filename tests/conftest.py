@@ -9,7 +9,7 @@ from sdmatch import flow, lebensold
 from sdmatch.flow import feasible_flow
 from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
-from sdmatch.reductions import CnfFormula, GadgetMap
+from sdmatch.reductions import CnfFormula, GadgetMap, gadget_map
 from sdmatch.solve import (
     DEFAULT_BOUNDED_S_CAP,
     BudgetExhausted,
@@ -321,14 +321,118 @@ def reference_parse_instance(text: str) -> SdmInstance:
     return SdmInstance.make(graph, s_set)
 
 
-def c8_cycle() -> tuple[SdmInstance, GadgetMap]:
+class GadgetNumbering(GadgetMap):
+    """The paper's per-vertex numbering of the 3-SAT gadget, one method per
+    vertex v_{i,j}, w_k, z_k: the reference that the closed form in
+    `sdmatch.reductions` must equal."""
+
+    __slots__ = ()
+
+    def cycle_len(self) -> int:
+        return 4 * self.s
+
+    def cycle_x(self, i: int, j: int) -> int:
+        # v_{i,j} for even j; X index
+        assert j % 2 == 0
+        return (i - 1) * 2 * self.s + (j // 2 - 1)
+
+    def cycle_y(self, i: int, j: int) -> int:
+        # v_{i,j} for odd j; Y index
+        assert j % 2 == 1
+        return (i - 1) * 2 * self.s + (j - 1) // 2
+
+    def clause_w(self, k: int) -> int:
+        return 2 * self.s * self.t + (k - 1)
+
+    def clause_z(self, k: int) -> int:
+        return 2 * self.s * self.t + (k - 1)
+
+    def cycle_edge(self, i: int, j: int) -> tuple[int, int]:
+        """Edge v_{i,j} v_{i,j+1} (position wraps) as an (x, y) pair."""
+        j2 = j % self.cycle_len() + 1
+        if j % 2 == 0:
+            return self.cycle_x(i, j), self.cycle_y(i, j2)
+        return self.cycle_x(i, j2), self.cycle_y(i, j)
+
+    def literal_y(self, k: int, lit: int) -> int:
+        """The Y vertex v_{i,4k-3} (lit = +i) or v_{i,4k-1} (lit = -i)."""
+        return self.cycle_y(abs(lit), 4 * k - 3 if lit > 0 else 4 * k - 1)
+
+    def s_set(self) -> list[int]:
+        members = [
+            self.cycle_x(i, j)
+            for i in range(1, self.t + 1)
+            for j in range(2, self.cycle_len() + 1, 4)
+        ]
+        members.extend(self.clause_w(k) for k in range(1, self.s + 1))
+        return sorted(members)
+
+    def true_false_edges(self, i: int) -> tuple[tuple[list, list], tuple[list, list]]:
+        """The (M1, M2) edge lists of the value-true and the value-false pair
+        on cycle i."""
+        n = self.cycle_len()
+        true_m1 = [self.cycle_edge(i, j) for j in range(1, n + 1, 2)]
+        true_m2 = [self.cycle_edge(i, 4 * j - 2) for j in range(1, self.s + 1)]
+        false_m1 = [self.cycle_edge(i, j) for j in range(2, n + 1, 2)]
+        false_m2 = [self.cycle_edge(i, 4 * j - 3) for j in range(1, self.s + 1)]
+        return (true_m1, true_m2), (false_m1, false_m2)
+
+
+def numbering(formula: CnfFormula) -> GadgetNumbering:
+    """The reference numbering of a formula's gadget."""
+    return GadgetNumbering(*gadget_map(formula))
+
+
+def reference_reduce_3sat(formula: CnfFormula) -> SdmInstance:
+    """The gadget instance built edge by edge from the reference numbering."""
+    gn = numbering(formula)
+    edges = [gn.cycle_edge(i, j)
+             for i in range(1, gn.t + 1) for j in range(1, gn.cycle_len() + 1)]
+    for k, clause in enumerate(formula.clauses, start=1):
+        edges.append((gn.clause_w(k), gn.clause_z(k)))
+        edges.extend((gn.clause_w(k), gn.literal_y(k, lit)) for lit in clause)
+    n = 2 * gn.s * gn.t + gn.s
+    return SdmInstance.make(BipartiteGraph.from_edges(n, n, edges), gn.s_set())
+
+
+def reference_decode(formula: CnfFormula, spair: SPair) -> dict[int, bool]:
+    """The values each cycle's pair gives, read through the reference
+    numbering; the same refusals in the same order as the decoder."""
+    gn = numbering(formula)
+    m1, m2 = spair.m1.edge_set, spair.m2.edge_set
+    values: dict[int, bool] = {}
+    for i in range(1, gn.t + 1):
+        for value, (pair_m1, pair_m2) in zip((True, False), gn.true_false_edges(i)):
+            if m1.issuperset(pair_m1) and m2.issuperset(pair_m2):
+                values[i] = value
+                break
+        else:
+            raise ValueError(f"cycle {i} carries neither the true nor the false pair")
+    for k, clause in enumerate(formula.clauses, start=1):
+        if not any(values[abs(lit)] == (lit > 0) for lit in clause):
+            raise ValueError(f"decoded assignment does not satisfy clause {k}")
+    return values
+
+
+def three_variable_formulas():
+    """Every set of 4-7 distinct clauses over 3 variables, each clause with
+    all three variables: the 162 clause sets of the sat-search workload.
+    There are 8 such clauses and each rules out one assignment, so every one
+    of these sets is satisfiable."""
+    clauses = list(itertools.product((1, -1), (2, -2), (3, -3)))
+    for size in range(4, 8):
+        for chosen in itertools.combinations(clauses, size):
+            yield CnfFormula.make(3, chosen)
+
+
+def c8_cycle() -> tuple[SdmInstance, GadgetNumbering]:
     """The length-8 variable cycle with its distinguished vertex set, and the
-    gadget map that names its vertices."""
-    gm = GadgetMap(2, 1)
-    edges = [gm.cycle_edge(1, j) for j in range(1, 9)]
+    numbering that names its vertices."""
+    gn = GadgetNumbering(2, 1)
+    edges = [gn.cycle_edge(1, j) for j in range(1, 9)]
     graph = BipartiteGraph.from_edges(4, 4, edges)
-    s_set = [gm.cycle_x(1, j) for j in (2, 6)]
-    return SdmInstance.make(graph, s_set), gm
+    s_set = [gn.cycle_x(1, j) for j in (2, 6)]
+    return SdmInstance.make(graph, s_set), gn
 
 
 @pytest.fixture

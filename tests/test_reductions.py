@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -22,13 +23,17 @@ from sdmatch import (
     true_false_pairs,
     verify_spair,
 )
-from sdmatch.reductions import _check_dm_solution
+from sdmatch.reductions import GadgetMap, _check_dm_solution
 from conftest import (
     brute_force_satisfiable,
+    numbering,
     random_formula,
     random_graph,
+    reference_decode,
+    reference_reduce_3sat,
     satisfies,
     solve_dm_exact,
+    three_variable_formulas,
     y_adj,
 )
 
@@ -112,25 +117,27 @@ def test_repeated_literal_deduplicated():
 
 def test_reduction_sizes_single_clause():
     f = CnfFormula.make(3, [[1, -2, 3]])
-    inst, gm = reduce_3sat_to_sdm(f)
+    inst, _ = reduce_3sat_to_sdm(f)
+    gn = numbering(f)
     g = inst.graph
     assert g.nx + g.ny == 14
     assert g.nx == 7
     assert len(inst.s_set) == 4
     # literal edges: positive -> position 1 of the cycle, negative -> position 3
-    w = gm.clause_w(1)
-    assert (w, gm.cycle_y(1, 1)) in g.edge_set
-    assert (w, gm.cycle_y(2, 3)) in g.edge_set
-    assert (w, gm.cycle_y(3, 1)) in g.edge_set
+    w = gn.clause_w(1)
+    assert (w, gn.cycle_y(1, 1)) in g.edge_set
+    assert (w, gn.cycle_y(2, 3)) in g.edge_set
+    assert (w, gn.cycle_y(3, 1)) in g.edge_set
 
 
 def test_reduction_two_clauses_one_var():
     f = CnfFormula.make(1, [[1], [-1]])
-    inst, gm = reduce_3sat_to_sdm(f)
+    inst, _ = reduce_3sat_to_sdm(f)
+    gn = numbering(f)
     g = inst.graph
-    assert gm.cycle_len() == 8
-    assert (gm.clause_w(1), gm.cycle_y(1, 1)) in g.edge_set
-    assert (gm.clause_w(2), gm.cycle_y(1, 7)) in g.edge_set
+    assert gn.cycle_len() == 8
+    assert (gn.clause_w(1), gn.cycle_y(1, 1)) in g.edge_set
+    assert (gn.clause_w(2), gn.cycle_y(1, 7)) in g.edge_set
     # the contradiction is unsatisfiable, so no pair exists
     assert solve_exact(inst) is None
 
@@ -144,16 +151,17 @@ def test_structural_audit():
     rng = random.Random(41)
     for _ in range(20):
         f = random_formula(rng)
-        inst, gm = reduce_3sat_to_sdm(f)
+        inst, _ = reduce_3sat_to_sdm(f)
+        gn = numbering(f)
         g = inst.graph
-        for i in range(1, gm.t + 1):
-            for j in range(2, gm.cycle_len() + 1, 2):
-                x = gm.cycle_x(i, j)
-                prev = gm.cycle_edge(i, j - 1)[1]
-                nxt = gm.cycle_edge(i, j)[1]
+        for i in range(1, gn.t + 1):
+            for j in range(2, gn.cycle_len() + 1, 2):
+                x = gn.cycle_x(i, j)
+                prev = gn.cycle_edge(i, j - 1)[1]
+                nxt = gn.cycle_edge(i, j)[1]
                 assert g.adj[x] == tuple(sorted({prev, nxt}))
-        for k in range(1, gm.s + 1):
-            assert y_adj(g)[gm.clause_z(k)] == (gm.clause_w(k),)
+        for k in range(1, gn.s + 1):
+            assert y_adj(g)[gn.clause_z(k)] == (gn.clause_w(k),)
 
 
 def test_figure_pairs_s2(c8_gadget):
@@ -200,12 +208,13 @@ def test_decode_refuses_values_that_fail_a_clause(c8_gadget):
 
 def test_encode_clause_witness_rule():
     f = CnfFormula.make(3, [[1, -2, 3]])
-    inst, gm = reduce_3sat_to_sdm(f)
+    inst, _ = reduce_3sat_to_sdm(f)
+    gn = numbering(f)
     assignment = {1: True, 2: True, 3: True}
     spair = encode_assignment_to_spair(f, assignment)
     # lowest satisfying variable is 1 (true), so the witness edge sits at position 1
-    assert (gm.clause_w(1), gm.cycle_y(1, 1)) in spair.m2.edge_set
-    assert (gm.clause_w(1), gm.clause_z(1)) in spair.m1.edge_set
+    assert (gn.clause_w(1), gn.cycle_y(1, 1)) in spair.m2.edge_set
+    assert (gn.clause_w(1), gn.clause_z(1)) in spair.m1.edge_set
     assert verify_spair(inst, spair)[0]
 
 
@@ -369,3 +378,105 @@ def test_extend_rejects_narrow_y():
     with pytest.raises(ValueError) as info:
         extend_spair_to_dm(inst, best)
     assert str(info.value) == "invalid S-pair: m1 does not saturate X"
+
+
+def test_encode_names_a_variable_the_assignment_lacks():
+    f = CnfFormula.make(2, [[1, 2]])
+    with pytest.raises(ValueError) as info:
+        encode_assignment_to_spair(f, {1: True})
+    assert str(info.value) == "assignment has no value for variable 2"
+
+
+def raw_formula(rng, t, s):
+    """s random clauses of 1-3 literals over t variables, built without
+    CnfFormula.make, so a clause may repeat a literal or hold a variable with
+    both signs; with t = 0 every clause is empty."""
+    lits = [lit for i in range(1, t + 1) for lit in (i, -i)]
+    return CnfFormula(t, tuple(tuple(rng.choice(lits) for _ in range(rng.randint(1, 3)))
+                               if lits else () for _ in range(s)))
+
+
+def layout_formulas():
+    """Random formulas for every t <= 4 and s <= 6, then the 162 sat-search
+    clause sets as they are and in the workload's form: padded to 7 clauses,
+    clauses and literals in a seeded order."""
+    rng = random.Random(30)
+    for t in range(5):
+        for s in range(1, 7):
+            for _ in range(5):
+                yield raw_formula(rng, t, s)
+    for f in three_variable_formulas():
+        yield f
+        clauses = list(f.clauses) + [rng.choice(f.clauses) for _ in range(7 - len(f.clauses))]
+        rng.shuffle(clauses)
+        yield CnfFormula.make(3, [rng.sample(c, 3) for c in clauses])
+
+
+def test_closed_form_layout_equals_the_paper_numbering():
+    for f in layout_formulas():
+        gn = numbering(f)
+        inst, gm = reduce_3sat_to_sdm(f)
+        assert inst == reference_reduce_3sat(f)
+        assert type(gm) is GadgetMap and gm == gn
+        for i in range(1, gn.t + 1):
+            assert true_false_pairs(gm, i) == tuple(
+                SPair(Matching.from_edges(m1), Matching.from_edges(m2))
+                for m1, m2 in gn.true_false_edges(i))
+        values = brute_force_satisfiable(f)
+        if values is not None:
+            spair = encode_assignment_to_spair(f, values)
+            assert verify_spair(inst, spair)[0]
+            assert decode_spair_to_assignment(f, spair) == values
+
+
+def decoded(decoder, formula, spair):
+    """The decoder's values, or the text of its ValueError."""
+    try:
+        return decoder(formula, spair)
+    except ValueError as exc:
+        return str(exc)
+
+
+def mutants(rng, formula, spair):
+    """The pair with, on each cycle in turn, one M1 or one M2 edge moved to
+    another Y vertex of the cycle (the other pair's edge at that X, or any);
+    with each cycle's pair swapped for the other value's; and with each clause
+    witness dropped from M2."""
+    gn = numbering(formula)
+    c = 2 * gn.s
+    m1, m2 = set(spair.m1.edges), set(spair.m2.edges)
+    for i in range(1, gn.t + 1):
+        b = (i - 1) * c
+        for side, other in ((m1, m2), (m2, m1)):
+            on_cycle = sorted((x, y) for x, y in side if b <= x < b + c)
+            x, y = rng.choice(on_cycle)
+            cycle_neighbour = b + (x - b + 1) % c if y == x else x
+            for new_y in {cycle_neighbour, rng.randrange(b, b + c)} - {y}:
+                moved = side - {(x, y)} | {(x, new_y)}
+                yield (moved, other) if side is m1 else (other, moved)
+        (true_m1, true_m2), (false_m1, false_m2) = gn.true_false_edges(i)
+        if set(true_m1) <= m1:
+            yield m1 - set(true_m1) | set(false_m1), m2 - set(true_m2) | set(false_m2)
+        else:
+            yield m1 - set(false_m1) | set(true_m1), m2 - set(false_m2) | set(true_m2)
+    for k in range(1, gn.s + 1):
+        yield m1, {(x, y) for x, y in m2 if x != gn.clause_w(k)}
+
+
+def test_decode_matches_the_reference_on_mutated_pairs():
+    rng = random.Random(31)
+    kinds = set()
+    for f in layout_formulas():
+        values = brute_force_satisfiable(f)
+        if values is None:
+            continue
+        spair = encode_assignment_to_spair(f, values)
+        for m1, m2 in mutants(rng, f, spair):
+            # unchecked, since a moved edge may share an endpoint
+            mutant = SPair(Matching(tuple(sorted(m1))), Matching(tuple(sorted(m2))))
+            got = decoded(decode_spair_to_assignment, f, mutant)
+            assert got == decoded(reference_decode, f, mutant)
+            kinds.add(re.sub(r"\d+", "#", got) if isinstance(got, str) else "values")
+    # the mutants reach both refusals and accepted values
+    assert kinds == {"values", "cycle # carries neither the true nor the false pair",
+                     "decoded assignment does not satisfy clause #"}

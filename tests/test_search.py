@@ -1,7 +1,6 @@
 """The incremental exact search against the rebuild-per-node reference."""
 
 import io
-import itertools
 import random
 
 import pytest
@@ -18,18 +17,8 @@ from sdmatch import (
     verify_spair,
 )
 from sdmatch.cli import run
-from sdmatch.reductions import CnfFormula, reduce_3sat_to_sdm
-from conftest import random_graph, reference_search, reference_solve
-
-
-def three_variable_formulas():
-    """Every set of 4-7 distinct clauses over 3 variables, each clause with
-    all three variables. There are 8 such clauses and each rules out one
-    assignment, so every one of these 162 sets is satisfiable."""
-    clauses = list(itertools.product((1, -1), (2, -2), (3, -3)))
-    for size in range(4, 8):
-        for chosen in itertools.combinations(clauses, size):
-            yield CnfFormula.make(3, chosen)
+from sdmatch.reductions import reduce_3sat_to_sdm
+from conftest import random_graph, reference_search, reference_solve, three_variable_formulas
 
 
 def random_instances(count, seed):
