@@ -11,7 +11,7 @@ import random
 import re
 import sys
 from types import SimpleNamespace
-from typing import IO, NoReturn, Optional, Sequence
+from typing import IO, Iterable, NoReturn, Optional, Sequence
 
 from . import graph as gmod
 from . import lebensold as lmod
@@ -35,20 +35,28 @@ class _CliError(Exception):
 
 
 def _read(path: str) -> str:
+    """The file's text as text mode reads it with encoding="ascii" and
+    universal newlines (CRLF and a lone CR each become LF), in one raw read:
+    text mode's buffer and decoder cost more than reading a small file."""
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
+    text = data.decode("ascii")
+    if "\r" in text:  # the test is cheaper than two replaces that find nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
-def _write_files(files: Sequence[tuple[str, str]]) -> None:
-    """Write each (path, text) in order, before anything goes to stdout, so a
-    failed command prints nothing. With more than one file, each path must be
-    a writable file or absent (a dangling symlink is neither) in a writable
-    directory, and no two may name the same file, before any is opened, so a
-    bad one spares the files that exist; one file has nothing to spare. A
-    failure after that removes the files this call created."""
+def _write_files(files: Sequence[tuple[str, Iterable[str]]]) -> None:
+    """Write each (path, pieces of ASCII text) in order, piece by piece,
+    before anything goes to stdout, so a failed command prints nothing. With
+    more than one file, each path must be a writable file or absent (a
+    dangling symlink is neither) in a writable directory, and no two may name
+    the same file, before any is opened, so a bad one spares the files that
+    exist; one file has nothing to spare. A failure after that removes the
+    files this call created."""
     if len(files) > 1:
         seen = {}  # real path -> the path given for it
         for path, _ in files:
@@ -61,13 +69,16 @@ def _write_files(files: Sequence[tuple[str, str]]) -> None:
                 raise _CliError(f"cannot write {path}: same file as {seen[real]}")
             seen[real] = path
     created = []
-    for path, text in files:
+    for path, pieces in files:
+        data = (piece.encode("ascii") for piece in pieces)
+        first = next(data, b"")  # encoded before the open truncates the file
         existed = os.path.lexists(path)
         try:
-            with open(path, "w", encoding="ascii") as handle:
+            with open(path, "wb") as handle:  # buffered: a raw write may be partial
                 if not existed:
                     created.append(path)
-                handle.write(text)
+                handle.write(first)
+                handle.writelines(data)
         except OSError as exc:
             for done in created:
                 os.remove(done)
@@ -121,7 +132,7 @@ def _cmd_reduce_3sat(args, out: IO[str]) -> int:
         return EXIT_YES
     instance, _ = rmod.reduce_3sat_to_sdm(formula)
     if args.map_path is not None:
-        _write_files([(args.map_path, cnf)])
+        _write_files([(args.map_path, [cnf])])
     out.write(gmod.serialize_instance(instance))
     return EXIT_YES
 
@@ -141,12 +152,14 @@ def _cmd_decode(args, out: IO[str]) -> int:
 def _cmd_reduce_dm(args, out: IO[str]) -> int:
     instance = _load_instance(args.instance)
     dm = rmod.reduce_sdm_to_dm(instance)
-    parts = [("G1", args.g1_path, gmod.serialize_graph(dm.g1)),
-             ("G2", args.g2_path, gmod.serialize_graph(dm.g2))]
-    _write_files([(path, text) for _, path, text in parts if path is not None])
-    for label, path, text in parts:
+    parts = [("G1", args.g1_path, SdmInstance(dm.g1, ())),
+             ("G2", args.g2_path, SdmInstance(dm.g2, ()))]
+    _write_files([(path, gmod.instance_chunks(graph)) for _, path, graph in parts
+                  if path is not None])
+    for label, path, graph in parts:
         if path is None:
-            out.write(f"c {label}\n" + text)
+            out.write(f"c {label}\n")
+            out.writelines(gmod.instance_chunks(graph))
     return EXIT_YES
 
 

@@ -14,7 +14,7 @@ import json
 import random
 import re
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -187,17 +187,19 @@ def verify_spair(instance: SdmInstance, candidate: SPair) -> tuple[bool, str]:
 
 
 def serialize_instance(instance: SdmInstance) -> str:
+    return "".join(instance_chunks(instance))
+
+
+def instance_chunks(instance: SdmInstance) -> Iterator[str]:
+    """The text of `serialize_instance` in pieces of at most 1 << 16 lines,
+    so that a dense graph is written without its whole text in memory."""
     g = instance.graph
-    lines = [f"p sdm {g.nx} {g.ny} {g.num_edges()}"]
-    for x, y in g.edges():
-        lines.append(f"e {x + 1} {y + 1}")
+    lines = chain([f"p sdm {g.nx} {g.ny} {g.num_edges()}"],
+                  (f"e {x} {y + 1}" for x, row in enumerate(g.adj, start=1) for y in row))
     if instance.s_set:
-        lines.append("s " + " ".join(str(x + 1) for x in instance.s_set))
-    return "\n".join(lines) + "\n"
-
-
-def serialize_graph(graph: BipartiteGraph) -> str:
-    return serialize_instance(SdmInstance(graph, ()))
+        lines = chain(lines, ["s " + " ".join(str(x + 1) for x in instance.s_set)])
+    while piece := list(islice(lines, 1 << 16)):
+        yield "\n".join(piece) + "\n"
 
 
 # Exactly the form serialize_instance writes, in any edge order. The

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,28 @@ def test_reduce_dm_files(tmp_path):
     assert g2_inst.graph.num_edges() == 1 + 6
 
 
+def test_reduce_dm_writes_its_graphs_as_it_builds_them(tmp_path):
+    """With S empty, G2 of a 400-link chain is complete: 160 000 e lines,
+    written piece by piece rather than held as one text, which peaked at
+    20.8 MB."""
+    path = write(tmp_path, "chain.sdm", serialize_instance(SdmInstance.make(chain_graph(400), [])))
+    g1, g2 = tmp_path / "g1.sdm", tmp_path / "g2.sdm"
+    tracemalloc.start()
+    try:
+        result = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", str(g2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "", "")
+    assert peak < 12 * 2**20
+    assert g1.read_text() == Path(path).read_text()
+    assert g2.read_bytes() == b"p sdm 400 400 160000\n" + b"".join(
+        b"e %d %d\n" % (x, y) for x in range(1, 401) for y in range(1, 401))
+    # without --g1 and --g2 the same pieces go to stdout
+    assert invoke(["reduce-dm", path]) == (
+        0, "c G1\n" + g1.read_text() + "c G2\n" + g2.read_text(), "")
+
+
 def test_unknown_flag_exits_2():
     code, _, err = invoke(["solve", "--nope"])
     assert code == 2
@@ -280,6 +303,65 @@ def test_unreadable_file_exits_2():
     code, _, err = invoke(["solve", "/does/not/exist"])
     assert code == 2
     assert "error:" in err
+
+
+def text_mode(path):
+    """The reference reader: the text mode that `_read` replaces."""
+    with open(path, encoding="ascii") as handle:
+        return handle.read()
+
+
+# about 80 KB, past text mode's 64 KiB read size; line ends fall at every
+# offset of its 8 KiB buffers, so some CRLF pairs straddle a boundary
+BIG_LINES = [f"c {'x' * (i % 97)}" for i in range(1600)]
+LINE_ENDS = ["\n", "\r\n", "\r", "\r\r\n"]
+
+
+@pytest.mark.parametrize("data", [
+    b"p sdm 1 1 1\ne 1 1\ns 1\n",
+    b"p sdm 1 1 1\r\ne 1 1\r\ns 1\r\n",
+    b"p sdm 1 1 1\re 1 1\rs 1\r",
+    b"p sdm 1 1 1\r\r\ne 1 1\n\rs 1\r\n\r",
+    "\n".join(BIG_LINES).encode(),
+    "\r\n".join(BIG_LINES).encode(),
+    "".join(line + LINE_ENDS[i % 4] for i, line in enumerate(BIG_LINES)).encode(),
+], ids=["lf", "crlf", "cr", "mixed", "big-lf", "big-crlf", "big-mixed"])
+def test_read_gives_what_text_mode_reads(tmp_path, data):
+    import sdmatch.cli as cli
+
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    assert cli._read(str(path)) == text_mode(path)
+
+
+@pytest.mark.parametrize("case", ["non-ascii-first-line", "non-ascii-past-64k", "directory",
+                                  "missing"])
+def test_unreadable_file_gives_text_modes_error(tmp_path, case):
+    path = tmp_path / "f"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        data = bytearray("\n".join(BIG_LINES).encode())
+        data[5 if case == "non-ascii-first-line" else 70000] = 0xE9
+        path.write_bytes(data)
+    try:
+        text_mode(path)
+    except OSError as exc:
+        message = f"cannot read {path}: {exc}"
+    except UnicodeDecodeError as exc:
+        message = str(exc)
+    assert invoke(["solve", str(path)]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_map_holds_the_bytes_text_mode_wrote(tmp_path, end):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_bytes(f"c two clauses{end}p cnf 3 2{end}1 -2 3 0{end}-1 2 3 0{end}".encode())
+    reference, written = tmp_path / "reference.map", tmp_path / "f.map"
+    with open(reference, "w", encoding="ascii") as handle:
+        handle.write(text_mode(cnf))
+    assert invoke(["reduce-3sat", str(cnf), "--map", str(written)])[0] == 0
+    assert written.read_bytes() == reference.read_bytes()
 
 
 def test_unwritable_map_exits_2_without_traceback(tmp_path):

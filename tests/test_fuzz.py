@@ -145,6 +145,7 @@ def test_mutated_inputs_never_crash_and_every_yes_checks(command, work, data):
     assert "error: internal" not in err.getvalue()
     assert code in (0, 1, 2, 3)
     if code == 0:
-        # read back as the command read it: text mode turns CRLF into LF
+        # read back as the command read it: `cli._read` turns CRLF into LF,
+        # as text mode does
         texts = [Path(path).read_text() for path in paths]
         check_certificate(command, texts, options, out.getvalue(), work)
