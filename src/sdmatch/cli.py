@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import os
 import random
-import re
 import sys
 from types import SimpleNamespace
-from typing import IO, Iterable, NoReturn, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 from . import graph as gmod
 from . import lebensold as lmod
@@ -220,8 +219,6 @@ _COMMANDS = {
                {"--limit": ("limit", int, DEFAULT_COUNT_EDGE_LIMIT)},
                "exact S-pair count (size-limited)"),
 }
-_HELP_FLAGS = {"-h": None, "--help": None}
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 class _Help(Exception):
@@ -229,126 +226,77 @@ class _Help(Exception):
     print, or None for all of them."""
 
 
-def _option(token: str, flags: dict) -> Optional[tuple]:
-    """Read one token as argparse reads it against `flags` (-h and --help
-    first): None for a positional, else (flag, value given with the flag or
-    None), where flag is None for an option that `flags` lacks."""
-    if not token or token[0] != "-":
+def _parse_plain_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """Read argv in the plain form without a parser: a command name, then
+    positionals (words that do not start with -), options each given as its
+    exact flag and the next word, which does not start with -, or as
+    flag=value, and a -- after which every word is a positional. None for
+    any other argv, or when an argument is missing or a value does not
+    convert: _parse_by_argparse reads or refuses those."""
+    # argparse refuses a final -- unless a positional stands just before it;
+    # such an argv is left to it
+    if not argv or argv[0] not in _COMMANDS or argv[-1] == "--":
         return None
-    if token in flags:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in flags:
-        return name, value
-    if token[1] == "-":  # a unique prefix of a long flag stands for it
-        found = [flag for flag in flags if flag.startswith(name)]
-        if len(found) > 1:
-            raise _CliError(f"ambiguous option: {token} could match {', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    elif token[:2] in flags:  # -kVALUE
-        return token[:2], token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _help(command: Optional[str], flag: str, value: Optional[str], flags: dict,
-          value_follows: bool) -> NoReturn:
-    """Raise _Help for a help flag, unless argparse reports an error first:
-    text after -h names more single-dash flags (-hk 3 is -h -k 3), and a
-    value given to --help, or to -h by `=`, is refused."""
-    while value is not None:
-        if flag == "--help" or not value or "-" + value[0] not in flags:
-            raise _CliError(f"argument -h/--help: ignored explicit argument {value!r}")
-        flag, value = "-" + value[0], value[1:] or None
-        if flag != "-h":
-            if value is None and not value_follows:
-                raise _CliError(f"argument {flag}: expected one argument")
-            break
-    raise _Help(command)
-
-
-def _parse_command(name: str, tokens: Sequence[str], extras: list) -> SimpleNamespace:
-    """Read the tokens after the command name `name` by argparse's rules
-    for a subparser, appending the ones no argument takes to `extras`."""
-    _, positionals, options, _ = _COMMANDS[name]
-    flags = _HELP_FLAGS | options
-    # every token is read before any is taken, so an ambiguous prefix is
-    # reported before a bad value; every token after the first -- is a
-    # positional
-    kinds = []
-    for i, token in enumerate(tokens):
-        if token == "--":
-            kinds += ["--"] + [None] * (len(tokens) - i - 1)
-            break
-        kinds.append(_option(token, flags))
-    args = {dest: default for dest, _, default in options.values() if default is not _REQUIRED}
+    _, positionals, options, _ = _COMMANDS[argv[0]]
+    args = {dest: default for dest, _, default in options.values()}
     values = []
-    taken = False  # whether the token before was taken as a positional
-    i = 0
-    while i < len(tokens):
-        token, kind = tokens[i], kinds[i]
-        i += 1
-        if kind is None:
-            taken = len(values) < len(positionals)
-            (values if taken else extras).append(token)
-        elif kind == "--":  # dropped when a positional takes a token beside it
-            if not taken and len(values) == len(positionals):
-                extras.append(token)
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            values.append(word)
+        elif word == "--":
+            values += words
         else:
-            taken = False
-            flag, value = kind
-            if flag is None:
-                extras.append(token)
-            elif flag in _HELP_FLAGS:
-                _help(name, flag, value, flags, i < len(tokens) and kinds[i] is None)
-            else:
-                if value is None:
-                    if i == len(tokens) or kinds[i] is not None:
-                        raise _CliError(f"argument {flag}: expected one argument")
-                    value = tokens[i]
-                    i += 1
-                dest, convert, _ = options[flag]
-                try:
-                    args[dest] = convert(value)
-                except (TypeError, ValueError):
-                    raise _CliError(f"argument {flag}: invalid {convert.__name__} value: "
-                                    f"{value!r}") from None
-    missing = list(positionals[len(values):]) + [
-        flag for flag, (dest, _, _) in options.items() if dest not in args]
-    if missing:
-        raise _CliError(f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(command=name, **dict(zip(positionals, values)), **args)
+            flag, eq, value = word.partition("=")
+            if flag not in options:
+                return None
+            if not eq:
+                value = next(words, None)
+                if value is None or value[:1] == "-":
+                    return None
+            dest, convert, _ = options[flag]
+            try:
+                args[dest] = convert(value)
+            except ValueError:
+                return None
+    if len(values) != len(positionals) or _REQUIRED in args.values():
+        return None
+    return SimpleNamespace(command=argv[0], **dict(zip(positionals, values)), **args)
 
 
-def _parse_argv(argv: Sequence[str]) -> SimpleNamespace:
-    """Read argv against _COMMANDS by argparse's rules, with its messages
-    in its order: an ambiguous prefix, a bad or missing value as its token
-    is read, missing arguments, then unrecognized ones. Before the command,
-    only -h and --help are options; the first positional, or the first --,
-    is the command name."""
-    extras = []
-    i = 0
-    while i < len(argv) and argv[i] != "--" and (kind := _option(argv[i], _HELP_FLAGS)):
-        if kind[0] is None:
-            extras.append(argv[i])
-        else:
-            _help(None, *kind, _HELP_FLAGS, False)
-        i += 1
-    # a -- with nothing after it names no command; with more, it is the name
-    if i == len(argv) or i + 1 == len(argv) and argv[i] == "--":
-        raise _CliError("the following arguments are required: command")
-    name = argv[i]
-    if name not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        raise _CliError(f"argument command: invalid choice: {name!r} (choose from {choices})")
-    args = _parse_command(name, argv[i + 1:], extras)
-    if extras:
-        raise _CliError(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+def _parse_by_argparse(argv: Sequence[str]):
+    """Read any argv with an argparse parser built from _COMMANDS. A bad
+    argv raises _CliError with argparse's message, and -h or --help raises
+    _Help, so usage is _help_text's."""
+    import argparse  # here, so that a plain argv loads neither it nor gettext
+
+    class Parser(argparse.ArgumentParser):
+        command = None
+
+        def error(self, message):
+            raise _CliError(message)
+
+        def print_help(self, file=None):
+            raise _Help(self.command)
+
+        def _get_values(self, action, arg_strings):
+            # argparse drops the first -- of every value, so the value --
+            # (--map=--, or a second -- read as a positional) would be []
+            if arg_strings == ["--"]:
+                return self._get_value(action, "--")
+            return super()._get_values(action, arg_strings)
+
+    parser = Parser(prog="sdmatch")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, positionals, options, _) in _COMMANDS.items():
+        sub = commands.add_parser(name, prog=f"sdmatch {name}")
+        sub.command = name
+        for dest in positionals:
+            sub.add_argument(dest)
+        for flag, (dest, convert, default) in options.items():
+            sub.add_argument(flag, dest=dest, type=convert, default=default,
+                             required=default is _REQUIRED)
+    return parser.parse_args(argv)
 
 
 def _help_text(name: Optional[str]) -> str:
@@ -371,13 +319,15 @@ def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
     run may be called many times in one process; each call gives the bytes
     and exit code a fresh `sdmatch` process would. argv is read against the
     command table _COMMANDS on every call, into a fresh attribute object;
-    no handler writes to the table. -h or --help prints usage to stdout and
-    returns 0.
+    no handler writes to the table. An argv in the plain form is read
+    without a parser (_parse_plain_argv); every other one goes to an
+    argparse parser built from the table for that call, which gives
+    argparse's error line. -h or --help prints usage to stdout and returns 0.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _parse_argv(argv)
+        args = _parse_plain_argv(argv) or _parse_by_argparse(argv)
         return _COMMANDS[args.command][0](args, out)
     except _Help as request:
         out.write(_help_text(request.args[0]))

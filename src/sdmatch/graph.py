@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -22,22 +21,12 @@ class FormatError(ValueError):
     """Raised when a text instance or solution cannot be parsed."""
 
 
-def _frozen(self, name: str, value: object) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
+class BipartiteGraph(NamedTuple):
+    """An (X,Y)-bigraph stored as sorted X-side adjacency lists."""
 
-
-# A record with a cached property is a subclass of its NamedTuple, since the
-# cache needs an instance __dict__; _frozen keeps new attributes out of it.
-class _Bigraph(NamedTuple):
     nx: int
     ny: int
     adj: tuple[tuple[int, ...], ...]
-
-
-class BipartiteGraph(_Bigraph):
-    """An (X,Y)-bigraph stored as sorted X-side adjacency lists."""
-
-    __setattr__ = _frozen
 
     @staticmethod
     def from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -57,7 +46,7 @@ class BipartiteGraph(_Bigraph):
             neigh[x].add(y)
         return BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) for s in neigh))
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((x, y) for x in range(self.nx) for y in self.adj[x])
 
@@ -76,14 +65,10 @@ def random_graph(rng: random.Random, nx: int, ny: int, density: float) -> Bipart
     return BipartiteGraph.from_edges(nx, ny, edges)
 
 
-class _Edges(NamedTuple):
-    edges: tuple[tuple[int, int], ...]
-
-
-class Matching(_Edges):
+class Matching(NamedTuple):
     """A set of pairwise endpoint-disjoint edges, stored sorted by x."""
 
-    __setattr__ = _frozen
+    edges: tuple[tuple[int, int], ...]
 
     @staticmethod
     def from_edges(edges: Iterable[tuple[int, int]]) -> "Matching":
@@ -105,11 +90,11 @@ class Matching(_Edges):
             raise ValueError("edges share an endpoint; not a matching")
         return Matching(pairs)
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    @cached_property
+    @property
     def covered_x(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.edges)
 
@@ -120,7 +105,8 @@ class Matching(_Edges):
 def is_matching(graph: BipartiteGraph, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the edges are pairwise endpoint-disjoint and all lie in the graph."""
     pairs = list(edges)
-    if any(e not in graph.edge_set for e in pairs):
+    edge_set = graph.edge_set  # built once, not once per edge
+    if any(e not in edge_set for e in pairs):
         return False
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import sdmatch
 from sdmatch import (BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance,
                      serialize_solution, solve)
-from sdmatch.cli import run
+from sdmatch.cli import _COMMANDS, _parse_by_argparse, _parse_plain_argv, run
 from sdmatch.reductions import CnfFormula, reduce_3sat_to_sdm
 from conftest import c8_cycle, chain_graph
 
@@ -633,6 +634,13 @@ CHOICES = ", ".join(map(repr, COMMANDS))
     (["solve", "g", "--budget", "-5"], (2, "error: budget must be >= 0\n")),
     (["solve", "g", "--budget", "1", "--budget", "100000"], (0, "")),
     (["solve", "g", "--budget", "100000", "--budget", "1"], (3, "")),
+    # the value -- is read, and refused, as its token is read
+    (["solve", "--budget=--"], (2, "error: argument --budget: invalid int value: '--'\n")),
+    (["lebensold", "g", "-k--"], (2, "error: argument -k: invalid int value: '--'\n")),
+    (["solve", "-", "--budget=--", "--budget=3"],
+     (2, "error: argument --budget: invalid int value: '--'\n")),
+    # a final -- is dropped only beside a positional
+    (["solve", "g", "--budget=1", "--"], (2, "error: unrecognized arguments: --\n")),
 ])
 def test_argv_corpus(tmp_path, monkeypatch, argv, expected):
     monkeypatch.chdir(tmp_path)
@@ -657,6 +665,41 @@ def test_a_double_dash_value_is_a_path(tmp_path, monkeypatch):
     assert (tmp_path / "--").read_text() == "p cnf 1 1\n1 0\n"
     assert invoke(["solve", "g", "--budget=--"]) == (
         2, "", "error: argument --budget: invalid int value: '--'\n")
+
+
+def test_plain_reader_reads_as_argparse_does():
+    # argparse is the reference of the plain reader: wherever the plain
+    # reader returns a value, the argparse parser returns the same one
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    values = st.sampled_from(["3", "g", "0.5", "", "-5", "--"])
+    others = st.sampled_from(["--", "-", "-5", "two", "-k3", "-k--", "-k=2", "-k", "--bud", "--g",
+                              "--nope", "--budget=--", "-h", "--help"])
+    read = []
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        # shuffled groups: a value per positional, the command's options as
+        # the flag and its value or as flag=value, and at most one word
+        # outside that form: a prefix, another command's flag, -h
+        command = data.draw(st.sampled_from(COMMANDS))
+        _, positionals, options, _ = _COMMANDS[command]
+        groups = [[data.draw(values)] for _ in positionals]
+        flags = st.lists(st.sampled_from(list(options)), max_size=4) if options else st.just([])
+        for flag in data.draw(flags):
+            value = data.draw(values)
+            groups.append(data.draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+        groups += [[word] for word in data.draw(st.lists(others, max_size=1))]
+        argv = [command, *chain(*data.draw(st.permutations(groups)))]
+        plain = _parse_plain_argv(argv)
+        if plain is not None:
+            read.append(argv)
+            assert vars(plain) == vars(_parse_by_argparse(argv))
+
+    check()
+    assert len(read) > 50
 
 
 @pytest.mark.parametrize("argv", [[flag] for flag in ("-h", "--help")] + [

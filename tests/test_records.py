@@ -33,6 +33,29 @@ def test_import_loads_no_dataclasses_inspect_or_traceback():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
+def test_plain_argv_loads_no_argparse_or_gettext(tmp_path):
+    # the commands the benchmark runs read their argv without argparse
+    src = str(Path(sdmatch.__file__).resolve().parents[1])
+    (tmp_path / "g.sdm").write_text("p sdm 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\ns 1\n")
+    (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+    probe = ("import io, sys, sdmatch.cli\n"
+             "def run(*argv):\n"
+             "    out = io.StringIO()\n"
+             "    code = sdmatch.cli.run(list(argv), out, sys.stderr)\n"
+             "    return code, out.getvalue()\n"
+             "run('solve', 'g.sdm')\n"
+             "run('lebensold', 'g.sdm', '-k', '2')\n"
+             "code, text = run('reduce-3sat', 'f.cnf', '--map', 'f.map')\n"
+             "open('f.sdm', 'w').write(text)\n"
+             "code, text = run('solve', 'f.sdm')\n"
+             "open('f.sol', 'w').write(text)\n"
+             "print(run('decode', 'f.map', 'f.sol')[0])\n"
+             "print(*sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n\n", "")
+
+
 def graph():
     return BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1), (0, 1)])
 
