@@ -228,14 +228,11 @@ class _Help(Exception):
 
 def _parse_plain_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """Read argv in the plain form without a parser: a command name, then
-    positionals (words that do not start with -), options each given as its
-    exact flag and the next word, which does not start with -, or as
-    flag=value, and a -- after which every word is a positional. None for
-    any other argv, or when an argument is missing or a value does not
+    positionals (words that do not start with -) and options, each given as
+    its exact flag and the next word, which does not start with -. None for
+    any other word, or when an argument is missing or a value does not
     convert: _parse_by_argparse reads or refuses those."""
-    # argparse refuses a final -- unless a positional stands just before it;
-    # such an argv is left to it
-    if not argv or argv[0] not in _COMMANDS or argv[-1] == "--":
+    if not argv or argv[0] not in _COMMANDS:
         return None
     _, positionals, options, _ = _COMMANDS[argv[0]]
     args = {dest: default for dest, _, default in options.values()}
@@ -244,21 +241,15 @@ def _parse_plain_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     for word in words:
         if word[:1] != "-":
             values.append(word)
-        elif word == "--":
-            values += words
-        else:
-            flag, eq, value = word.partition("=")
-            if flag not in options:
-                return None
-            if not eq:
-                value = next(words, None)
-                if value is None or value[:1] == "-":
-                    return None
-            dest, convert, _ = options[flag]
-            try:
-                args[dest] = convert(value)
-            except ValueError:
-                return None
+            continue
+        value = next(words, "-")  # a final flag has no value: refused below
+        if word not in options or value[:1] == "-":
+            return None
+        dest, convert, _ = options[word]
+        try:
+            args[dest] = convert(value)
+        except ValueError:
+            return None
     if len(values) != len(positionals) or _REQUIRED in args.values():
         return None
     return SimpleNamespace(command=argv[0], **dict(zip(positionals, values)), **args)
@@ -280,8 +271,8 @@ def _parse_by_argparse(argv: Sequence[str]):
             raise _Help(self.command)
 
         def _get_values(self, action, arg_strings):
-            # argparse drops the first -- of every value, so the value --
-            # (--map=--, or a second -- read as a positional) would be []
+            # argparse 3.11 drops the first -- of every value, so the value
+            # -- (--map=--, or a second -- read as a positional) would be []
             if arg_strings == ["--"]:
                 return self._get_value(action, "--")
             return super()._get_values(action, arg_strings)

@@ -150,8 +150,9 @@ def factor_degrees_ok(graph: BipartiteGraph, cap_x, cap_y,
     cap on X, at most the cap on Y."""
     dx = [0] * graph.nx
     dy = [0] * graph.ny
+    edge_set = graph.edge_set  # a property: built once, not per edge
     for x, y in factor:
-        if (x, y) not in graph.edge_set:
+        if (x, y) not in edge_set:
             return False
         dx[x] += 1
         dy[y] += 1

@@ -19,10 +19,11 @@ def test_c8_cycle_two_colors(c8_gadget):
     assert nonempty(classes) == 2
     assert is_proper(inst.graph.edges(), classes)
     # alternation around the cycle
+    first = classes[0].edge_set
     for j in range(1, 9):
         e1 = gm.cycle_edge(1, j)
         e2 = gm.cycle_edge(1, j % 8 + 1)
-        assert (e1 in classes[0].edge_set) != (e2 in classes[0].edge_set)
+        assert (e1 in first) != (e2 in first)
 
 
 def test_star_k13_three_colors():

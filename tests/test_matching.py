@@ -54,7 +54,8 @@ def test_max_matching_size_matches_networkx():
     for g in sparse_random_graphs(9, 30):
         m = max_matching(g)
         assert m.covered_x <= frozenset(range(g.nx))
-        assert all((x, y) in g.edge_set for x, y in m.edges)
+        edge_set = g.edge_set
+        assert all((x, y) in edge_set for x, y in m.edges)
         h = networkx.Graph()
         h.add_nodes_from(("x", x) for x in range(g.nx))
         h.add_nodes_from(("y", y) for y in range(g.ny))
