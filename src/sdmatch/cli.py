@@ -51,22 +51,24 @@ def _read(path: str) -> str:
 def _write_files(files: Sequence[tuple[str, Iterable[str]]]) -> None:
     """Write each (path, pieces of ASCII text) in order, piece by piece,
     before anything goes to stdout, so a failed command prints nothing. With
-    more than one file, each path must be a writable file or absent (a
-    dangling symlink is neither) in a writable directory, and no two may name
-    the same file, before any is opened, so a bad one spares the files that
-    exist; one file has nothing to spare. A failure after that removes the
-    files this call created."""
+    more than one file, each path must be a writable file, or absent (a
+    dangling symlink is neither) from a writable directory, and no two may
+    name the same file, a hard link included, before any is opened, so a bad
+    one spares the files that exist; one file has nothing to spare. A failure
+    after that removes the files this call created."""
     if len(files) > 1:
-        seen = {}  # real path -> the path given for it
+        seen = {}  # (device, inode) of a file, or real path of an absent one -> path given
         for path, _ in files:
-            parent = os.path.dirname(path) or "."
-            if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK) or \
-                    (os.path.lexists(path) and not os.access(path, os.W_OK)):
+            exists = os.path.lexists(path)
+            where = path if exists else os.path.dirname(path) or "."
+            if os.path.isdir(path) or \
+                    not os.access(where, os.W_OK if exists else os.W_OK | os.X_OK):
                 raise _CliError(f"cannot write {path}: file or its directory not writable")
-            real = os.path.realpath(path)
-            if real in seen:
-                raise _CliError(f"cannot write {path}: same file as {seen[real]}")
-            seen[real] = path
+            stat = os.stat(path) if exists else None
+            key = (stat.st_dev, stat.st_ino) if exists else os.path.realpath(path)
+            if key in seen:
+                raise _CliError(f"cannot write {path}: same file as {seen[key]}")
+            seen[key] = path
     created = []
     for path, pieces in files:
         data = (piece.encode("ascii") for piece in pieces)

@@ -31,32 +31,24 @@ i + 1.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
 
 from .graph import BipartiteGraph, Matching
 from .matching import _hopcroft_karp
 
 
-def konig_color(graph: BipartiteGraph, edges: Iterable[tuple[int, int]],
-                k: int) -> tuple[Matching, ...]:
-    """The k color classes of a proper coloring of the given edges of graph;
-    class i holds color i + 1. The split depends on the order of the edges
-    only through the order of each vertex's incidence list.
+def konig_color(h: BipartiteGraph, k: int) -> tuple[Matching, ...]:
+    """The k color classes of a proper coloring of the edges of h; class i
+    holds color i + 1.
 
-    Raises ValueError when an edge is not in graph or is given twice, and
-    when some vertex has more than k of the edges.
+    Raises ValueError when some vertex has more than k edges.
     """
-    nx, ny, adj = graph.nx, graph.ny, graph.adj
+    nx, ny = h.nx, h.ny
     n = nx + ny
-    edges = tuple(edges)
+    edges = h.edges()
     degree = [0] * n
     for x, y in edges:
-        if not (0 <= x < nx and y in adj[x]):
-            raise ValueError(f"({x}, {y}) is not an edge of the graph")
         degree[x] += 1
         degree[nx + y] += 1
-    if len(set(edges)) != len(edges):
-        raise ValueError("an edge is given twice")
     if max(degree, default=0) > k:
         raise ValueError(f"a vertex has more than k = {k} of the edges")
     # walked[i] is the number of the halving pass that walked edge i

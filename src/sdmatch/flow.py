@@ -18,7 +18,7 @@ explicit stack and one arc pointer per X vertex. Nothing recurses. W is what
 the last BFS reached. Each Y vertex keeps its holders in ascending order, the
 order in which Dinic's algorithm on the network scans its reverse arcs, so
 each phase augments as Dinic's would and the factor stays the same. A factor
-is a tuple of edges in ``graph.edges()`` order.
+is a ``BipartiteGraph``, a subgraph on the graph's vertices.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from .graph import BipartiteGraph
 
 
 def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
-                  ) -> tuple[Optional[tuple[tuple[int, int], ...]], Optional[tuple[int, ...]]]:
-    """(factor, None) or (None, W) from one max flow on source -> x (capacity
+                  ) -> tuple[Optional[BipartiteGraph], Optional[tuple[int, ...]]]:
+    """(H, None) or (None, W) from one max flow on source -> x (capacity
     cap_x[x]), x -> y (1) and y -> sink (cap_y[y]).
 
-    The factor, the edges carrying flow in ``graph.edges()`` order, has degree
-    cap_x[x] at each x and at most cap_y[y] at each y. When none exists, W is
-    the nonempty set of X vertices on the source side of the minimal minimum
-    cut: sum_{x in W} cap_x[x] > sum_y min(cap_y[y], |N(y) cap W|).
+    H, the edges carrying flow as a graph on the same vertices (rows
+    ascending), has degree cap_x[x] at each x and at most cap_y[y] at each y.
+    When none exists, W is the nonempty set of X vertices on the source side
+    of the minimal minimum cut: sum_{x in W} cap_x[x] > sum_y min(cap_y[y], |N(y) cap W|).
     """
     adj, nx = graph.adj, graph.nx
     room_x, room_y = list(cap_x), list(cap_y)
@@ -125,14 +125,15 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
                     del stack[1:]
         free = [x for x in free if room_x[x]]
     if not free:
-        return tuple((x, y) for x in range(nx) for y in adj[x] if x in holders[y]), None
+        rows = tuple(tuple(y for y in adj[x] if x in holders[y]) for x in range(nx))
+        return BipartiteGraph(nx, graph.ny, rows), None
     return None, tuple(x for x in range(nx) if dist[x] >= 0)
 
 
 def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
-              ) -> Optional[tuple[tuple[int, int], ...]]:
-    """The edges, in ``graph.edges()`` order, of a subgraph H with d_H(x) ==
-    cap_x[x] at each X vertex and d_H(y) <= cap_y[y] at each Y vertex, or None.
+              ) -> Optional[BipartiteGraph]:
+    """A subgraph H of graph, on its vertices, with d_H(x) == cap_x[x] at each
+    X vertex and d_H(y) <= cap_y[y] at each Y vertex, or None.
 
     Two cuts refute before any flow runs, each in O(E): an X vertex with
     fewer neighbours than its cap, and caps on X that sum past

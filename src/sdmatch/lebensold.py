@@ -2,9 +2,9 @@
 
 Both rest on one max flow, ``flow.feasible_flow`` with capacity k on every
 vertex, the same degree network the S-pair factor runs on. A flow of value
-k|X| is a factor with degree exactly k on X and at most k on Y, and
-``konig_color(graph, factor, k)`` splits it by Euler partitions into its k
-color classes: k disjoint X-saturating matchings. A smaller flow leaves a
+k|X| is a factor H, a subgraph with degree exactly k on X and at most k on Y,
+and ``konig_color(H, k)`` splits it by Euler partitions into its k color
+classes: k disjoint X-saturating matchings. A smaller flow leaves a
 minimum cut of value
 k(|X| - |W|) + sum_y min(k, |N(y) cap W|) < k|X|, where W is the set of X
 vertices on its source side; so W violates Lebensold's counting condition
@@ -46,7 +46,7 @@ def lebensold_condition(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    factor, w = feasible_flow(graph, [k] * graph.nx, [k] * graph.ny)
-    if factor is None:
+    h, w = feasible_flow(graph, [k] * graph.nx, [k] * graph.ny)
+    if h is None:
         return LebensoldVerdict(False, w)
-    return LebensoldVerdict(True, None, konig_color(graph, factor, k))
+    return LebensoldVerdict(True, None, konig_color(h, k))

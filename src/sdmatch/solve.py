@@ -1,8 +1,8 @@
 """SDM decision and construction algorithms.
 
 Two algorithms behind three labels. |S| >= |X|-1 takes the polynomial
-algorithm (PolyLargeS): a degree factor with degree 2 on S, 1 on the rest of
-X and at most 2 on Y is exactly a union M1 | M2, and konig_color splits it into
+algorithm (PolyLargeS): a degree factor H with degree 2 on S, 1 on the rest of
+X and at most 2 on Y is exactly a union M1 | M2, and konig_color splits H into
 two color classes. The split walks the path of the X vertex outside S first,
 so that vertex's edge lands in the first class, M1, and no swap is needed. An
 X vertex with fewer neighbours than its factor degree, or factor degrees on X
@@ -61,14 +61,14 @@ def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
     # the factor of an S-pair: M1 | M2 has degree 2 on S, 1 on the rest of X
     # and at most 2 on Y
     in_s = set(instance.s_set)
-    factor = gf_factor(g, [2 if x in in_s else 1 for x in range(g.nx)], [2] * g.ny)
-    if factor is None:
+    h = gf_factor(g, [2 if x in in_s else 1 for x in range(g.nx)], [2] * g.ny)
+    if h is None:
         return None
     # Each S vertex has degree 2 in the factor and so sees both colors. The
     # X vertex outside S, if any, is the one X vertex of degree 1, so the
     # split walks its path first and puts its edge in M1: M1 saturates X and
     # M2 saturates S.
-    return SPair(*konig_color(g, factor, 2))
+    return SPair(*konig_color(h, 2))
 
 
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:

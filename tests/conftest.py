@@ -144,19 +144,21 @@ def is_proper(edges, classes: tuple[Matching, ...]) -> bool:
     return len(set(union)) == len(union) and set(union) == set(edges)
 
 
-def factor_degrees_ok(graph: BipartiteGraph, cap_x, cap_y,
-                      factor: tuple[tuple[int, int], ...]) -> bool:
-    """Re-validate a factor's edges and degrees vertex by vertex: exactly the
-    cap on X, at most the cap on Y."""
-    dx = [0] * graph.nx
+def factor_degrees_ok(graph: BipartiteGraph, cap_x, cap_y, h: BipartiteGraph) -> bool:
+    """Re-validate a factor H of the graph vertex by vertex: the graph's
+    vertices, each row an ordered subsequence of the graph's row with exactly
+    the cap on X, and at most the cap on Y."""
+    if (h.nx, h.ny, len(h.adj)) != (graph.nx, graph.ny, graph.nx):
+        return False
     dy = [0] * graph.ny
-    edge_set = graph.edge_set  # a property: built once, not per edge
-    for x, y in factor:
-        if (x, y) not in edge_set:
+    for x, row in enumerate(h.adj):
+        rest = iter(graph.adj[x])
+        # each `y in rest` consumes rest through y, so order and repeats count
+        if len(row) != cap_x[x] or not all(y in rest for y in row):
             return False
-        dx[x] += 1
-        dy[y] += 1
-    return dx == list(cap_x) and all(dy[y] <= cap_y[y] for y in range(graph.ny))
+        for y in row:
+            dy[y] += 1
+    return all(dy[y] <= cap_y[y] for y in range(graph.ny))
 
 
 def networkx_network(graph: BipartiteGraph, cap_x, cap_y):

@@ -180,12 +180,12 @@ def test_criterion_7_coloring_tightness():
         if delta > 5:
             continue
         done += 1
-        classes = konig_color(g, g.edges(), delta)
+        classes = konig_color(g, delta)
         if not is_proper(g.edges(), classes) or sum(1 for c in classes if c) != delta:
             ok = False
         if delta > 0:
             try:
-                konig_color(g, g.edges(), delta - 1)
+                konig_color(g, delta - 1)
                 ok = False
             except ValueError:
                 pass

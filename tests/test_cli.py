@@ -440,6 +440,45 @@ def test_reduce_dm_refuses_one_file_for_both_graphs(tmp_path):
     assert target.read_bytes() == b"old contents\n" and link.is_symlink()
 
 
+
+def test_reduce_dm_refuses_two_hard_links_to_one_file(tmp_path):
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    target, link = tmp_path / "a.sdm", tmp_path / "b.sdm"
+    target.write_bytes(b"old contents\n")
+    os.link(target, link)
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(target), "--g2", str(link)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {link}: same file as {target}")
+    assert target.read_bytes() == b"old contents\n" and os.path.samefile(target, link)
+
+
+def test_reduce_dm_writes_an_existing_file_in_a_read_only_directory(tmp_path, monkeypatch):
+    """Only a file that does not exist yet needs a writable directory. Root
+    passes every access check, so the directory is denied by a stand-in."""
+    import sdmatch.cli as cli
+
+    path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    g1, g2 = locked / "a.sdm", tmp_path / "b.sdm"
+    g1.write_bytes(b"old contents\n")
+
+    access = os.access
+
+    def access_denying_locked(name, mode):
+        return os.path.realpath(name) != str(locked) and access(name, mode)
+
+    monkeypatch.setattr(cli.os, "access", access_denying_locked)
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g1), "--g2", str(g2)])
+    assert (code, out, err) == (0, "", "")
+    assert g1.read_bytes() != b"old contents\n" and g2.exists()
+    # a new file in that directory is still refused, and nothing is written
+    g3 = locked / "c.sdm"
+    code, out, err = invoke(["reduce-dm", path, "--g1", str(g3), "--g2", str(g2)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {g3}: file or its directory not writable")
+    assert not g3.exists()
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
 def test_failed_reduce_dm_keeps_output_before_a_read_only_file(tmp_path):
     path = write(tmp_path, "i.sdm", "p sdm 3 3 1\ne 1 1\ns 1\n")

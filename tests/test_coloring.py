@@ -6,7 +6,7 @@ import pytest
 from sdmatch import konig_color
 from sdmatch import BipartiteGraph, is_matching
 from sdmatch.flow import feasible_flow, gf_factor
-from conftest import is_proper, k22, max_degree, random_graph, y_adj
+from conftest import factor_degrees_ok, is_proper, k22, max_degree, random_graph, y_adj
 
 
 def nonempty(classes) -> int:
@@ -15,7 +15,7 @@ def nonempty(classes) -> int:
 
 def test_c8_cycle_two_colors(c8_gadget):
     inst, gm = c8_gadget
-    classes = konig_color(inst.graph, inst.graph.edges(), 2)
+    classes = konig_color(inst.graph, 2)
     assert nonempty(classes) == 2
     assert is_proper(inst.graph.edges(), classes)
     # alternation around the cycle
@@ -28,7 +28,7 @@ def test_c8_cycle_two_colors(c8_gadget):
 
 def test_star_k13_three_colors():
     g = BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)])
-    classes = konig_color(g, g.edges(), 3)
+    classes = konig_color(g, 3)
     assert nonempty(classes) == 3
     assert [len(cls) for cls in classes] == [1, 1, 1]
 
@@ -41,22 +41,22 @@ def test_konig_random_delta_four():
         if max_degree(g) != 4:
             continue
         found += 1
-        classes = konig_color(g, g.edges(), 4)
+        classes = konig_color(g, 4)
         assert nonempty(classes) == 4
         assert is_proper(g.edges(), classes)
 
 
 def test_konig_edgeless():
     g = BipartiteGraph.from_edges(3, 3, [])
-    assert konig_color(g, g.edges(), 0) == ()
-    assert nonempty(konig_color(g, g.edges(), 3)) == 0
+    assert konig_color(g, 0) == ()
+    assert nonempty(konig_color(g, 3)) == 0
 
 
 def test_color_classes_are_matchings():
     rng = random.Random(12)
     for _ in range(50):
         g = random_graph(rng, 6, 6, 0.4)
-        classes = konig_color(g, g.edges(), max_degree(g))
+        classes = konig_color(g, max_degree(g))
         union = set()
         for cls in classes:
             assert is_matching(g, cls.edges)
@@ -74,34 +74,18 @@ def test_color_classes_are_matchings():
 def test_konig_color_rejects_a_vertex_over_k(nx, ny, edges, k):
     g = BipartiteGraph.from_edges(nx, ny, edges)
     with pytest.raises(ValueError, match="more than k"):
-        konig_color(g, edges, k)
+        konig_color(g, k)
     # the edges fit once k reaches the largest degree
-    assert is_proper(edges, konig_color(g, edges, max_degree(g)))
-
-
-@pytest.mark.parametrize("edges, k, message", [
-    # x = 2 is past X, so its colors would land on Y vertex 0
-    ([(2, 0)], 1, "not an edge"),
-    ([(-1, 1)], 1, "not an edge"),
-    ([(1, 0)], 1, "not an edge"),
-    ([(0, 5)], 1, "not an edge"),
-    ([(0, 0), (0, 0)], 2, "given twice"),
-], ids=["x-past-x", "negative-x", "non-edge", "y-past-y", "edge-twice"])
-def test_konig_color_rejects_edges_outside_the_graph_or_given_twice(edges, k, message):
-    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
-    with pytest.raises(ValueError, match=message):
-        konig_color(g, edges, k)
+    assert is_proper(edges, konig_color(g, max_degree(g)))
 
 
 def test_konig_color_splits_a_subgraph_in_the_order_given():
-    # the 4-cycle's edges colored in two orders: the first edge gets color 1
-    g = k22()
-    first = konig_color(g, [(0, 0), (1, 1), (0, 1), (1, 0)], 2)
+    # the 4-cycle in h.edges() order: its first edge gets color 1
+    first = konig_color(k22(), 2)
     assert [cls.edges for cls in first] == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
-    second = konig_color(g, [(0, 1), (1, 0), (0, 0), (1, 1)], 2)
-    assert [cls.edges for cls in second] == [((0, 1), (1, 0)), ((0, 0), (1, 1))]
     # a matching inside it takes one color
-    assert konig_color(g, [(0, 0), (1, 1)], 1) == (first[0],)
+    matching = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    assert konig_color(matching, 1) == (first[0],)
 
 
 def test_factor_coloring_uses_both_colors_at_s_vertices():
@@ -111,32 +95,30 @@ def test_factor_coloring_uses_both_colors_at_s_vertices():
         g = random_graph(rng, rng.randint(2, 5), rng.randint(2, 6), 0.6)
         s_set = list(range(1, g.nx))  # |S| = |X| - 1
         # the S-pair caps: 1 at x0 outside S, 2 on S, at most 2 on Y
-        factor = gf_factor(g, [1] + [2] * len(s_set), [2] * g.ny)
-        if factor is None:
+        h = gf_factor(g, [1] + [2] * len(s_set), [2] * g.ny)
+        if h is None:
             continue
         checked += 1
-        classes = konig_color(g, factor, 2)
+        classes = konig_color(h, 2)
         assert nonempty(classes) == 2
-        assert is_proper(factor, classes)
+        assert is_proper(h.edges(), classes)
         for x in s_set:
             assert all(x in cls.covered_x for cls in classes)
 
 
 def test_split_is_proper_for_every_k_from_the_max_degree():
-    # shuffled edge orders and k = max degree .. max degree + 3: odd levels
-    # peel a matching first, and k = 5, 6, 7 pass through several levels
+    # k = max degree .. max degree + 3: odd levels peel a matching first,
+    # and k = 5, 6, 7 pass through several levels
     rng = random.Random(15)
     seen_k = set()
     short_x = short_y = False
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 12), rng.randint(1, 12), rng.uniform(0.2, 0.9))
-        edges = g.edges()
-        rng.shuffle(edges)
         delta = max_degree(g)
         for k in range(delta, delta + 4):
-            classes = konig_color(g, edges, k)
+            classes = konig_color(g, k)
             assert len(classes) == k
-            assert is_proper(edges, classes)
+            assert is_proper(g.edges(), classes)
             seen_k.add(k)
             if k % 2 and k >= 3:
                 short_x |= any(0 < len(a) < k for a in g.adj)
@@ -151,13 +133,36 @@ def test_lebensold_factor_classes_saturate_x():
         while split < 5:
             nx = rng.randint(2, 10)
             g = random_graph(rng, nx, nx + rng.randint(0, 6), min(1.0, (k + 2) / nx))
-            factor, _ = feasible_flow(g, [k] * g.nx, [k] * g.ny)
-            if factor is None:
+            h, _ = feasible_flow(g, [k] * g.nx, [k] * g.ny)
+            if h is None:
                 continue
             split += 1
-            classes = konig_color(g, factor, k)
-            assert is_proper(factor, classes)
+            classes = konig_color(h, k)
+            assert is_proper(h.edges(), classes)
             assert all(cls.covered_x == frozenset(range(nx)) for cls in classes)
+
+
+def test_a_factor_is_a_subgraph_whose_classes_cover_it():
+    # random caps and Lebensold's uniform ones: H has the graph's vertices,
+    # each row an ordered subsequence of the graph's within the caps, and its
+    # color classes are matchings of H whose union is H
+    rng = random.Random(17)
+    found = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12), rng.randint(0, 12), rng.uniform(0.1, 0.9))
+        k = rng.randint(1, 4)
+        cap_x = [rng.randint(0, min(k, len(a))) for a in g.adj]
+        cap_y = [rng.randint(0, k) for _ in range(g.ny)]
+        for caps in ((cap_x, cap_y), ([k] * g.nx, [k] * g.ny)):
+            h, _ = feasible_flow(g, *caps)
+            if h is None:
+                continue
+            found += 1
+            assert factor_degrees_ok(g, *caps, h)
+            classes = konig_color(h, k)
+            assert all(is_matching(h, cls.edges) for cls in classes)
+            assert set().union(*(cls.edge_set for cls in classes)) == h.edge_set
+    assert 100 < found < 400
 
 
 def labelled_path(n: int) -> BipartiteGraph:
@@ -174,7 +179,7 @@ def test_labelled_path_splits_in_linear_time():
     # chain flips take minutes here: each new edge flips the whole path
     g = labelled_path(16000)
     start = time.perf_counter()
-    classes = konig_color(g, g.edges(), 2)
+    classes = konig_color(g, 2)
     assert time.perf_counter() - start < 2
     assert is_proper(g.edges(), classes)
     # the walk runs from one end of the path to the other, so every X vertex

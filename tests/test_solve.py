@@ -91,9 +91,9 @@ def test_poly_anchor_edge_in_first_konig_class():
             continue
         found += 1
         assert verify_spair(inst, spair)[0]
-        classes = konig_color(g, factor, 2)
-        (edge,) = [e for e in factor if e[0] == anchor]
-        assert edge in classes[0].edge_set
+        classes = konig_color(factor, 2)
+        (y,) = factor.adj[anchor]
+        assert (anchor, y) in classes[0].edge_set
         assert (spair.m1, spair.m2) == classes
     assert found >= 30
 
