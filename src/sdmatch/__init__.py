@@ -29,7 +29,6 @@ from .solve import (
 )
 from .reductions import (
     CnfFormula,
-    GadgetMap,
     decode_spair_to_assignment,
     encode_assignment_to_spair,
     extend_spair_to_dm,

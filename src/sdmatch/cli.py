@@ -131,7 +131,7 @@ def _cmd_reduce_3sat(args, out: IO[str]) -> int:
     if not formula.clauses:
         out.write("c trivially satisfiable (no clauses); nothing to reduce\n")
         return EXIT_YES
-    instance, _ = rmod.reduce_3sat_to_sdm(formula)
+    instance = rmod.reduce_3sat_to_sdm(formula)
     if args.map_path is not None:
         _write_files([(args.map_path, [cnf])])
     out.write(gmod.serialize_instance(instance))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import defaultdict
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -220,18 +221,19 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
         s_line = json.loads("[" + match[5][1:].replace(" ", ",") + "]") if match[5] else []
     except ValueError:
         return None
-    if (len(nums) != 2 * m
-            or max(islice(nums, 0, None, 2), default=0) > nx
+    top_x = max(islice(nums, 0, None, 2), default=0)
+    if (len(nums) != 2 * m or top_x > nx
             or max(islice(nums, 1, None, 2), default=0) > ny
             or not all(1 <= x <= nx for x in s_line)):
         return None
-    neigh: list[list[int]] = [[] for _ in range(nx)]
+    # rows only up to the last X vertex with an edge; the rest share ()
+    neigh: list[list[int]] = [[] for _ in range(top_x)]
     pairs = iter(nums)
     for x, y in zip(pairs, pairs):
         neigh[x - 1].append(y - 1)
     del nums, pairs  # freed before the tuples are built, which lowers the peak
-    graph = BipartiteGraph(nx, ny, tuple(tuple(sorted(set(a))) for a in neigh))
-    return SdmInstance.make(graph, [x - 1 for x in s_line])
+    rows = tuple(tuple(sorted(set(a))) for a in neigh) + ((),) * (nx - top_x)
+    return SdmInstance.make(BipartiteGraph(nx, ny, rows), [x - 1 for x in s_line])
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -244,11 +246,20 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def int_fields(words: Iterable[str], lineno: int, what: str) -> list[int]:
+    """The words as ints, or FormatError "line N: what" chained from the
+    ValueError: the integer-field rule of the line readers."""
+    try:
+        return [int(word) for word in words]
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {what}") from exc
+
+
 def _parse_lines(text: str) -> SdmInstance:
     """Read an instance in one pass: each e line is checked once and goes
-    straight into the neighbour set of its X vertex."""
+    straight into the neighbour set of its X vertex, made at its first edge."""
     nx = ny = m = -1
-    neigh: list[set[int]] = []
+    neigh: defaultdict[int, set[int]] = defaultdict(set)
     n_edges = 0
     s_line: Optional[list[int]] = None
     seen_p = False
@@ -260,10 +271,7 @@ def _parse_lines(text: str) -> SdmInstance:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                x, y = int(tokens[1]), int(tokens[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer endpoint") from exc
+            x, y = int_fields(tokens[1:], lineno, "non-integer endpoint")
             if not (1 <= x <= nx and 1 <= y <= ny):
                 raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
             neigh[x - 1].add(y - 1)
@@ -273,21 +281,14 @@ def _parse_lines(text: str) -> SdmInstance:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(tokens) != 5 or tokens[1] != "sdm":
                 raise FormatError(f"line {lineno}: malformed problem line {line!r}")
-            try:
-                nx, ny, m = int(tokens[2]), int(tokens[3]), int(tokens[4])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer counts") from exc
-            neigh = [set() for _ in range(nx)]
+            nx, ny, m = int_fields(tokens[2:], lineno, "non-integer counts")
             seen_p = True
         elif kind == "s":
             if not seen_p:
                 raise FormatError(f"line {lineno}: s line before problem line")
             if s_line is not None:
                 raise FormatError(f"line {lineno}: duplicate s line")
-            try:
-                s_line = [int(t) for t in tokens[1:]]
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer S member") from exc
+            s_line = int_fields(tokens[1:], lineno, "non-integer S member")
             for x in s_line:
                 if not 1 <= x <= nx:
                     raise FormatError(f"line {lineno}: S member {x} out of range")
@@ -299,9 +300,9 @@ def _parse_lines(text: str) -> SdmInstance:
         raise FormatError(f"edge count mismatch: header says {m}, found {n_edges}")
     if nx < 0 or ny < 0:
         raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
-    graph = BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) for s in neigh))
+    rows = tuple(tuple(sorted(neigh.get(x, ()))) for x in range(nx))
     s_set = [x - 1 for x in s_line] if s_line else []
-    return SdmInstance.make(graph, s_set)
+    return SdmInstance.make(BipartiteGraph(nx, ny, rows), s_set)
 
 
 def _format_matching_line(label: str, matching: Matching) -> str:

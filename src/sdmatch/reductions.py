@@ -29,6 +29,7 @@ from .graph import (
     SdmInstance,
     SPair,
     content_lines,
+    int_fields,
     is_matching,
     verify_spair,
 )
@@ -72,10 +73,7 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer header counts") from exc
+            num_vars, num_clauses = int_fields(parts[2:], lineno, "non-integer header counts")
             if num_vars < 0 or num_clauses < 0:
                 raise FormatError(f"line {lineno}: negative header counts")
             continue
@@ -107,19 +105,12 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
         raise FormatError(str(exc)) from exc
 
 
-class GadgetMap(NamedTuple):
-    """The clause and variable counts that fix the gadget layout."""
-
-    s: int  # clause count
-    t: int  # variable count
-
-
-def gadget_map(formula: CnfFormula) -> GadgetMap:
-    """The gadget layout of a formula, which its clause and variable counts
-    fix; a formula with no clauses has none."""
+def _cycle_len(formula: CnfFormula) -> int:
+    """c = 2s, the X (and the Y) vertex count of each variable cycle; a
+    formula with no clauses has no gadget."""
     if not formula.clauses:
         raise ValueError("formula has no clauses (trivially satisfiable)")
-    return GadgetMap(len(formula.clauses), formula.num_vars)
+    return 2 * len(formula.clauses)
 
 
 def _literal_y(c: int, k: int, lit: int) -> int:
@@ -127,12 +118,11 @@ def _literal_y(c: int, k: int, lit: int) -> int:
     return (abs(lit) - 1) * c + 2 * k - 2 + (lit < 0)
 
 
-def reduce_3sat_to_sdm(formula: CnfFormula) -> tuple[SdmInstance, GadgetMap]:
+def reduce_3sat_to_sdm(formula: CnfFormula) -> SdmInstance:
     """Build the gadget instance: per-variable cycles, per-clause edges,
     plus one literal edge for each occurrence."""
-    gm = gadget_map(formula)
-    c = 2 * gm.s
-    ct = c * gm.t
+    c = _cycle_len(formula)
+    ct = c * formula.num_vars
     rows: list[tuple[int, ...]] = []
     for b in range(0, ct, c):
         # X vertex b+q sees Y b+q and b+q+1; the last one wraps to Y b
@@ -140,38 +130,38 @@ def reduce_3sat_to_sdm(formula: CnfFormula) -> tuple[SdmInstance, GadgetMap]:
         rows.append((b, b + c - 1))
     for k, clause in enumerate(formula.clauses, start=1):
         rows.append((*sorted({_literal_y(c, k, lit) for lit in clause}), ct + k - 1))
-    n = ct + gm.s
+    n = ct + len(formula.clauses)
     graph = BipartiteGraph(n, n, tuple(rows))
     # S: the even X vertices of the cycles (b+2q, q < s), then every w_k
-    return SdmInstance.make(graph, chain(range(0, ct, 2), range(ct, n))), gm
+    return SdmInstance.make(graph, chain(range(0, ct, 2), range(ct, n)))
 
 
-def _true_false_edges(gm: GadgetMap, i: int) -> tuple[tuple[Iterator, Iterator], ...]:
+def _true_false_edges(c: int, i: int) -> tuple[tuple[Iterator, Iterator], ...]:
     """The (M1, M2) edges of the value-true and the value-false pair on cycle
-    i, each a one-pass iterator of (x, y) pairs."""
-    c = 2 * gm.s
+    i of length 2c, each a one-pass iterator of (x, y) pairs."""
     b = (i - 1) * c
     xs, s_xs = range(b, b + c), range(b, b + c, 2)
     return ((zip(xs, xs), zip(s_xs, range(b + 1, b + c, 2))),
             (zip(xs, chain(range(b + 1, b + c), (b,))), zip(s_xs, s_xs)))
 
 
-def true_false_pairs(gm: GadgetMap, i: int) -> tuple[SPair, SPair]:
+def true_false_pairs(formula: CnfFormula, i: int) -> tuple[SPair, SPair]:
     """The two possible pairs on cycle i: value-true and value-false."""
-    if not 1 <= i <= gm.t:
+    c = _cycle_len(formula)
+    if not 1 <= i <= formula.num_vars:
         raise ValueError(f"variable index out of range: {i}")
     return tuple(SPair(Matching.from_edges(m1), Matching.from_edges(m2))
-                 for m1, m2 in _true_false_edges(gm, i))
+                 for m1, m2 in _true_false_edges(c, i))
 
 
 def decode_spair_to_assignment(formula: CnfFormula, spair: SPair) -> dict[int, bool]:
     """Read off the variable values from which pair each cycle carries, and
     refuse them unless they satisfy every clause of the formula."""
-    gm = gadget_map(formula)
+    c = _cycle_len(formula)
     m1, m2 = spair.m1.edge_set, spair.m2.edge_set
     values: dict[int, bool] = {}
-    for i in range(1, gm.t + 1):
-        for value, (pair_m1, pair_m2) in zip((True, False), _true_false_edges(gm, i)):
+    for i in range(1, formula.num_vars + 1):
+        for value, (pair_m1, pair_m2) in zip((True, False), _true_false_edges(c, i)):
             if m1.issuperset(pair_m1) and m2.issuperset(pair_m2):
                 values[i] = value
                 break
@@ -188,14 +178,13 @@ def encode_assignment_to_spair(formula: CnfFormula, assignment: dict[int, bool])
 
     Clause witness: the lowest-index variable satisfying the clause.
     """
-    gm = gadget_map(formula)
-    c = 2 * gm.s
+    c = _cycle_len(formula)
     m1: list[tuple[int, int]] = []
     m2: list[tuple[int, int]] = []
-    for i in range(1, gm.t + 1):
+    for i in range(1, formula.num_vars + 1):
         if i not in assignment:
             raise ValueError(f"assignment has no value for variable {i}")
-        true_pair, false_pair = true_false_pairs(gm, i)
+        true_pair, false_pair = true_false_pairs(formula, i)
         pair = true_pair if assignment[i] else false_pair
         m1.extend(pair.m1.edges)
         m2.extend(pair.m2.edges)
@@ -204,7 +193,7 @@ def encode_assignment_to_spair(formula: CnfFormula, assignment: dict[int, bool])
                   key=abs, default=0)
         if not lit:
             raise ValueError(f"assignment does not satisfy clause {k}")
-        w = c * gm.t + k - 1
+        w = c * formula.num_vars + k - 1
         m1.append((w, w))
         m2.append((w, _literal_y(c, k, lit)))
     return SPair(Matching.from_edges(m1), Matching.from_edges(m2))

@@ -1,15 +1,14 @@
 import itertools
 import random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
 from sdmatch import BipartiteGraph, DmInstance, FormatError, Matching, SdmInstance, SPair
 from sdmatch import flow, lebensold
 from sdmatch.flow import feasible_flow
-from sdmatch.graph import random_graph  # noqa: F401  (shared by the test modules)
 from sdmatch.matching import max_matching
-from sdmatch.reductions import CnfFormula, GadgetMap, gadget_map
+from sdmatch.reductions import CnfFormula
 from sdmatch.solve import (
     DEFAULT_BOUNDED_S_CAP,
     BudgetExhausted,
@@ -324,12 +323,13 @@ def reference_parse_instance(text: str) -> SdmInstance:
     return SdmInstance.make(graph, s_set)
 
 
-class GadgetNumbering(GadgetMap):
+class GadgetNumbering(NamedTuple):
     """The paper's per-vertex numbering of the 3-SAT gadget, one method per
     vertex v_{i,j}, w_k, z_k: the reference that the closed form in
     `sdmatch.reductions` must equal."""
 
-    __slots__ = ()
+    s: int  # clause count
+    t: int  # variable count
 
     def cycle_len(self) -> int:
         return 4 * self.s
@@ -383,7 +383,7 @@ class GadgetNumbering(GadgetMap):
 
 def numbering(formula: CnfFormula) -> GadgetNumbering:
     """The reference numbering of a formula's gadget."""
-    return GadgetNumbering(*gadget_map(formula))
+    return GadgetNumbering(len(formula.clauses), formula.num_vars)
 
 
 def reference_reduce_3sat(formula: CnfFormula) -> SdmInstance:
@@ -428,10 +428,14 @@ def three_variable_formulas():
             yield CnfFormula.make(3, chosen)
 
 
+# two clauses over one variable: the layout whose variable cycle is c8_cycle()
+C8_FORMULA = CnfFormula.make(1, [[1], [-1]])
+
+
 def c8_cycle() -> tuple[SdmInstance, GadgetNumbering]:
     """The length-8 variable cycle with its distinguished vertex set, and the
     numbering that names its vertices."""
-    gn = GadgetNumbering(2, 1)
+    gn = numbering(C8_FORMULA)
     edges = [gn.cycle_edge(1, j) for j in range(1, 9)]
     graph = BipartiteGraph.from_edges(4, 4, edges)
     s_set = [gn.cycle_x(1, j) for j in (2, 6)]

@@ -18,6 +18,7 @@ from sdmatch import (
     verify_spair,
 )
 from sdmatch.cli import run
+from sdmatch.graph import random_graph
 from sdmatch.reductions import (
     decode_spair_to_assignment,
     encode_assignment_to_spair,
@@ -31,6 +32,7 @@ from sdmatch.solve import (
     solve_poly_large_s,
 )
 from conftest import (
+    C8_FORMULA,
     all_graphs_3x3,
     all_s_subsets,
     brute_force_satisfiable,
@@ -38,7 +40,6 @@ from conftest import (
     lebensold_brute_force,
     max_degree,
     random_formula,
-    random_graph,
     satisfies,
     solve_dm_exact,
 )
@@ -105,7 +106,7 @@ def test_criterion_4_sat_round_trip():
     for _ in range(500):
         formula = random_formula(rng)
         sat = brute_force_satisfiable(formula) is not None
-        inst, _ = reduce_3sat_to_sdm(formula)
+        inst = reduce_3sat_to_sdm(formula)
         spair = solve_exact(inst)
         if (spair is not None) != sat:
             ok = False
@@ -123,9 +124,9 @@ def test_criterion_4_sat_round_trip():
 
 def test_criterion_5_figure_reproduction(c8_gadget):
     started = time.time()
-    inst, gm = c8_gadget
-    true_pair, false_pair = true_false_pairs(gm, 1)
-    e = lambda j: gm.cycle_edge(1, j)
+    inst, gn = c8_gadget
+    true_pair, false_pair = true_false_pairs(C8_FORMULA, 1)
+    e = lambda j: gn.cycle_edge(1, j)
     ok = true_pair.m1.edge_set == {e(1), e(3), e(5), e(7)}
     ok = ok and true_pair.m2.edge_set == {e(2), e(6)}
     ok = ok and false_pair.m1.edge_set == {e(2), e(4), e(6), e(8)}

@@ -229,7 +229,7 @@ def test_decode_refuses_a_cnf_without_clauses(tmp_path):
 
 def test_reduce_3sat_without_map_prints_only_the_instance(tmp_path):
     cnf = write(tmp_path, "f.cnf", "p cnf 2 2\n1 -2 0\n2 0\n")
-    instance, _ = reduce_3sat_to_sdm(CnfFormula.make(2, [[1, -2], [2]]))
+    instance = reduce_3sat_to_sdm(CnfFormula.make(2, [[1, -2], [2]]))
     code, out, err = invoke(["reduce-3sat", cnf])
     assert (code, out, err) == (0, serialize_instance(instance), "")
     assert invoke(["solve", write(tmp_path, "f.sdm", out)])[0] in (0, 1)
@@ -765,7 +765,7 @@ def mixed_commands(tmp_path):
     c8_sol = write(tmp_path, "c8.sol", "RESULT yes\nM1 1:2 2:3 3:4 4:1\nM2 1:1 3:3\n")
     bad_sol = write(tmp_path, "bad.sol", "RESULT yes\nM1 1:1\nM2 1:1\n")
     no_sol = write(tmp_path, "no.sol", "c method PolyLargeS\nRESULT no\n")
-    instance, _ = reduce_3sat_to_sdm(CnfFormula.make(3, [[1, -2, 3], [-1, 2, 3]]))
+    instance = reduce_3sat_to_sdm(CnfFormula.make(3, [[1, -2, 3], [-1, 2, 3]]))
     cnf = write(tmp_path, "f.cnf", "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
     unsat = write(tmp_path, "u.cnf", "p cnf 1 2\n1 0\n-1 0\n")
     empty = write(tmp_path, "empty.cnf", "p cnf 2 0\n")

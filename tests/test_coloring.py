@@ -6,7 +6,8 @@ import pytest
 from sdmatch import konig_color
 from sdmatch import BipartiteGraph, is_matching
 from sdmatch.flow import feasible_flow, gf_factor
-from conftest import factor_degrees_ok, is_proper, k22, max_degree, random_graph, y_adj
+from sdmatch.graph import random_graph
+from conftest import factor_degrees_ok, is_proper, k22, max_degree, y_adj
 
 
 def nonempty(classes) -> int:
@@ -14,15 +15,15 @@ def nonempty(classes) -> int:
 
 
 def test_c8_cycle_two_colors(c8_gadget):
-    inst, gm = c8_gadget
+    inst, gn = c8_gadget
     classes = konig_color(inst.graph, 2)
     assert nonempty(classes) == 2
     assert is_proper(inst.graph.edges(), classes)
     # alternation around the cycle
     first = classes[0].edge_set
     for j in range(1, 9):
-        e1 = gm.cycle_edge(1, j)
-        e2 = gm.cycle_edge(1, j % 8 + 1)
+        e1 = gn.cycle_edge(1, j)
+        e2 = gn.cycle_edge(1, j % 8 + 1)
         assert (e1 in first) != (e2 in first)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from sdmatch import BipartiteGraph, SdmInstance, gf_factor, lebensold_condition, solve
 from sdmatch.flow import feasible_flow
+from sdmatch.graph import random_graph
 from sdmatch.matching import max_matching
-from conftest import (factor_degrees_ok, k22, networkx_min_cut_x, networkx_network, random_graph,
-                      y_adj)
+from conftest import factor_degrees_ok, k22, networkx_min_cut_x, networkx_network, y_adj
 
 
 def brute_force_factor_exists(g, cap_x, cap_y):

@@ -40,7 +40,7 @@ def cnf_text(formula):
 # reduced formula, or the true pair of the one-variable cycle alone, which
 # is no S-pair of a reduction
 INSTANCE_CASES = [(serialize_instance(i), serialize_solution(solve(i).spair)) for i in INSTANCES]
-CNF_SOLUTIONS = [serialize_solution(solve(reduce_3sat_to_sdm(f)[0]).spair) for f in FORMULAS]
+CNF_SOLUTIONS = [serialize_solution(solve(reduce_3sat_to_sdm(f)).spair) for f in FORMULAS]
 CNF_CASES = [(cnf, solution)
              for cnf in [cnf_text(f) for f in FORMULAS] + ["c no clauses\np cnf 2 0\n"]
              for solution in CNF_SOLUTIONS + ["RESULT yes\nM1 1:1 2:2 3:3 4:4\nM2 1:2 3:4\n"]]

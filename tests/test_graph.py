@@ -16,7 +16,8 @@ from sdmatch import (
     serialize_solution,
     verify_spair,
 )
-from conftest import k22, random_graph, y_adj
+from sdmatch.graph import random_graph
+from conftest import k22, y_adj
 
 
 def test_validate_empty_graph():
@@ -63,8 +64,8 @@ def test_adjacency_sorted_and_symmetric():
 
 
 def test_is_matching_c8(c8_gadget):
-    inst, gm = c8_gadget
-    m1 = [gm.cycle_edge(1, j) for j in (1, 3, 5, 7)]
+    inst, gn = c8_gadget
+    m1 = [gn.cycle_edge(1, j) for j in (1, 3, 5, 7)]
     assert is_matching(inst.graph, m1)
 
 
@@ -130,9 +131,9 @@ def test_from_match_x_equals_from_edges_on_mate_arrays():
 
 
 def test_verify_spair_true_pair(c8_gadget):
-    inst, gm = c8_gadget
-    m1 = Matching.from_edges(gm.cycle_edge(1, j) for j in (1, 3, 5, 7))
-    m2 = Matching.from_edges(gm.cycle_edge(1, j) for j in (2, 6))
+    inst, gn = c8_gadget
+    m1 = Matching.from_edges(gn.cycle_edge(1, j) for j in (1, 3, 5, 7))
+    m2 = Matching.from_edges(gn.cycle_edge(1, j) for j in (2, 6))
     ok, why = verify_spair(inst, SPair(m1, m2))
     assert ok, why
 

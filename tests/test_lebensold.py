@@ -9,13 +9,13 @@ from sdmatch import (
     max_matching,
 )
 from sdmatch.flow import feasible_flow
+from sdmatch.graph import random_graph
 from conftest import (
     factor_degrees_ok,
     k22,
     lebensold_brute_force,
     networkx_min_cut_x,
     networkx_network,
-    random_graph,
     y_adj,
 )
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from sdmatch import BipartiteGraph, max_matching
-from conftest import chain_graph, edge_subset_matchings, k22, random_graph
+from sdmatch.graph import random_graph
+from conftest import chain_graph, edge_subset_matchings, k22
 
 
 def test_empty_graph():

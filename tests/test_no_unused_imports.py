@@ -11,8 +11,6 @@ ALLOWED = {
     ("lebensold.py", "gf_factor"):
         "perfbench/test_perfbench.py::test_tracer_wraps_call_sites_and_restores "
         "checks that the tracer rebinds it here too",
-    ("conftest.py", "random_graph"):
-        "re-exported for the test modules",
 }
 
 

@@ -15,8 +15,10 @@ import tracemalloc
 
 import pytest
 
-from sdmatch import FormatError, SdmInstance, graph, parse_instance, serialize_instance
-from conftest import chain_graph, random_graph, reference_parse_instance
+from sdmatch import (BipartiteGraph, FormatError, SdmInstance, graph, parse_instance,
+                     serialize_instance)
+from sdmatch.graph import random_graph
+from conftest import chain_graph, reference_parse_instance
 
 # the phrase of each error the parser can raise -> one input that raises it
 ERROR_CASES = {
@@ -247,3 +249,13 @@ def test_bulk_reader_peak_is_well_below_the_line_readers():
     text = serialize_instance(SdmInstance.make(chain_graph(10000), []))
     assert graph._PLAIN.fullmatch(text)
     assert peak_bytes(parse_instance, text) <= 0.85 * peak_bytes(graph._parse_lines, text)
+
+
+@pytest.mark.parametrize("text", ["p sdm 400000 1 0\n", "c note\np sdm 400000 1 0\n"],
+                         ids=["bulk", "line"])
+def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text):
+    """A container per header vertex took the bulk reader's traced peak to
+    29 MB and the line reader's to 93 MB here; the shared () keeps each
+    near the 3.2 MB of the row tuple."""
+    assert peak_bytes(parse_instance, text) < 8_000_000
+    assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, ((),) * 400000), ())

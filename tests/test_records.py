@@ -13,7 +13,6 @@ from sdmatch import (
     BipartiteGraph,
     CnfFormula,
     DmInstance,
-    GadgetMap,
     LebensoldVerdict,
     Matching,
     Method,
@@ -79,7 +78,6 @@ RECORDS = {
                          "LebensoldVerdict(holds=False, violating_set=(0,), matchings=None)"),
     "CnfFormula": (lambda: CnfFormula.make(2, [[1, -2, 1], [2]]),
                    "CnfFormula(num_vars=2, clauses=((1, -2), (2,)))"),
-    "GadgetMap": (lambda: GadgetMap(2, 3), "GadgetMap(s=2, t=3)"),
     "SolveOutcome": (lambda: SolveOutcome(None, Method.BOUNDED_S),
                      "SolveOutcome(spair=None, method=<Method.BOUNDED_S: 'BoundedS'>)"),
 }

@@ -23,12 +23,13 @@ from sdmatch import (
     true_false_pairs,
     verify_spair,
 )
-from sdmatch.reductions import GadgetMap, _check_dm_solution
+from sdmatch.graph import random_graph
+from sdmatch.reductions import _check_dm_solution
 from conftest import (
+    C8_FORMULA,
     brute_force_satisfiable,
     numbering,
     random_formula,
-    random_graph,
     reference_decode,
     reference_reduce_3sat,
     satisfies,
@@ -117,7 +118,7 @@ def test_repeated_literal_deduplicated():
 
 def test_reduction_sizes_single_clause():
     f = CnfFormula.make(3, [[1, -2, 3]])
-    inst, _ = reduce_3sat_to_sdm(f)
+    inst = reduce_3sat_to_sdm(f)
     gn = numbering(f)
     g = inst.graph
     assert g.nx + g.ny == 14
@@ -132,7 +133,7 @@ def test_reduction_sizes_single_clause():
 
 def test_reduction_two_clauses_one_var():
     f = CnfFormula.make(1, [[1], [-1]])
-    inst, _ = reduce_3sat_to_sdm(f)
+    inst = reduce_3sat_to_sdm(f)
     gn = numbering(f)
     g = inst.graph
     assert gn.cycle_len() == 8
@@ -143,15 +144,21 @@ def test_reduction_two_clauses_one_var():
 
 
 def test_no_clauses_rejected():
-    with pytest.raises(ValueError, match="no clauses"):
-        reduce_3sat_to_sdm(CnfFormula.make(1, []))
+    f = CnfFormula.make(2, [])
+    for call in (lambda: reduce_3sat_to_sdm(f),
+                 lambda: decode_spair_to_assignment(f, SPair(Matching(()), Matching(()))),
+                 lambda: encode_assignment_to_spair(f, {1: True, 2: True}),
+                 lambda: true_false_pairs(f, 1)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "formula has no clauses (trivially satisfiable)"
 
 
 def test_structural_audit():
     rng = random.Random(41)
     for _ in range(20):
         f = random_formula(rng)
-        inst, _ = reduce_3sat_to_sdm(f)
+        inst = reduce_3sat_to_sdm(f)
         gn = numbering(f)
         g = inst.graph
         for i in range(1, gn.t + 1):
@@ -165,9 +172,9 @@ def test_structural_audit():
 
 
 def test_figure_pairs_s2(c8_gadget):
-    inst, gm = c8_gadget
-    true_pair, false_pair = true_false_pairs(gm, 1)
-    e = lambda j: gm.cycle_edge(1, j)
+    inst, gn = c8_gadget
+    true_pair, false_pair = true_false_pairs(C8_FORMULA, 1)
+    e = lambda j: gn.cycle_edge(1, j)
     assert true_pair.m1.edge_set == {e(1), e(3), e(5), e(7)}
     assert true_pair.m2.edge_set == {e(2), e(6)}
     assert false_pair.m1.edge_set == {e(2), e(4), e(6), e(8)}
@@ -175,40 +182,38 @@ def test_figure_pairs_s2(c8_gadget):
     for pair in (true_pair, false_pair):
         ok, why = verify_spair(inst, pair)
         assert ok, why
-    for i in (0, gm.t + 1):
+    for i in (0, gn.t + 1):
         with pytest.raises(ValueError, match=f"variable index out of range: {i}"):
-            true_false_pairs(gm, i)
+            true_false_pairs(C8_FORMULA, i)
 
 
 def test_decode_reads_cycle_value():
     f = CnfFormula.make(1, [[1]])
-    inst, _ = reduce_3sat_to_sdm(f)
+    inst = reduce_3sat_to_sdm(f)
     spair = solve_exact(inst)
     values = decode_spair_to_assignment(f, spair)
     assert values == {1: True}
 
 
-def test_decode_rejects_a_cycle_with_neither_pair(c8_gadget):
-    _, gm = c8_gadget
+def test_decode_rejects_a_cycle_with_neither_pair():
     f = CnfFormula.make(1, [[-1], [-1]])  # two clauses over one variable: the c8 layout
-    true_pair, false_pair = true_false_pairs(gm, 1)
+    true_pair, false_pair = true_false_pairs(f, 1)
     for mixed in (SPair(true_pair.m1, false_pair.m2), SPair(false_pair.m1, true_pair.m2)):
         with pytest.raises(ValueError, match="cycle 1 carries neither"):
             decode_spair_to_assignment(f, mixed)
     assert decode_spair_to_assignment(f, false_pair) == {1: False}
 
 
-def test_decode_refuses_values_that_fail_a_clause(c8_gadget):
-    _, gm = c8_gadget
-    true_pair, _ = true_false_pairs(gm, 1)
+def test_decode_refuses_values_that_fail_a_clause():
+    true_pair, _ = true_false_pairs(C8_FORMULA, 1)
     # the true pair alone is no S-pair of the reduction, and x1 fails clause 2
     with pytest.raises(ValueError, match="^decoded assignment does not satisfy clause 2$"):
-        decode_spair_to_assignment(CnfFormula.make(1, [[1], [-1]]), true_pair)
+        decode_spair_to_assignment(C8_FORMULA, true_pair)
 
 
 def test_encode_clause_witness_rule():
     f = CnfFormula.make(3, [[1, -2, 3]])
-    inst, _ = reduce_3sat_to_sdm(f)
+    inst = reduce_3sat_to_sdm(f)
     gn = numbering(f)
     assignment = {1: True, 2: True, 3: True}
     spair = encode_assignment_to_spair(f, assignment)
@@ -229,7 +234,7 @@ def test_round_trip_random_formulas():
     for _ in range(60):
         f = random_formula(rng)
         sat = brute_force_satisfiable(f)
-        inst, _ = reduce_3sat_to_sdm(f)
+        inst = reduce_3sat_to_sdm(f)
         spair = solve_exact(inst)
         assert (spair is not None) == (sat is not None)
         if spair is not None:
@@ -415,11 +420,10 @@ def layout_formulas():
 def test_closed_form_layout_equals_the_paper_numbering():
     for f in layout_formulas():
         gn = numbering(f)
-        inst, gm = reduce_3sat_to_sdm(f)
-        assert inst == reference_reduce_3sat(f)
-        assert type(gm) is GadgetMap and gm == gn
+        inst = reduce_3sat_to_sdm(f)
+        assert type(inst) is SdmInstance and inst == reference_reduce_3sat(f)
         for i in range(1, gn.t + 1):
-            assert true_false_pairs(gm, i) == tuple(
+            assert true_false_pairs(f, i) == tuple(
                 SPair(Matching.from_edges(m1), Matching.from_edges(m2))
                 for m1, m2 in gn.true_false_edges(i))
         values = brute_force_satisfiable(f)

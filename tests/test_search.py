@@ -17,8 +17,9 @@ from sdmatch import (
     verify_spair,
 )
 from sdmatch.cli import run
+from sdmatch.graph import random_graph
 from sdmatch.reductions import reduce_3sat_to_sdm
-from conftest import random_graph, reference_search, reference_solve, three_variable_formulas
+from conftest import reference_search, reference_solve, three_variable_formulas
 
 
 def random_instances(count, seed):
@@ -112,7 +113,7 @@ def assert_matches_reference(instance, prunes=(False, True)):
 
 
 def test_formulas_match_reference():
-    instances = [reduce_3sat_to_sdm(f)[0] for f in three_variable_formulas()]
+    instances = [reduce_3sat_to_sdm(f) for f in three_variable_formulas()]
     assert len(instances) == 162
     for instance in instances:
         assert solve(instance).method is Method.EXACT_BACKTRACK

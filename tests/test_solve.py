@@ -17,6 +17,7 @@ from sdmatch import (
 )
 from sdmatch.coloring import konig_color
 from sdmatch.flow import gf_factor
+from sdmatch.graph import random_graph
 from sdmatch.matching import max_matching
 from sdmatch.solve import DEFAULT_BOUNDED_S_CAP, SolveOutcome
 from conftest import (
@@ -25,7 +26,6 @@ from conftest import (
     brute_force_spair_count,
     chain_graph,
     k22,
-    random_graph,
     solve_dm_exact,
 )
 
@@ -48,7 +48,7 @@ def test_poly_star_deterministic():
 
 
 def test_poly_c8_full_s(c8_gadget):
-    inst, gm = c8_gadget
+    inst, _ = c8_gadget
     full = SdmInstance.make(inst.graph, range(4))
     spair = solve_poly_large_s(full)
     assert spair is not None
