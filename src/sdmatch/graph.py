@@ -47,10 +47,6 @@ class BipartiteGraph(NamedTuple):
             neigh[x].add(y)
         return BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) for s in neigh))
 
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((x, y) for x in range(self.nx) for y in self.adj[x])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges sorted by (x, y)."""
         return [(x, y) for x in range(self.nx) for y in self.adj[x]]
@@ -104,10 +100,10 @@ class Matching(NamedTuple):
 
 
 def is_matching(graph: BipartiteGraph, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff the edges are pairwise endpoint-disjoint and all lie in the graph."""
+    """True iff the edges are pairwise endpoint-disjoint and all lie in the
+    graph: each is looked up in its X vertex's row, and an x outside 0..nx-1 has none."""
     pairs = list(edges)
-    edge_set = graph.edge_set  # built once, not once per edge
-    if any(e not in edge_set for e in pairs):
+    if not all(0 <= x < graph.nx and y in graph.adj[x] for x, y in pairs):
         return False
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
@@ -246,10 +242,16 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def int_fields(words: Iterable[str], lineno: int, what: str) -> list[int]:
-    """The words as ints, or FormatError "line N: what" chained from the
-    ValueError: the integer-field rule of the line readers."""
+_INT_FIELD = re.compile(r"-?[0-9]+")
+
+
+def int_fields(words: Sequence[str], lineno: int, what: str) -> list[int]:
+    """The words as ints, each an optional "-" and ASCII digits (int() alone
+    also takes "+1" and "1_0"), or FormatError "line N: what" chained from
+    the ValueError: the integer-field rule of the line readers."""
     try:
+        if not all(map(_INT_FIELD.fullmatch, words)):
+            raise ValueError(f"not an optional '-' and ASCII digits: {words}")
         return [int(word) for word in words]
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {what}") from exc

@@ -33,7 +33,6 @@ from .graph import (
     is_matching,
     verify_spair,
 )
-from .matching import max_matching
 
 
 class CnfFormula(NamedTuple):
@@ -239,15 +238,13 @@ def project_dm_to_spair(instance: SdmInstance, m1: Matching, m2: Matching) -> SP
 def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, Matching]:
     """Enlarge M2 to saturate all of X using the added (X-S) x Y edges.
 
-    Keeps M2's edges on S (the ones project_dm_to_spair keeps). The helper
-    graph lives on the instance's own X and Y: an S row is empty, and an X-S
-    row holds the Y vertices the kept edges leave free, minus that vertex's
-    M1 mate. Its maximum matching is M2's new edges.
-
-    The helper always saturates X-S. M1 saturates X, so |Y| >= |X|, and with
-    |S| <= |X| - 2 at least |X-S| >= 2 Y vertices stay free. Each X-S vertex
-    loses at most its M1 mate, so any two of them together see every free Y
-    vertex, and Hall's condition holds; the raise below is a guard.
+    Keeps M2's edges on S (the ones project_dm_to_spair keeps) and pairs the
+    X-S vertices, ascending, with the first |X-S| Y vertices those edges
+    leave free, ascending. M1 saturates X, so |Y| >= |X| and at least
+    |X-S| >= 2 Y vertices stay free (|S| <= |X| - 2). An X-S vertex handed
+    its own M1 mate swaps Y vertices with the next X-S vertex, cyclically;
+    neither then holds its mate, since the free vertices and the M1 mates
+    are each distinct, so a swap never makes a new clash.
     """
     g = instance.graph
     if len(instance.s_set) >= g.nx - 1:
@@ -259,12 +256,11 @@ def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, M
     in_s = set(instance.s_set)
     kept = [(x, y) for x, y in spair.m2.edges if x in in_s]
     taken = {y for _, y in kept}
-    free_y = [y for y in range(g.ny) if y not in taken]
+    rest = [x for x in range(g.nx) if x not in in_s]
+    free_y = [y for y in range(g.ny) if y not in taken][:len(rest)]
     m1_mate = dict(spair.m1.edges)
-    rows = tuple(() if x in in_s else tuple(y for y in free_y if y != m1_mate[x])
-                 for x in range(g.nx))
-    extra = max_matching(BipartiteGraph(g.nx, g.ny, rows))
-    if len(extra) != g.nx - len(in_s):
-        raise ValueError("helper graph has no saturating matching")
-    return spair.m1, Matching.from_edges(kept + list(extra.edges))
-
+    for i, x in enumerate(rest):
+        if free_y[i] == m1_mate[x]:
+            j = (i + 1) % len(rest)
+            free_y[i], free_y[j] = free_y[j], free_y[i]
+    return spair.m1, Matching.from_edges(kept + list(zip(rest, free_y)))

@@ -130,6 +130,17 @@ def brute_force_satisfiable(formula: CnfFormula) -> Optional[dict[int, bool]]:
     return None
 
 
+def reference_is_matching(graph: BipartiteGraph, edges) -> bool:
+    """Reference for `is_matching`: every edge is in the set of all the
+    graph's edges, and no two edges share an endpoint."""
+    pairs = list(edges)
+    edge_set = set(graph.edges())
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    return (all(e in edge_set for e in pairs)
+            and len(set(xs)) == len(xs) and len(set(ys)) == len(ys))
+
+
 def is_proper(edges, classes: tuple[Matching, ...]) -> bool:
     """Independent validation of a split into color classes: each class is a
     matching, no edge is in two classes, and together they hold exactly the
@@ -264,10 +275,21 @@ def reference_solve(instance: SdmInstance, budget=None):
     return Method.EXACT_BACKTRACK, reference_search(instance, True, budget)
 
 
+def reference_int(word: str) -> int:
+    """int(word) for an optional "-" and ASCII digits, else ValueError: the
+    line readers' integer-field rule, which int() alone does not keep (it
+    also takes "+1", "1_0" and other scripts' digits)."""
+    digits = word[1:] if word.startswith("-") else word
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer field: {word!r}")
+    return int(word)
+
+
 def reference_parse_instance(text: str) -> SdmInstance:
     """Reference for `parse_instance`: the two-pass parser that strips every
     line, collects an edge list and hands it to `BipartiteGraph.from_edges`,
-    which checks the ranges again and builds the adjacency lists."""
+    which checks the ranges again and builds the adjacency lists. Every
+    integer field is read by `reference_int`."""
     nx = ny = m = -1
     edges: list[tuple[int, int]] = []
     s_line: Optional[list[int]] = None
@@ -284,7 +306,7 @@ def reference_parse_instance(text: str) -> SdmInstance:
             if len(tokens) != 5 or tokens[1] != "sdm":
                 raise FormatError(f"line {lineno}: malformed problem line {line!r}")
             try:
-                nx, ny, m = int(tokens[2]), int(tokens[3]), int(tokens[4])
+                nx, ny, m = map(reference_int, tokens[2:])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer counts") from exc
             seen_p = True
@@ -294,7 +316,7 @@ def reference_parse_instance(text: str) -> SdmInstance:
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: malformed edge line {line!r}")
             try:
-                x, y = int(tokens[1]), int(tokens[2])
+                x, y = map(reference_int, tokens[1:])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer endpoint") from exc
             if not (1 <= x <= nx and 1 <= y <= ny):
@@ -306,7 +328,7 @@ def reference_parse_instance(text: str) -> SdmInstance:
             if s_line is not None:
                 raise FormatError(f"line {lineno}: duplicate s line")
             try:
-                s_line = [int(t) for t in tokens[1:]]
+                s_line = [reference_int(t) for t in tokens[1:]]
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer S member") from exc
             for x in s_line:

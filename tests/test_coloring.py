@@ -62,7 +62,7 @@ def test_color_classes_are_matchings():
         for cls in classes:
             assert is_matching(g, cls.edges)
             union.update(cls.edges)
-        assert union == g.edge_set
+        assert union == set(g.edges())
 
 
 @pytest.mark.parametrize("nx, ny, edges, k", [
@@ -162,7 +162,7 @@ def test_a_factor_is_a_subgraph_whose_classes_cover_it():
             assert factor_degrees_ok(g, *caps, h)
             classes = konig_color(h, k)
             assert all(is_matching(h, cls.edges) for cls in classes)
-            assert set().union(*(cls.edge_set for cls in classes)) == h.edge_set
+            assert set().union(*(cls.edge_set for cls in classes)) == set(h.edges())
     assert 100 < found < 400
 
 

@@ -17,7 +17,7 @@ from sdmatch import (
     verify_spair,
 )
 from sdmatch.graph import random_graph
-from conftest import k22, y_adj
+from conftest import k22, reference_is_matching, y_adj
 
 
 def test_validate_empty_graph():
@@ -27,7 +27,7 @@ def test_validate_empty_graph():
 
 def test_validate_dedupes():
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 0), (1, 1)])
-    assert g.edge_set == {(0, 0), (1, 1)}
+    assert set(g.edges()) == {(0, 0), (1, 1)}
 
 
 def test_validate_rejects_out_of_range():
@@ -82,6 +82,34 @@ def test_is_matching_k22_perfect():
 def test_is_matching_edge_not_in_graph():
     g = BipartiteGraph.from_edges(2, 2, [(0, 0)])
     assert not is_matching(g, [(1, 1)])
+
+
+def test_is_matching_agrees_with_the_edge_set_reference():
+    """Row lookups give the set-based answer, with endpoints from -2 to
+    n + 1, so a negative x never reads a row from the end."""
+    rng = random.Random(35)
+    answers = {True: 0, False: 0}
+    for _ in range(20000):
+        nx, ny = rng.randint(0, 6), rng.randint(0, 6)
+        g = random_graph(rng, nx, ny, rng.random())
+        own = g.edges()
+        edges = [rng.choice(own) if own and rng.random() < 0.7
+                 else (rng.randint(-2, nx + 1), rng.randint(-2, ny + 1))
+                 for _ in range(rng.randint(0, 4))]
+        answer = reference_is_matching(g, edges)
+        assert is_matching(g, edges) == answer, (g, edges)
+        answers[answer] += 1
+    assert min(answers.values()) > 4000, answers
+
+
+def test_verify_refuses_x_zero_in_the_text():
+    """The pair 0:1 is x = -1, which names no row. Read as the last row,
+    it would pass as an edge, and M1 would be refused only for missing X 1."""
+    g = BipartiteGraph.from_edges(2, 2, [(0, 1), (1, 0), (1, 1)])
+    spair = parse_solution("RESULT yes\nM1 0:1 1:2\nM2\n")
+    assert spair.m1.edges == ((-1, 0), (0, 1))
+    assert verify_spair(SdmInstance.make(g, []), spair) == (
+        False, "m1 is not a matching in the graph")
 
 
 def test_matching_constructor_rejects_conflicts():
@@ -201,7 +229,7 @@ def test_parse_rejects_edge_count_mismatch():
 def test_parse_accepts_comments_and_s_line():
     inst = parse_instance("c hello\np sdm 2 2 1\ne 1 2\ns 2\n")
     assert inst.s_set == (1,)
-    assert inst.graph.edge_set == {(0, 1)}
+    assert set(inst.graph.edges()) == {(0, 1)}
 
 
 def test_solution_round_trip():

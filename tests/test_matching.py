@@ -55,7 +55,7 @@ def test_max_matching_size_matches_networkx():
     for g in sparse_random_graphs(9, 30):
         m = max_matching(g)
         assert m.covered_x <= frozenset(range(g.nx))
-        edge_set = g.edge_set
+        edge_set = set(g.edges())
         assert all((x, y) in edge_set for x, y in m.edges)
         h = networkx.Graph()
         h.add_nodes_from(("x", x) for x in range(g.nx))

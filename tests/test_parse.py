@@ -15,8 +15,8 @@ import tracemalloc
 
 import pytest
 
-from sdmatch import (BipartiteGraph, FormatError, SdmInstance, graph, parse_instance,
-                     serialize_instance)
+from sdmatch import (BipartiteGraph, FormatError, SdmInstance, graph, parse_dimacs_cnf,
+                     parse_instance, serialize_instance)
 from sdmatch.graph import random_graph
 from conftest import chain_graph, reference_parse_instance
 
@@ -259,3 +259,35 @@ def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text):
     near the 3.2 MB of the row tuple."""
     assert peak_bytes(parse_instance, text) < 8_000_000
     assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, ((),) * 400000), ())
+
+
+# an integer field is an optional "-" and ASCII digits; int() alone would
+# read each of these texts
+@pytest.mark.parametrize("read, text, message", [
+    (parse_instance, "p sdm 1_0 1 1\ne 1 1\n", "line 1: non-integer counts"),
+    (parse_instance, "p sdm \u0661 1 0\n", "line 1: non-integer counts"),  # Arabic-Indic 1
+    (parse_instance, "p sdm 1 1 1\ne 1 +1\n", "line 2: non-integer endpoint"),
+    (parse_instance, "p sdm 2 1 0\ns 1_0\n", "line 2: non-integer S member"),
+    (parse_dimacs_cnf, "p cnf 1_0 1\n1 0\n", "line 1: non-integer header counts"),
+    (parse_dimacs_cnf, "p cnf 1 +1\n1 0\n", "line 1: non-integer header counts"),
+], ids=["underscore-count", "non-ascii-count", "plus-endpoint", "underscore-s",
+        "underscore-cnf", "plus-cnf"])
+def test_integer_fields_take_a_minus_and_ascii_digits_only(read, text, message):
+    with pytest.raises(FormatError) as info:
+        read(text)
+    assert str(info.value) == message
+    assert type(info.value.__cause__) is ValueError
+    if read is parse_instance:
+        assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("p sdm 1 1 1\ne 01 1\n", SdmInstance(BipartiteGraph(1, 1, ((0,),)), ())),
+    ("c x\np sdm 1 1 0\ns 001\n", SdmInstance(BipartiteGraph(1, 1, ((),)), (0,))),
+    ("p sdm -1 2 0\n", (ValueError, "negative vertex count: nx=-1, ny=2")),
+    ("p sdm 1 1 " + "1" * 5000 + "\n", (FormatError, "line 1: non-integer counts")),
+    ("p sdm 1 1 1\ne " + "1" * 5000 + " 1\n", (FormatError, "line 2: non-integer endpoint")),
+], ids=["leading-zero", "leading-zeros-s", "negative-count", "5000-digit-count",
+        "5000-digit-endpoint"])
+def test_leading_zeros_signs_and_long_numbers_read_as_before(text, want):
+    assert outcome(parse_instance, text) == want

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from sdmatch.reductions import _check_dm_solution
 from conftest import (
     C8_FORMULA,
     brute_force_satisfiable,
+    chain_graph,
     numbering,
     random_formula,
     reference_decode,
@@ -126,9 +128,9 @@ def test_reduction_sizes_single_clause():
     assert len(inst.s_set) == 4
     # literal edges: positive -> position 1 of the cycle, negative -> position 3
     w = gn.clause_w(1)
-    assert (w, gn.cycle_y(1, 1)) in g.edge_set
-    assert (w, gn.cycle_y(2, 3)) in g.edge_set
-    assert (w, gn.cycle_y(3, 1)) in g.edge_set
+    assert (w, gn.cycle_y(1, 1)) in set(g.edges())
+    assert (w, gn.cycle_y(2, 3)) in set(g.edges())
+    assert (w, gn.cycle_y(3, 1)) in set(g.edges())
 
 
 def test_reduction_two_clauses_one_var():
@@ -137,8 +139,8 @@ def test_reduction_two_clauses_one_var():
     gn = numbering(f)
     g = inst.graph
     assert gn.cycle_len() == 8
-    assert (gn.clause_w(1), gn.cycle_y(1, 1)) in g.edge_set
-    assert (gn.clause_w(2), gn.cycle_y(1, 7)) in g.edge_set
+    assert (gn.clause_w(1), gn.cycle_y(1, 1)) in set(g.edges())
+    assert (gn.clause_w(2), gn.cycle_y(1, 7)) in set(g.edges())
     # the contradiction is unsatisfiable, so no pair exists
     assert solve_exact(inst) is None
 
@@ -325,9 +327,10 @@ def test_extend_builds_dm_solution():
         assert back.m1 == spair.m1
         assert {e for e in back.m2.edges} == {e for e in spair.m2.edges if e[0] in s_set}
     # the pairs, byte for byte. They extend solve_exact's S-pairs, so a change
-    # to the search's M2 re-pins this along with the other exact-route pins
+    # to the search's M2 re-pins this along with the other exact-route pins,
+    # as does a change to the Y vertices the extension hands X-S
     assert digest.hexdigest() == \
-        "0ceda5a234ecf0df56be6ec10fed9c7532c0f79e4415fe9459dffdcf41440dfb"
+        "50adf394b1bfa525fd33757ba6f1343531f7987bb6a5154da8ed41e1a91a91d7"
 
 
 # The 8-cycle x_i - y_i - x_(i-1): edges (i, i) and (i, i+1 mod 4), S = {x0},
@@ -346,6 +349,75 @@ def test_extend_accepts_m2_edges_outside_s(m2):
     _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2_dm)
     assert m1 == spair.m1 and (0, 1) in m2_dm.edge_set
     assert project_dm_to_spair(inst, m1, m2_dm) == SPair(spair.m1, Matching(((0, 1),)))
+
+
+def test_extend_swaps_a_clash_with_the_next_vertex_cyclically():
+    # K3,3 with S empty and M1 = {(i, i)}: the free Y vertices ascending
+    # hand every X vertex its own mate, so x0 swaps with x1, then x2, the
+    # last, swaps with x0
+    g = BipartiteGraph.from_edges(3, 3, [(x, y) for x in range(3) for y in range(3)])
+    inst = SdmInstance.make(g, [])
+    m1 = Matching.from_edges((i, i) for i in range(3))
+    _, m2 = extend_spair_to_dm(inst, SPair(m1, Matching(())))
+    assert m2.edges == ((0, 2), (1, 0), (2, 1))
+    _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2)
+
+
+def planted_spair(rng, nx):
+    """A random graph on nx X vertices and up to nx + 5 Y vertices that
+    holds a planted S-pair, with |S| <= nx - 2: M1 sends X into Y (in
+    ascending order half the time, so that the free Y vertices often meet
+    their M1 mates), M2 covers S and some vertices outside it and shares no
+    edge with M1, and each other (x, y) is an edge with probability 0.1."""
+    ny = rng.randint(nx, nx + 5)
+    ys = rng.sample(range(ny), nx)
+    if rng.random() < 0.5:
+        ys.sort()
+    m1 = list(enumerate(ys))
+    s_set = rng.sample(range(nx), rng.randint(0, nx - 2))
+    m2_x = s_set + rng.sample(sorted(set(range(nx)) - set(s_set)), rng.randint(0, 2))
+    while True:
+        m2 = list(zip(m2_x, rng.sample(range(ny), len(m2_x))))
+        if not set(m2) & set(m1):
+            break
+    noise = [(x, y) for x in range(nx) for y in range(ny) if rng.random() < 0.1]
+    g = BipartiteGraph.from_edges(nx, ny, m1 + m2 + noise)
+    return (SdmInstance.make(g, s_set),
+            SPair(Matching.from_edges(m1), Matching.from_edges(m2)))
+
+
+def test_extend_and_project_round_trip_past_brute_force():
+    rng = random.Random(35)
+    for _ in range(300):
+        inst, spair = planted_spair(rng, rng.randint(2, 40))
+        assert verify_spair(inst, spair) == (True, "ok")
+        m1, m2 = extend_spair_to_dm(inst, spair)
+        _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2)
+        in_s = set(inst.s_set)
+        on_s = Matching(tuple((x, y) for x, y in spair.m2.edges if x in in_s))
+        assert m1 == spair.m1 and set(on_s.edges) <= set(m2.edges)
+        assert project_dm_to_spair(inst, m1, m2) == SPair(spair.m1, on_s)
+
+
+def test_chain_extension_and_projection_read_rows():
+    """On the 1500-link chain with S = {last}, G2 has about 2.25 million
+    edges. A set of them took the projection's check to 193 MB traced, and
+    the extension's dense helper graph to 18.5 MB; both calls together now
+    peak under 8 MB."""
+    n = 1500
+    inst = SdmInstance.make(chain_graph(n), [n - 1])
+    spair = SPair(Matching.from_edges((i, i) for i in range(n)), Matching(((n - 1, n - 2),)))
+    assert verify_spair(inst, spair) == (True, "ok")
+    tracemalloc.start()
+    try:
+        m1, m2 = extend_spair_to_dm(inst, spair)
+        back = project_dm_to_spair(inst, m1, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+    _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2)
+    assert back == spair
 
 
 # G1: x0 - y0, x0 - y1, x1 - y1, x2 - y2 with S = {x0}, so G2 adds every edge
