@@ -222,13 +222,16 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
             or max(islice(nums, 1, None, 2), default=0) > ny
             or not all(1 <= x <= nx for x in s_line)):
         return None
-    # rows only up to the last X vertex with an edge; the rest share ()
-    neigh: list[list[int]] = [[] for _ in range(top_x)]
+    # a list only for an X vertex with an edge; every other row is the one ()
+    neigh: list[Optional[list[int]]] = [None] * top_x
     pairs = iter(nums)
     for x, y in zip(pairs, pairs):
-        neigh[x - 1].append(y - 1)
+        if (row := neigh[x - 1]) is None:
+            neigh[x - 1] = [y - 1]
+        else:
+            row.append(y - 1)
     del nums, pairs  # freed before the tuples are built, which lowers the peak
-    rows = tuple(tuple(sorted(set(a))) for a in neigh) + ((),) * (nx - top_x)
+    rows = tuple(tuple(sorted(set(a))) if a else () for a in neigh) + ((),) * (nx - top_x)
     return SdmInstance.make(BipartiteGraph(nx, ny, rows), [x - 1 for x in s_line])
 
 
@@ -242,17 +245,17 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-_INT_FIELD = re.compile(r"-?[0-9]+")
-
-
 def int_fields(words: Sequence[str], lineno: int, what: str) -> list[int]:
-    """The words as ints, each an optional "-" and ASCII digits (int() alone
-    also takes "+1" and "1_0"), or FormatError "line N: what" chained from
-    the ValueError: the integer-field rule of the line readers."""
+    """The words as ints, each an optional "-" and ASCII digits, or
+    FormatError "line N: what" chained from the ValueError: the one integer
+    rule of every text reader, one call per line. int() refuses a misplaced
+    "-", and all else it takes ("+1", "1_0", other scripts' digits) is no
+    ASCII digit. To name a bad word, call again word by word on the error."""
     try:
-        if not all(map(_INT_FIELD.fullmatch, words)):
+        digits = "".join(words).replace("-", "")
+        if words and not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"not an optional '-' and ASCII digits: {words}")
-        return [int(word) for word in words]
+        return list(map(int, words))
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {what}") from exc
 
@@ -325,18 +328,19 @@ def serialize_solution(spair: Optional[SPair]) -> str:
 
 
 def _parse_matching_line(line: str, label: str, lineno: int) -> Matching:
-    tokens = line.split()
-    if not tokens or tokens[0] != label:
+    first, *pairs = line.split()  # a content line has a first word
+    if first != label:
         raise FormatError(f"line {lineno}: expected {label} line, got {line!r}")
-    edges = []
-    for tok in tokens[1:]:
-        try:
-            xs, ys = tok.split(":")
-            edges.append((int(xs) - 1, int(ys) - 1))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: malformed pair {tok!r}") from exc
+    # a pair without exactly one ":" leaves a field that is not an integer
+    fields = [n for tok in pairs for n in tok.partition(":")[::2]]
     try:
-        return Matching.from_edges(edges)
+        nums = int_fields(fields, lineno, "malformed pair")
+    except FormatError:  # pair by pair, to name the first bad one
+        for tok in pairs:
+            int_fields(tok.partition(":")[::2], lineno, f"malformed pair {tok!r}")
+        raise
+    try:
+        return Matching.from_edges((x - 1, y - 1) for x, y in zip(nums[::2], nums[1::2]))
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {exc}") from exc
 

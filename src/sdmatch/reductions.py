@@ -78,11 +78,12 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             continue
         if num_vars < 0:
             raise FormatError(f"line {lineno}: clause before header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad literal {tok!r}") from exc
+        tokens = line.split()
+        try:
+            lits = int_fields(tokens, lineno, "bad literal")
+        except FormatError:  # token by token: the first error in the line, named
+            lits = (int_fields([tok], lineno, f"bad literal {tok!r}")[0] for tok in tokens)
+        for lit in lits:
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -202,37 +203,48 @@ def encode_assignment_to_spair(formula: CnfFormula, assignment: dict[int, bool])
 # SDM -> DM
 
 
+def _refuse_large_s(instance: SdmInstance) -> None:
+    if len(instance.s_set) >= instance.graph.nx - 1:
+        raise ValueError("reduction requires |S| < |X|-1; use the polynomial solver")
+
+
 def reduce_sdm_to_dm(instance: SdmInstance) -> DmInstance:
     """G1 = G; G2 = G plus every edge from X-S to Y: an S row is G's own,
     every other row is all of Y."""
+    _refuse_large_s(instance)
     g = instance.graph
-    if len(instance.s_set) >= g.nx - 1:
-        raise ValueError("reduction requires |S| < |X|-1; use the polynomial solver")
     in_s = set(instance.s_set)
     all_y = tuple(range(g.ny))
     rows = tuple(row if x in in_s else all_y for x, row in enumerate(g.adj))
     return DmInstance(g, BipartiteGraph(g.nx, g.ny, rows))
 
 
-def _check_dm_solution(dm: DmInstance, m1: Matching, m2: Matching) -> None:
-    if not is_matching(dm.g1, m1.edges):
+def _check_dm_solution(instance: SdmInstance, m1: Matching, m2: Matching) -> None:
+    """Check a pair against the two graphs of `reduce_sdm_to_dm(instance)`
+    without building G2: an edge of G2 at an S vertex is one of G's, and at
+    any other X vertex it is any (x, y) in range."""
+    _refuse_large_s(instance)
+    g = instance.graph
+    in_s = set(instance.s_set)
+    if not is_matching(g, m1.edges):
         raise ValueError("m1 is not a matching of G1")
-    if not is_matching(dm.g2, m2.edges):
+    if not (is_matching(g, [(x, y) for x, y in m2.edges if x in in_s])
+            and all(0 <= x < g.nx and 0 <= y < g.ny for x, y in m2.edges)
+            and len(m2.covered_x) == len({y for _, y in m2.edges}) == len(m2)):
         raise ValueError("m2 is not a matching of G2")
     if m1.edge_set & m2.edge_set:
         raise ValueError("matchings are not disjoint")
-    full_x = frozenset(range(dm.g1.nx))
+    full_x = frozenset(range(g.nx))
     if m1.covered_x != full_x or m2.covered_x != full_x:
         raise ValueError("matchings must both saturate X")
 
 
 def project_dm_to_spair(instance: SdmInstance, m1: Matching, m2: Matching) -> SPair:
-    """Drop M2 edges whose X endpoint lies outside S; M1 carries over."""
-    dm = reduce_sdm_to_dm(instance)
-    _check_dm_solution(dm, m1, m2)
+    """Check the two-graph pair against G and S in linear time, then drop
+    the M2 edges whose X endpoint lies outside S; M1 carries over."""
+    _check_dm_solution(instance, m1, m2)
     in_s = set(instance.s_set)
-    kept = Matching.from_edges((x, y) for x, y in m2.edges if x in in_s)
-    return SPair(m1, kept)
+    return SPair(m1, Matching.from_edges((x, y) for x, y in m2.edges if x in in_s))
 
 
 def extend_spair_to_dm(instance: SdmInstance, spair: SPair) -> tuple[Matching, Matching]:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from typing import NamedTuple, Optional
@@ -483,3 +484,22 @@ def flow_runs(monkeypatch):
     for module in (flow, lebensold):
         monkeypatch.setattr(module, "feasible_flow", recording)
     return runs
+
+
+def scoped_calls(tree):
+    """(name, call) for every call in the tree, with the name of the
+    innermost function around it, or `<module>` outside any function: what
+    the guards that keep one copy of a rule in `src/` filter."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for scope in ast.walk(tree):
+        if not isinstance(scope, functions + (ast.Module,)):
+            continue
+        name = scope.name if isinstance(scope, functions) else "<module>"
+        stack = list(scope.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, functions):
+                continue
+            if isinstance(node, ast.Call):
+                yield name, node
+            stack.extend(ast.iter_child_nodes(node))

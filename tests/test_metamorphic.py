@@ -10,17 +10,30 @@ random S of any size, so every route runs.
 
 Each `solve` has a 20 000-step budget. An instance whose search runs out is
 skipped and counted, and each test bounds its skips. Every "yes" must pass
-`verify_spair`. The examples are derandomized, so every run tries the same
-instances."""
+`verify_spair`.
+
+Three of them hold for `lebensold_condition` as well, for k from 1 to 4 on
+the same instances with a mean X degree from k to 2k + 2 (S unused); a
+"no" carries W, the X side of the minimal minimum cut, which is unique:
+
+- relabelling keeps the verdict, and W maps along with the labels;
+- adding an edge keeps "holds";
+- the union with a copy has the same verdict, and its W is W plus W
+  shifted by |X|.
+
+Every "holds" must carry k disjoint X-saturating matchings. The examples
+are derandomized, so every run tries the same instances."""
 
 import random
+from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sdmatch import BipartiteGraph, SdmInstance, solve, verify_spair  # noqa: E402
+from sdmatch import (BipartiteGraph, LebensoldVerdict, SdmInstance, is_matching,  # noqa: E402
+                     lebensold_condition, solve, verify_spair)
 from sdmatch.solve import BudgetExhausted  # noqa: E402
 
 BUDGET = 20_000
@@ -44,28 +57,31 @@ def verdict(instance: SdmInstance) -> bool:
 
 
 @st.composite
-def instances(draw, salt: str, min_s: int):
-    """A random instance with at least min_s S vertices, and the generator
-    that drew it, for the relation's own choices. Derandomized examples
-    depend only on the property's source, which the four tests share, so
-    each salts its generator with its own name."""
+def instances(draw, salt: str, min_s: int, degree=(2.5, 5)):
+    """A random instance with at least min_s S vertices and a mean X degree
+    drawn from the degree range, and the generator that drew it, for the
+    relation's own choices. Derandomized examples depend only on the
+    property's source, which the tests share, so each salts its generator
+    with its own name."""
     rng = random.Random(f"{salt} {draw(st.integers(0, 2**32 - 1))}")
     nx = draw(st.integers(4, 40))
     ny = nx + rng.randint(0, 10)
-    density = rng.uniform(2.5, 5) / ny
+    density = rng.uniform(*degree) / ny
     rows = tuple(tuple(y for y in range(ny) if rng.random() < density) for _ in range(nx))
     s_set = rng.sample(range(nx), rng.randint(min_s, nx))
     return SdmInstance.make(BipartiteGraph(nx, ny, rows), s_set), rng
 
 
-def relabelled(instance: SdmInstance, rng: random.Random) -> SdmInstance:
+def relabelled(instance: SdmInstance, rng: random.Random) -> tuple[SdmInstance, list[int]]:
+    """The instance with X and Y permuted at random, and the X permutation:
+    X vertex x becomes px[x]."""
     g = instance.graph
     px, py = rng.sample(range(g.nx), g.nx), rng.sample(range(g.ny), g.ny)
     rows = [()] * g.nx
     for x, row in enumerate(g.adj):
         rows[px[x]] = tuple(sorted(py[y] for y in row))
     s_set = [px[x] for x in instance.s_set]
-    return SdmInstance.make(BipartiteGraph(g.nx, g.ny, tuple(rows)), s_set)
+    return SdmInstance.make(BipartiteGraph(g.nx, g.ny, tuple(rows)), s_set), px
 
 
 def with_an_edge(instance: SdmInstance, rng: random.Random) -> SdmInstance:
@@ -122,7 +138,7 @@ def run_property(name, relation, only_yes, max_skipped, min_checked, min_s=0):
 
 
 def test_relabelling_x_and_y_keeps_the_verdict():
-    tally = run_property("relabel", lambda inst, rng: verdict(relabelled(inst, rng)),
+    tally = run_property("relabel", lambda inst, rng: verdict(relabelled(inst, rng)[0]),
                          only_yes=False, max_skipped=15, min_checked=130)
     assert 20 <= tally["yes"] <= tally["checked"] - 20, tally
 
@@ -141,3 +157,71 @@ def test_the_union_with_a_copy_keeps_the_verdict():
     tally = run_property("union", lambda inst, rng: verdict(doubled(inst)),
                          only_yes=False, max_skipped=15, min_checked=130)
     assert 20 <= tally["yes"] <= tally["checked"] - 20, tally
+
+
+def lebensold_verdict(graph: BipartiteGraph, k: int) -> LebensoldVerdict:
+    """`lebensold_condition`, whose "holds" must carry k disjoint
+    X-saturating matchings of the graph."""
+    result = lebensold_condition(graph, k)
+    if result.holds:
+        assert len(result.matchings) == k
+        assert len(set().union(*(m.edges for m in result.matchings))) == k * graph.nx
+        for m in result.matchings:
+            assert is_matching(graph, m.edges) and len(m) == graph.nx
+    return result
+
+
+def run_lebensold_property(name, relation, only_holds=False):
+    """Call relation(instance, k, verdict, rng) over the examples, for k from
+    1 to 4 and a mean X degree from k to 2k + 2, where only_holds keeps
+    only graphs whose condition holds; return the (k, holds) pairs checked,
+    each with its count."""
+    tally = Counter()
+
+    @SETTINGS
+    @given(k_drawn=st.integers(1, 4).flatmap(
+        lambda k: st.tuples(st.just(k), instances(name, 0, (k, 2 * k + 2)))))
+    def prop(k_drawn):
+        k, (instance, rng) = k_drawn
+        before = lebensold_verdict(instance.graph, k)
+        if only_holds and not before.holds:
+            return
+        relation(instance, k, before, rng)
+        tally[k, before.holds] += 1
+
+    prop()
+    return tally
+
+
+# each test checks every k, and each k both ways unless only "holds" counts
+BOTH_WAYS = {(k, holds) for k in range(1, 5) for holds in (False, True)}
+
+
+def test_relabelling_keeps_lebensolds_verdict_and_maps_w():
+    def relation(instance, k, before, rng):
+        after_instance, px = relabelled(instance, rng)
+        after = lebensold_verdict(after_instance.graph, k)
+        assert after.holds == before.holds
+        if not before.holds:
+            assert after.violating_set == tuple(sorted(px[x] for x in before.violating_set))
+
+    assert set(run_lebensold_property("lebensold-relabel", relation)) == BOTH_WAYS
+
+
+def test_adding_an_edge_keeps_lebensold_holding():
+    def relation(instance, k, before, rng):
+        assert lebensold_verdict(with_an_edge(instance, rng).graph, k).holds
+
+    tally = run_lebensold_property("lebensold-edge", relation, only_holds=True)
+    assert set(tally) == {(k, True) for k in range(1, 5)} and sum(tally.values()) >= 60, tally
+
+
+def test_the_union_with_a_copy_keeps_lebensolds_verdict_and_doubles_w():
+    def relation(instance, k, before, rng):
+        after = lebensold_verdict(doubled(instance).graph, k)
+        assert after.holds == before.holds
+        if not before.holds:
+            w, nx = before.violating_set, instance.graph.nx
+            assert after.violating_set == w + tuple(x + nx for x in w)
+
+    assert set(run_lebensold_property("lebensold-union", relation)) == BOTH_WAYS

@@ -9,8 +9,8 @@ import ast
 from pathlib import Path
 
 import sdmatch
+from conftest import scoped_calls
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 OPENERS = [("cli.py", "_read", "rb"), ("cli.py", "_write_files", "wb")]
 
 
@@ -28,21 +28,8 @@ def open_calls(tree):
     """(function, mode) for every call of the builtin name `open` in the
     tree, naming the innermost function around it; `<module>` for a call
     outside any function."""
-    found = []
-    for scope in ast.walk(tree):
-        if not isinstance(scope, FUNCTIONS + (ast.Module,)):
-            continue
-        name = scope.name if isinstance(scope, FUNCTIONS) else "<module>"
-        stack = list(scope.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, FUNCTIONS):
-                continue
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "open"):
-                found.append((name, mode_of(node)))
-            stack.extend(ast.iter_child_nodes(node))
-    return found
+    return [(name, mode_of(call)) for name, call in scoped_calls(tree)
+            if isinstance(call.func, ast.Name) and call.func.id == "open"]
 
 
 def openers_in(package):

@@ -7,8 +7,8 @@ import ast
 from pathlib import Path
 
 import sdmatch
+from conftest import scoped_calls
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SCANNERS = [("graph.py", "content_lines")]
 
 
@@ -16,21 +16,8 @@ def splitlines_callers(tree):
     """The name of every function whose own body (nested functions aside)
     calls `.splitlines()`, once per call; `<module>` for a call outside any
     function."""
-    found = []
-    for scope in ast.walk(tree):
-        if not isinstance(scope, FUNCTIONS + (ast.Module,)):
-            continue
-        name = scope.name if isinstance(scope, FUNCTIONS) else "<module>"
-        stack = list(scope.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, FUNCTIONS):
-                continue
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "splitlines"):
-                found.append(name)
-            stack.extend(ast.iter_child_nodes(node))
-    return found
+    return [name for name, call in scoped_calls(tree)
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "splitlines"]
 
 
 def scanners_in(package):

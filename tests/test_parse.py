@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 
 from sdmatch import (BipartiteGraph, FormatError, SdmInstance, graph, parse_dimacs_cnf,
-                     parse_instance, serialize_instance)
+                     parse_instance, parse_solution, serialize_instance)
 from sdmatch.graph import random_graph
 from conftest import chain_graph, reference_parse_instance
 
@@ -251,14 +251,19 @@ def test_bulk_reader_peak_is_well_below_the_line_readers():
     assert peak_bytes(parse_instance, text) <= 0.85 * peak_bytes(graph._parse_lines, text)
 
 
-@pytest.mark.parametrize("text", ["p sdm 400000 1 0\n", "c note\np sdm 400000 1 0\n"],
-                         ids=["bulk", "line"])
-def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text):
+@pytest.mark.parametrize("text, top_row", [
+    ("p sdm 400000 1 0\n", ()),
+    ("c note\np sdm 400000 1 0\n", ()),
+    ("p sdm 400000 1 1\ne 400000 1\n", (0,)),
+], ids=["bulk", "line", "bulk-top-edge"])
+def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text, top_row):
     """A container per header vertex took the bulk reader's traced peak to
-    29 MB and the line reader's to 93 MB here; the shared () keeps each
-    near the 3.2 MB of the row tuple."""
+    29 MB and the line reader's to 93 MB here, and so did one edge at the top
+    X vertex in the bulk reader; the shared () keeps each near the 3.2 MB of
+    the row tuple, or 6.7 MB with the bulk reader's slot list beside it."""
     assert peak_bytes(parse_instance, text) < 8_000_000
-    assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, ((),) * 400000), ())
+    rows = ((),) * 399999 + (top_row,)
+    assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, rows), ())
 
 
 # an integer field is an optional "-" and ASCII digits; int() alone would
@@ -270,8 +275,14 @@ def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text):
     (parse_instance, "p sdm 2 1 0\ns 1_0\n", "line 2: non-integer S member"),
     (parse_dimacs_cnf, "p cnf 1_0 1\n1 0\n", "line 1: non-integer header counts"),
     (parse_dimacs_cnf, "p cnf 1 +1\n1 0\n", "line 1: non-integer header counts"),
+    (parse_dimacs_cnf, "p cnf 1 1\n+1 0\n", "line 2: bad literal '+1'"),
+    (parse_dimacs_cnf, "p cnf 10 1\n1_0 0\n", "line 2: bad literal '1_0'"),
+    (parse_dimacs_cnf, "p cnf 1 1\n1 \u0661 0\n", "line 2: bad literal '\u0661'"),
+    (parse_solution, "RESULT yes\nM1 1:+1\nM2\n", "line 2: malformed pair '1:+1'"),
+    (parse_solution, "RESULT yes\nM1 1:1 1_0:1\nM2\n", "line 2: malformed pair '1_0:1'"),
 ], ids=["underscore-count", "non-ascii-count", "plus-endpoint", "underscore-s",
-        "underscore-cnf", "plus-cnf"])
+        "underscore-cnf", "plus-cnf", "plus-literal", "underscore-literal",
+        "non-ascii-literal", "plus-pair", "underscore-pair"])
 def test_integer_fields_take_a_minus_and_ascii_digits_only(read, text, message):
     with pytest.raises(FormatError) as info:
         read(text)

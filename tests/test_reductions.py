@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from sdmatch import (
     true_false_pairs,
     verify_spair,
 )
+from sdmatch import reductions
 from sdmatch.graph import random_graph
 from sdmatch.reductions import _check_dm_solution
 from conftest import (
@@ -87,10 +89,13 @@ def test_parse_dimacs_rejects_bad_header(text, message):
 
 @pytest.mark.parametrize("text, message", [
     ("p cnf 1 1\n1 x 0\n", "line 2: bad literal 'x'"),
+    # a line's literals are read in one call, but the error named is still
+    # the first one in the line
+    ("p cnf 1 1\n2 x 0\n", "line 2: literal 2 out of range"),
     ("p cnf 1 2\n1 0\n", "clause count mismatch: header says 2, found 1"),
     # a lone 0 ends an empty clause, which CnfFormula.make refuses
     ("p cnf 1 1\n0\n", "empty clause"),
-], ids=["bad-literal", "count-mismatch", "empty-clause"])
+], ids=["bad-literal", "out-of-range-before-bad-literal", "count-mismatch", "empty-clause"])
 def test_parse_dimacs_rejects_bad_clauses(text, message):
     with pytest.raises(FormatError) as info:
         parse_dimacs_cnf(text)
@@ -346,7 +351,7 @@ def test_extend_accepts_m2_edges_outside_s(m2):
     spair = SPair(Matching.from_edges((i, i) for i in range(4)), Matching.from_edges(m2))
     assert verify_spair(inst, spair) == (True, "ok")
     m1, m2_dm = extend_spair_to_dm(inst, spair)
-    _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2_dm)
+    _check_dm_solution(inst, m1, m2_dm)
     assert m1 == spair.m1 and (0, 1) in m2_dm.edge_set
     assert project_dm_to_spair(inst, m1, m2_dm) == SPair(spair.m1, Matching(((0, 1),)))
 
@@ -360,7 +365,7 @@ def test_extend_swaps_a_clash_with_the_next_vertex_cyclically():
     m1 = Matching.from_edges((i, i) for i in range(3))
     _, m2 = extend_spair_to_dm(inst, SPair(m1, Matching(())))
     assert m2.edges == ((0, 2), (1, 0), (2, 1))
-    _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2)
+    _check_dm_solution(inst, m1, m2)
 
 
 def planted_spair(rng, nx):
@@ -392,7 +397,7 @@ def test_extend_and_project_round_trip_past_brute_force():
         inst, spair = planted_spair(rng, rng.randint(2, 40))
         assert verify_spair(inst, spair) == (True, "ok")
         m1, m2 = extend_spair_to_dm(inst, spair)
-        _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2)
+        _check_dm_solution(inst, m1, m2)
         in_s = set(inst.s_set)
         on_s = Matching(tuple((x, y) for x, y in spair.m2.edges if x in in_s))
         assert m1 == spair.m1 and set(on_s.edges) <= set(m2.edges)
@@ -416,8 +421,40 @@ def test_chain_extension_and_projection_read_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000, peak
-    _check_dm_solution(reduce_sdm_to_dm(inst), m1, m2)
+    _check_dm_solution(inst, m1, m2)
     assert back == spair
+
+
+def test_projection_builds_no_g2_and_runs_in_linear_time(monkeypatch):
+    """G2's rows outside S are all of Y, so checking M2 against them took
+    time quadratic in n: 12 times as long at four times the length, where
+    linear time reads about 4. Checked against G and S, the projection
+    reads each pair once."""
+    def no_g2(instance):
+        raise AssertionError("the projection built G2")
+    monkeypatch.setattr(reductions, "reduce_sdm_to_dm", no_g2)
+
+    def best_time(n):
+        """Best of 5 projections of the pair the extension builds on the
+        n-link chain with S = {last}."""
+        inst = SdmInstance.make(chain_graph(n), [n - 1])
+        spair = SPair(Matching.from_edges((i, i) for i in range(n)), Matching(((n - 1, n - 2),)))
+        m1, m2 = extend_spair_to_dm(inst, spair)
+        assert project_dm_to_spair(inst, m1, m2) == spair
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            project_dm_to_spair(inst, m1, m2)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best_time(20_000) / best_time(5000)
+    assert ratio < 8, ratio
+    # the refusal of a large S is the reduction's own, G2 or not
+    g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError) as info:
+        project_dm_to_spair(SdmInstance.make(g, [0]), Matching(()), Matching(()))
+    assert str(info.value) == "reduction requires |S| < |X|-1; use the polynomial solver"
 
 
 # G1: x0 - y0, x0 - y1, x1 - y1, x2 - y2 with S = {x0}, so G2 adds every edge
