@@ -7,7 +7,6 @@ Exit codes: 0 = yes/valid/holds, 1 = no/invalid/violated, 2 = error,
 from __future__ import annotations
 
 import os
-import random
 import sys
 from types import SimpleNamespace
 from typing import IO, Iterable, Optional, Sequence
@@ -173,6 +172,8 @@ def generate_instance(nx: int, ny: int, density: float,
         raise ValueError("density must lie in [0, 1]")
     if not 0 <= s_size <= nx:
         raise ValueError("s-size must lie in [0, nx]")
+    import random  # only gen draws, so no other command loads it
+
     rng = random.Random(seed)
     graph = gmod.random_graph(rng, nx, ny, density)
     s_set = sorted(rng.sample(range(nx), s_size))

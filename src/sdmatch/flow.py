@@ -125,8 +125,12 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
                     del stack[1:]
         free = [x for x in free if room_x[x]]
     if not free:
-        rows = tuple(tuple(y for y in adj[x] if x in holders[y]) for x in range(nx))
-        return BipartiteGraph(nx, graph.ny, rows), None
+        # each holder x of y gets y; y ascends, so each row is ascending
+        rows: list[list[int]] = [[] for _ in range(nx)]
+        for y, held_by in enumerate(holders):
+            for x in held_by:
+                rows[x].append(y)
+        return BipartiteGraph(nx, graph.ny, tuple(map(tuple, rows))), None
     return None, tuple(x for x in range(nx) if dist[x] >= 0)
 
 

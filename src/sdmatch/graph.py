@@ -11,15 +11,24 @@ a plain one that fails a check, line by line. Only the line reader raises.
 from __future__ import annotations
 
 import json
-import random
 import re
 from collections import defaultdict
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:  # random is only an annotation here
+    import random
 
 
 class FormatError(ValueError):
     """Raised when a text instance or solution cannot be parsed."""
+
+
+# The most vertices on either side of an instance that a reader accepts,
+# and of the 3-SAT gadget built from a CNF. A header vertex keeps a slot in
+# the row tuple whether or not an e line names it, so without a bound a
+# short text could ask for gigabytes. m needs no bound: each edge is a line.
+MAX_VERTICES = 500_000
 
 
 class BipartiteGraph(NamedTuple):
@@ -206,7 +215,8 @@ def parse_instance(text: str) -> SdmInstance:
 def _parse_plain(text: str) -> Optional[SdmInstance]:
     """The instance of a plain-form text, or None for the line reader: when
     the text is not in the plain form, a number does not convert, m is not
-    the number of e lines, or an endpoint or S member is out of range."""
+    the number of e lines, a side has more than MAX_VERTICES vertices, or an
+    endpoint or S member is out of range."""
     match = _PLAIN.fullmatch(text)
     if match is None:
         return None
@@ -218,7 +228,7 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
     except ValueError:
         return None
     top_x = max(islice(nums, 0, None, 2), default=0)
-    if (len(nums) != 2 * m or top_x > nx
+    if (len(nums) != 2 * m or top_x > nx or max(nx, ny) > MAX_VERTICES
             or max(islice(nums, 1, None, 2), default=0) > ny
             or not all(1 <= x <= nx for x in s_line)):
         return None
@@ -287,6 +297,8 @@ def _parse_lines(text: str) -> SdmInstance:
             if len(tokens) != 5 or tokens[1] != "sdm":
                 raise FormatError(f"line {lineno}: malformed problem line {line!r}")
             nx, ny, m = int_fields(tokens[2:], lineno, "non-integer counts")
+            if max(nx, ny) > MAX_VERTICES:
+                raise FormatError(f"line {lineno}: more than {MAX_VERTICES} vertices on a side")
             seen_p = True
         elif kind == "s":
             if not seen_p:

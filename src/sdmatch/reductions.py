@@ -22,6 +22,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
+    MAX_VERTICES,
     BipartiteGraph,
     DmInstance,
     FormatError,
@@ -75,6 +76,10 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             num_vars, num_clauses = int_fields(parts[2:], lineno, "non-integer header counts")
             if num_vars < 0 or num_clauses < 0:
                 raise FormatError(f"line {lineno}: negative header counts")
+            # the gadget has s(2t + 1) vertices on each side
+            if num_clauses * (2 * num_vars + 1) > MAX_VERTICES:
+                raise FormatError(f"line {lineno}: the gadget would have more than "
+                                  f"{MAX_VERTICES} vertices on a side")
             continue
         if num_vars < 0:
             raise FormatError(f"line {lineno}: clause before header")

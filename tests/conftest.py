@@ -8,6 +8,7 @@ import pytest
 from sdmatch import BipartiteGraph, DmInstance, FormatError, Matching, SdmInstance, SPair
 from sdmatch import flow, lebensold
 from sdmatch.flow import feasible_flow
+from sdmatch.graph import MAX_VERTICES
 from sdmatch.matching import max_matching
 from sdmatch.reductions import CnfFormula
 from sdmatch.solve import (
@@ -310,6 +311,8 @@ def reference_parse_instance(text: str) -> SdmInstance:
                 nx, ny, m = map(reference_int, tokens[2:])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-integer counts") from exc
+            if nx > MAX_VERTICES or ny > MAX_VERTICES:
+                raise FormatError(f"line {lineno}: more than {MAX_VERTICES} vertices on a side")
             seen_p = True
         elif kind == "e":
             if not seen_p:

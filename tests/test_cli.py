@@ -200,6 +200,15 @@ def test_decode_refuses_a_pair_that_verify_rejects(tmp_path):
         (2, "", "error: decoded assignment does not satisfy clause 2\n")
 
 
+def test_reduce_3sat_and_decode_refuse_a_gadget_above_the_vertex_bound(tmp_path):
+    # 19 bytes that asked reduce-3sat for a 600 001-vertex gadget
+    cnf = write(tmp_path, "f.cnf", "p cnf 300000 1\n1 0\n")
+    sol = write(tmp_path, "f.sol", "RESULT yes\nM1 1:1\nM2\n")
+    error = "error: line 1: the gadget would have more than 500000 vertices on a side\n"
+    assert invoke(["reduce-3sat", cnf]) == (2, "", error)
+    assert invoke(["decode", cnf, sol]) == (2, "", error)
+
+
 def test_map_is_a_copy_of_the_cnf_and_decodes_alike(tmp_path):
     text = "c two clauses\np cnf 2 2\n1 -2 0\n2 0\n"
     cnf = write(tmp_path, "f.cnf", text)

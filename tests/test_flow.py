@@ -5,8 +5,8 @@ import pytest
 
 from sdmatch import BipartiteGraph, SdmInstance, gf_factor, lebensold_condition, solve
 from sdmatch.flow import feasible_flow
-from sdmatch.graph import random_graph
-from sdmatch.matching import max_matching
+from sdmatch.graph import Matching, random_graph
+from sdmatch.matching import _hopcroft_karp, max_matching
 from conftest import factor_degrees_ok, k22, networkx_min_cut_x, networkx_network, y_adj
 
 
@@ -30,8 +30,9 @@ def test_k22_flow_saturates_edge_arcs():
 
 def test_unit_bounds_match_saturating_matching():
     # with every cap 1 the degree network is the matching problem, so the
-    # degree engine gives Hopcroft-Karp's matching, or the Hall violator W
-    # that networkx's residual network gives: the minimal min cut's X side
+    # degree engine gives the matching of Hopcroft-Karp from the first-fit
+    # start it shares, or the Hall violator W that networkx's residual
+    # network gives: the minimal min cut's X side
     pytest.importorskip("networkx")
     rng = random.Random(3)
     graphs = [random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5) for _ in range(200)]
@@ -44,9 +45,11 @@ def test_unit_bounds_match_saturating_matching():
     saturated = set()
     for g in graphs:
         factor = gf_factor(g, [1] * g.nx, [1] * g.ny)
-        assert (factor is not None) == (len(max_matching(g)) == g.nx)
+        first_fit = Matching.from_match_x(_hopcroft_karp(g))
+        assert len(max_matching(g)) == len(first_fit)
+        assert (factor is not None) == (len(first_fit) == g.nx)
         violator = networkx_min_cut_x(g, [1] * g.nx, [1] * g.ny)
-        matching = BipartiteGraph.from_edges(g.nx, g.ny, max_matching(g).edges)
+        matching = BipartiteGraph.from_edges(g.nx, g.ny, first_fit.edges)
         expected = (None, violator) if violator else (matching, None)
         assert feasible_flow(g, [1] * g.nx, [1] * g.ny) == expected
         empty = BipartiteGraph.from_edges(g.nx, g.ny, [])

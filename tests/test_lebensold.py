@@ -9,7 +9,8 @@ from sdmatch import (
     max_matching,
 )
 from sdmatch.flow import feasible_flow
-from sdmatch.graph import random_graph
+from sdmatch.graph import Matching, random_graph
+from sdmatch.matching import _hopcroft_karp
 from conftest import (
     factor_degrees_ok,
     k22,
@@ -143,11 +144,14 @@ def test_violator_deficiency_equals_matching_deficiency():
     for g in graphs:
         verdict = lebensold_condition(g, 1)
         assert_verdict_certified(g, 1, verdict)
-        deficiency = g.nx - len(max_matching(g))
+        # the degree engine shares Hopcroft-Karp's first-fit start
+        first_fit = Matching.from_match_x(_hopcroft_karp(g))
+        assert len(max_matching(g)) == len(first_fit)
+        deficiency = g.nx - len(first_fit)
         if verdict.holds:
             assert deficiency == 0
             assert verdict.violating_set is None
-            assert verdict.matchings == (max_matching(g),)
+            assert verdict.matchings == (first_fit,)
             continue
         assert verdict.matchings is None
         w = verdict.violating_set

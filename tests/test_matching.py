@@ -4,6 +4,7 @@ import pytest
 
 from sdmatch import BipartiteGraph, max_matching
 from sdmatch.graph import random_graph
+from sdmatch.matching import _hopcroft_karp
 from conftest import chain_graph, edge_subset_matchings, k22
 
 
@@ -20,6 +21,13 @@ def test_k22_perfect():
 def test_c8_perfect(c8_gadget):
     inst, _ = c8_gadget
     assert len(max_matching(inst.graph)) == 4
+
+
+def test_start_gives_each_x_its_least_contested_free_neighbour():
+    # y1 has two neighbours and y2 one, so x1 takes y2 where first-fit takes y1
+    g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    assert max_matching(g).edges == ((0, 0), (1, 2))
+    assert _hopcroft_karp(g) == [0, 1]
 
 
 def test_maximum_against_brute_force():

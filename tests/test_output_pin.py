@@ -46,23 +46,23 @@ SOLVE_PINS = {
 # |S| <= 1 below seed 12, |X| = 10..14 and |S| = 3..|X|-2 from it
 EXACT_PINS = {
     0: (1, '34e5c14224bbd079'),
-    1: (0, '4cddf44e9c338b26'),
-    2: (0, 'f7ce2c288a9b511d'),
+    1: (0, '75347d570d529351'),
+    2: (0, '86ad2b79d3fa3f31'),
     3: (1, '34e5c14224bbd079'),
-    4: (0, 'fed537aee384e7c8'),
-    5: (0, '89fc2640c855fdfd'),
+    4: (0, '1fc11b31589fdf60'),
+    5: (0, '8cb05889d63f4eac'),
     6: (1, '34e5c14224bbd079'),
-    7: (0, 'fd8e63096b058e0a'),
-    8: (0, '79d0a699eabda0b9'),
+    7: (0, '6d12e998bbc71ae6'),
+    8: (0, '78de8bd12ecfff9a'),
     9: (1, '34e5c14224bbd079'),
-    10: (0, 'b0ab23dc1f6651b0'),
-    11: (0, 'ace27efcc2e54940'),
+    10: (0, '20401e1eed3bf748'),
+    11: (0, '99a8d9ce4974140e'),
     12: (0, 'c371fdb56f3a0b7a'),
     13: (0, 'd02fc2d83fa94531'),
-    14: (0, 'a7766a20e52d1928'),
+    14: (0, 'f9f4e49d4bd98300'),
     15: (1, '34e5c14224bbd079'),
     16: (0, '6b150c3b558e7185'),
-    17: (0, '0c7fdac4118702b1'),
+    17: (0, '1e4743cf03c76afc'),
     18: (1, '34e5c14224bbd079'),
     19: (1, '821253cb40cba1e6'),
 }

@@ -17,7 +17,7 @@ import pytest
 
 from sdmatch import (BipartiteGraph, FormatError, SdmInstance, graph, parse_dimacs_cnf,
                      parse_instance, parse_solution, serialize_instance)
-from sdmatch.graph import random_graph
+from sdmatch.graph import MAX_VERTICES, random_graph
 from conftest import chain_graph, reference_parse_instance
 
 # the phrase of each error the parser can raise -> one input that raises it
@@ -264,6 +264,51 @@ def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text, top_row):
     assert peak_bytes(parse_instance, text) < 8_000_000
     rows = ((),) * 399999 + (top_row,)
     assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, rows), ())
+
+
+TOO_MANY = f"more than {MAX_VERTICES} vertices on a side"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"p sdm {MAX_VERTICES + 1} 1 0\n", f"line 1: {TOO_MANY}"),
+    (f"p sdm 1 {MAX_VERTICES + 1} 1\ne 1 1\n", f"line 1: {TOO_MANY}"),
+    (f"c note\np sdm {MAX_VERTICES + 1} 1 0\n", f"line 2: {TOO_MANY}"),
+    (f"p sdm {MAX_VERTICES + 1} 1 1\n", f"line 1: {TOO_MANY}"),  # before the count check
+], ids=["bulk-nx", "bulk-ny", "line-nx", "m-mismatch"])
+def test_vertex_counts_above_the_bound_are_refused(text, message):
+    """Each header vertex costs a slot in the row tuple whether or not an e
+    line names it, so nx = 10^9 would ask for 8 GB."""
+    with pytest.raises(FormatError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+    assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+
+
+@pytest.mark.parametrize("text", [
+    f"p sdm {MAX_VERTICES} {MAX_VERTICES} 1\ne {MAX_VERTICES} 1\n",
+    f"c note\np sdm {MAX_VERTICES} {MAX_VERTICES} 1\ne {MAX_VERTICES} 1\n",
+], ids=["bulk", "line"])
+def test_vertex_counts_at_the_bound_are_read(text):
+    rows = ((),) * (MAX_VERTICES - 1) + ((0,),)
+    assert parse_instance(text) == SdmInstance(BipartiteGraph(MAX_VERTICES, MAX_VERTICES, rows), ())
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 300000 1\n1 0\n",  # a 600 001-vertex gadget
+    f"p cnf 1 {MAX_VERTICES // 3 + 1}\n",  # 3 vertices a side per clause
+    f"p cnf {10 ** 9} 1\n1 0\n",
+], ids=["600001-a-side", "clauses-alone", "1e9-variables"])
+def test_cnf_whose_gadget_is_above_the_bound_is_refused(text):
+    with pytest.raises(FormatError) as info:
+        parse_dimacs_cnf(text)
+    assert str(info.value) == f"line 1: the gadget would have more than {MAX_VERTICES} vertices on a side"
+
+
+def test_cnf_whose_gadget_is_at_the_bound_is_read():
+    # 32 clauses over 7812 variables: 32 * (2 * 7812 + 1) = 500 000 a side
+    assert 32 * (2 * 7812 + 1) == MAX_VERTICES
+    formula = parse_dimacs_cnf("p cnf 7812 32\n" + "7812 0\n" * 32)
+    assert formula.num_vars == 7812 and len(formula.clauses) == 32
 
 
 # an integer field is an optional "-" and ASCII digits; int() alone would

@@ -25,7 +25,8 @@ from sdmatch import (
 def test_import_loads_no_dataclasses_inspect_or_traceback():
     src = str(Path(sdmatch.__file__).resolve().parents[1])
     probe = ("import sys, sdmatch.cli\n"
-             "print(*sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'traceback'}"
+             "print(*sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'random',"
+             " 'traceback'}"
              " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)

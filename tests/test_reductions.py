@@ -335,7 +335,7 @@ def test_extend_builds_dm_solution():
     # to the search's M2 re-pins this along with the other exact-route pins,
     # as does a change to the Y vertices the extension hands X-S
     assert digest.hexdigest() == \
-        "50adf394b1bfa525fd33757ba6f1343531f7987bb6a5154da8ed41e1a91a91d7"
+        "fdcbb27ac4d8ba81000fd4d88c73edad3823fcd9c8ba0df604f89e2c2aab05c5"
 
 
 # The 8-cycle x_i - y_i - x_(i-1): edges (i, i) and (i, i+1 mod 4), S = {x0},
