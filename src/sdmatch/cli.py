@@ -168,6 +168,8 @@ def generate_instance(nx: int, ny: int, density: float,
     """Seeded uniform random instance; reproducible byte-for-byte."""
     if nx < 0 or ny < 0:
         raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
+    if max(nx, ny) > gmod.MAX_VERTICES:  # what neither reader would accept
+        raise ValueError(f"more than {gmod.MAX_VERTICES} vertices on a side")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     if not 0 <= s_size <= nx:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -40,21 +39,23 @@ class BipartiteGraph(NamedTuple):
 
     @staticmethod
     def from_edges(nx: int, ny: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        """Build a canonical graph from a raw edge list.
-
-        Duplicate edges are silently removed; out-of-range endpoints or
-        negative vertex counts raise ValueError.
+        """Build a canonical graph from a raw edge list, at one slot per X
+        vertex until its first edge. Duplicate edges are silently removed;
+        out-of-range endpoints or negative vertex counts raise ValueError.
         """
         if nx < 0 or ny < 0:
             raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
-        neigh: list[set[int]] = [set() for _ in range(nx)]
+        neigh: list[Optional[set[int]]] = [None] * nx
         for x, y in edges:
             if not 0 <= x < nx:
                 raise ValueError(f"x-index out of range: {x} (nx={nx})")
             if not 0 <= y < ny:
                 raise ValueError(f"y-index out of range: {y} (ny={ny})")
-            neigh[x].add(y)
-        return BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) for s in neigh))
+            if (row := neigh[x]) is None:
+                neigh[x] = {y}
+            else:
+                row.add(y)
+        return BipartiteGraph(nx, ny, tuple(tuple(sorted(s)) if s else () for s in neigh))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges sorted by (x, y)."""
@@ -271,11 +272,10 @@ def int_fields(words: Sequence[str], lineno: int, what: str) -> list[int]:
 
 
 def _parse_lines(text: str) -> SdmInstance:
-    """Read an instance in one pass: each e line is checked once and goes
-    straight into the neighbour set of its X vertex, made at its first edge."""
+    """Read an instance in one pass: each e line is checked once and kept as
+    a 0-based pair, and `BipartiteGraph.from_edges` builds the rows."""
     nx = ny = m = -1
-    neigh: defaultdict[int, set[int]] = defaultdict(set)
-    n_edges = 0
+    edges: list[tuple[int, int]] = []
     s_line: Optional[list[int]] = None
     seen_p = False
     for lineno, line in content_lines(text):
@@ -289,8 +289,7 @@ def _parse_lines(text: str) -> SdmInstance:
             x, y = int_fields(tokens[1:], lineno, "non-integer endpoint")
             if not (1 <= x <= nx and 1 <= y <= ny):
                 raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
-            neigh[x - 1].add(y - 1)
-            n_edges += 1
+            edges.append((x - 1, y - 1))
         elif kind == "p":
             if seen_p:
                 raise FormatError(f"line {lineno}: duplicate problem line")
@@ -313,13 +312,10 @@ def _parse_lines(text: str) -> SdmInstance:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
     if not seen_p:
         raise FormatError("missing problem line")
-    if n_edges != m:
-        raise FormatError(f"edge count mismatch: header says {m}, found {n_edges}")
-    if nx < 0 or ny < 0:
-        raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
-    rows = tuple(tuple(sorted(neigh.get(x, ()))) for x in range(nx))
+    if len(edges) != m:
+        raise FormatError(f"edge count mismatch: header says {m}, found {len(edges)}")
     s_set = [x - 1 for x in s_line] if s_line else []
-    return SdmInstance.make(BipartiteGraph(nx, ny, rows), s_set)
+    return SdmInstance.make(BipartiteGraph.from_edges(nx, ny, edges), s_set)
 
 
 def _format_matching_line(label: str, matching: Matching) -> str:

@@ -12,7 +12,8 @@ import pytest
 import sdmatch
 from sdmatch import (BipartiteGraph, SdmInstance, is_matching, parse_instance, serialize_instance,
                      serialize_solution, solve)
-from sdmatch.cli import _COMMANDS, _parse_by_argparse, _parse_plain_argv, run
+from sdmatch.cli import _COMMANDS, _parse_by_argparse, _parse_plain_argv, generate_instance, run
+from sdmatch.graph import MAX_VERTICES
 from sdmatch.reductions import CnfFormula, reduce_3sat_to_sdm
 from conftest import c8_cycle, chain_graph
 
@@ -156,6 +157,23 @@ def test_gen_output_pinned():
 def test_gen_rejects_out_of_range_values(argv, message):
     argv = ["gen", "--nx", "5", "--ny", "5", "--seed", "1"] + argv
     assert invoke(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--nx", str(MAX_VERTICES + 1), "--ny", "1", "--seed", "1"],
+    ["gen", "--nx", "1", "--ny", str(MAX_VERTICES + 1), "--seed", "1"],
+], ids=["nx", "ny"])
+def test_gen_refuses_a_side_that_neither_reader_accepts(argv):
+    assert invoke(argv) == (2, "", f"error: more than {MAX_VERTICES} vertices on a side\n")
+
+
+def test_gen_checks_the_bound_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("random_graph was called")
+
+    monkeypatch.setattr(sdmatch.graph, "random_graph", no_draws)
+    with pytest.raises(ValueError, match=f"more than {MAX_VERTICES} vertices on a side"):
+        generate_instance(10**6, 10**6, 0.0, 0, 1)
 
 
 def test_pipeline_3sat_solve_decode(tmp_path):

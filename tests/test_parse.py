@@ -232,10 +232,10 @@ def test_an_s_line_with_no_member_is_read_in_bulk(line_reads):
     assert line_reads == []
 
 
-def peak_bytes(parse, text):
+def peak_bytes(call, *args):
     tracemalloc.start()
     try:
-        parse(text)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,15 +255,28 @@ def test_bulk_reader_peak_is_well_below_the_line_readers():
     ("p sdm 400000 1 0\n", ()),
     ("c note\np sdm 400000 1 0\n", ()),
     ("p sdm 400000 1 1\ne 400000 1\n", (0,)),
-], ids=["bulk", "line", "bulk-top-edge"])
+    ("c note\np sdm 400000 1 1\ne 400000 1\n", (0,)),
+], ids=["bulk", "line", "bulk-top-edge", "line-top-edge"])
 def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text, top_row):
     """A container per header vertex took the bulk reader's traced peak to
     29 MB and the line reader's to 93 MB here, and so did one edge at the top
     X vertex in the bulk reader; the shared () keeps each near the 3.2 MB of
-    the row tuple, or 6.7 MB with the bulk reader's slot list beside it."""
+    the row tuple, or 6.7 MB with a slot list beside it (the bulk reader's
+    when an edge follows, `BipartiteGraph.from_edges`'s in the line reader)."""
     assert peak_bytes(parse_instance, text) < 8_000_000
     rows = ((),) * 399999 + (top_row,)
     assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, rows), ())
+
+
+@pytest.mark.parametrize("build, rows", [
+    (lambda: BipartiteGraph.from_edges(400000, 1, [(399999, 0)]), ((),) * 399999 + ((0,),)),
+    (lambda: random_graph(random.Random(1), 400000, 1, 0.0), ((),) * 400000),
+], ids=["from_edges-top-edge", "random_graph-no-edge"])
+def test_the_builder_makes_a_set_only_at_an_x_vertex_edge(build, rows):
+    """A set per X vertex took `from_edges` and `random_graph` to 93 MB
+    traced here; one slot each keeps them at 6.7 MB."""
+    assert peak_bytes(build) < 8_000_000
+    assert build().adj == rows
 
 
 TOO_MANY = f"more than {MAX_VERTICES} vertices on a side"
