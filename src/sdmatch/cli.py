@@ -170,6 +170,8 @@ def generate_instance(nx: int, ny: int, density: float,
         raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
     if max(nx, ny) > gmod.MAX_VERTICES:  # what neither reader would accept
         raise ValueError(f"more than {gmod.MAX_VERTICES} vertices on a side")
+    if nx * ny > 10_000_000:  # one draw per (x, y) pair
+        raise ValueError("more than 10000000 vertex pairs to draw")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     if not 0 <= s_size <= nx:

@@ -14,16 +14,15 @@ W = X).
 The network is a bipartite b-matching, so the engine is Hopcroft-Karp with
 per-vertex caps on the graph's adjacency lists: a greedy start, then phases
 of a BFS that layers X from the X vertices with room and a DFS with an
-explicit stack and one arc pointer per X vertex. Nothing recurses. W is what
-the last BFS reached. Each Y vertex keeps its holders in ascending order, the
-order in which Dinic's algorithm on the network scans its reverse arcs, so
-each phase augments as Dinic's would and the factor stays the same. A factor
-is a ``BipartiteGraph``, a subgraph on the graph's vertices.
+explicit stack and one arc pointer per X vertex. Nothing recurses. The one
+record of the flow is each Y vertex's list of holders, the X vertices that
+send it a unit. W is what the last BFS reached; every maximum flow gives the
+same W, and the factor is one valid factor. A factor is a ``BipartiteGraph``,
+a subgraph on the graph's vertices.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from itertools import chain
 from typing import Optional, Sequence
@@ -43,10 +42,8 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
     """
     adj, nx = graph.adj, graph.nx
     room_x, room_y = list(cap_x), list(cap_y)
-    # the X vertices that send y a unit, ascending: the order in which Dinic's
-    # algorithm scans y's reverse arcs, so the DFS below steps back through the
-    # same holder and finds the same factor. It is the one record of the flow:
-    # x sends y a unit exactly when x is in holders[y].
+    # the one record of the flow: x sends y a unit exactly when x is in
+    # holders[y]
     holders: list[list[int]] = [[] for _ in range(graph.ny)]
     for x in range(nx):
         for y in adj[x]:
@@ -117,7 +114,7 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
                         given, y = y, adj[x][ptr[x]]
                         if given != -1:
                             holders[given].remove(x)
-                        insort(holders[y], x)
+                        holders[y].append(x)
                     room_y[y] -= 1
                     room_x[root] -= 1
                     if not room_x[root]:

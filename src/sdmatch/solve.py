@@ -74,8 +74,10 @@ def solve_poly_large_s(instance: SdmInstance) -> Optional[SPair]:
 def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional[SPair]:
     """The exact search, for any S.
 
-    Raises BudgetExhausted after `budget` search steps (distinct from "no").
+    Raises BudgetExhausted after `budget` search steps (not "no"), ValueError on a negative one.
     """
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     g = instance.graph
     s = instance.s_set
     # Hall pre-check: without an X-saturating matching of G there is no M1.

@@ -84,6 +84,45 @@ def brute_force_spair_count(graph: BipartiteGraph, s_set) -> int:
                for m2, x2 in matchings if x2 == want_s and not m1 & m2)
 
 
+def spair_milp(instance: SdmInstance) -> bool:
+    """Independent oracle past brute force: whether an S-pair exists, as a
+    0/1 program solved by scipy's MILP. Binaries m_e and n_e per edge, with
+    m_e + n_e <= 1, one m edge at each X vertex, one n edge at each S vertex
+    and none elsewhere on X, and at most one of each at every Y vertex.
+    Skips the test without scipy."""
+    optimize = pytest.importorskip("scipy.optimize")
+    graph = instance.graph
+    edges = graph.edges()
+    if not edges:
+        return graph.nx == 0
+    ne, in_s = len(edges), set(instance.s_set)
+    rows, low, high = [], [], []
+
+    def row(cols, lo, hi):
+        coef = [0] * (2 * ne)
+        for c in cols:
+            coef[c] = 1
+        rows.append(coef)
+        low.append(lo)
+        high.append(hi)
+
+    for e in range(ne):
+        row((e, ne + e), 0, 1)
+    for x in range(graph.nx):
+        at_x = [e for e, (x2, _) in enumerate(edges) if x2 == x]
+        row(at_x, 1, 1)
+        row([ne + e for e in at_x], int(x in in_s), int(x in in_s))
+    for y in range(graph.ny):
+        at_y = [e for e, (_, y2) in enumerate(edges) if y2 == y]
+        row(at_y, 0, 1)
+        row([ne + e for e in at_y], 0, 1)
+    result = optimize.milp([0] * (2 * ne), integrality=[1] * (2 * ne),
+                           bounds=optimize.Bounds(0, 1),
+                           constraints=optimize.LinearConstraint(rows, low, high))
+    assert result.status in (0, 2), result.message  # solved, or infeasible
+    return result.status == 0
+
+
 def lebensold_brute_force(graph: BipartiteGraph, k: int) -> bool:
     """Independent oracle: Lebensold's condition sum_y min(k, |N(y) & W|) >=
     k|W|, checked over all 2^|X| subsets W."""

@@ -176,6 +176,28 @@ def test_gen_checks_the_bound_before_any_draw(monkeypatch):
         generate_instance(10**6, 10**6, 0.0, 0, 1)
 
 
+def test_gen_refuses_more_than_ten_million_pairs_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("random_graph was called")
+
+    monkeypatch.setattr(sdmatch.graph, "random_graph", no_draws)
+    argv = ["gen", "--nx", "4000", "--ny", "4000", "--seed", "1"]
+    assert invoke(argv) == (2, "", "error: more than 10000000 vertex pairs to draw\n")
+
+
+def test_gen_accepts_exactly_ten_million_pairs(monkeypatch):
+    drawn = []
+
+    def no_edges(rng, nx, ny, density):
+        drawn.append((nx, ny))
+        return BipartiteGraph(nx, ny, ((),) * nx)
+
+    monkeypatch.setattr(sdmatch.graph, "random_graph", no_edges)
+    code, out, err = invoke(["gen", "--nx", "10000", "--ny", "1000", "--seed", "1"])
+    assert (code, out, err) == (0, "c seed 1\np sdm 10000 1000 0\n", "")
+    assert drawn == [(10000, 1000)]
+
+
 def test_pipeline_3sat_solve_decode(tmp_path):
     cnf = write(tmp_path, "f.cnf", "p cnf 3 1\n1 -2 3 0\n")
     map_path = str(tmp_path / "f.map")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from conftest import (
     chain_graph,
     k22,
     solve_dm_exact,
+    spair_milp,
 )
 
 
@@ -165,6 +167,19 @@ def test_negative_budget_rejected_on_every_route():
             solve(SdmInstance.make(g, range(s_size)), budget=-1)
 
 
+def test_solve_exact_refuses_a_negative_budget():
+    # a 3 x 2 graph the Hall count refutes, and a 6-cycle that reaches the search
+    refuted = SdmInstance.make(BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 1), (2, 0)]), ())
+    cycle = SdmInstance.make(BipartiteGraph.from_edges(
+        3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]), [0])
+    for inst in (refuted, cycle):
+        with pytest.raises(ValueError, match=r"^budget must be >= 0$"):
+            solve_exact(inst, -1)
+    # budget 0 admits the root step and nothing more
+    with pytest.raises(BudgetExhausted, match=r"^step budget 0 exhausted$"):
+        solve_exact(cycle, 0)
+
+
 def test_bounded_budget_exhausted():
     g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
     inst = SdmInstance.make(g, range(8))
@@ -284,3 +299,42 @@ def test_oracle_agreement_random_sample():
         present = solve(inst).spair is not None
         assert present == (count_spairs_exact(inst) > 0)
         assert present == (brute_force_spair_count(g, s_set) > 0)
+
+
+def test_milp_oracle_equals_brute_force_on_all_3x3_graphs():
+    # the MILP runs once per relabelling class (220 of the 4096 instances),
+    # brute force on every instance
+    labels = list(itertools.permutations(range(3)))
+    milp = {}
+    for g in all_graphs_3x3():
+        for s_set in all_s_subsets(3):
+            key = min((tuple(sorted((px[x], py[y]) for x, y in g.edges())),
+                       tuple(sorted(px[x] for x in s_set))) for px in labels for py in labels)
+            if key not in milp:
+                milp[key] = spair_milp(SdmInstance.make(g, s_set))
+            assert milp[key] == (brute_force_spair_count(g, s_set) > 0)
+    assert len(milp) == 220
+
+
+def test_solve_agrees_with_the_milp_oracle_past_brute_force():
+    rng = random.Random(3)
+    verdicts = {"yes": 0, "saturated no": 0, "out of budget": 0}
+    for _ in range(150):
+        nx = rng.randint(10, 40)
+        ny = nx + rng.randint(0, 10)
+        g = random_graph(rng, nx, ny, rng.uniform(2.5, 5) / ny)
+        inst = SdmInstance.make(g, rng.sample(range(nx), rng.randint(0, nx)))
+        try:
+            spair = solve(inst, budget=20000).spair
+        except BudgetExhausted:
+            verdicts["out of budget"] += 1
+            continue
+        assert (spair is not None) == spair_milp(inst)
+        if spair is not None:
+            verdicts["yes"] += 1
+            assert verify_spair(inst, spair)[0]
+        else:
+            # a "no" past the Hall pre-check, which the search or factor gave
+            verdicts["saturated no"] += len(max_matching(g)) == nx
+    assert verdicts["out of budget"] <= 15
+    assert verdicts["yes"] >= 30 and verdicts["saturated no"] >= 15
