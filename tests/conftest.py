@@ -171,6 +171,39 @@ def brute_force_satisfiable(formula: CnfFormula) -> Optional[dict[int, bool]]:
     return None
 
 
+def dpll(formula: CnfFormula) -> Optional[dict[int, bool]]:
+    """Independent SAT oracle: a satisfying assignment (free variables
+    False), or None, by DPLL with unit propagation (Davis, Logemann and
+    Loveland 1962). It reads only formula.num_vars and formula.clauses."""
+    def assign(clauses, lit):
+        # clauses that lit makes true are gone; -lit leaves the others
+        return [[other for other in clause if other != -lit] for clause in clauses
+                if lit not in clause]
+
+    def search(clauses, values):
+        while True:
+            if [] in clauses:
+                return None
+            unit = next((clause[0] for clause in clauses if len(clause) == 1), None)
+            if unit is None:
+                break
+            values = {**values, abs(unit): unit > 0}
+            clauses = assign(clauses, unit)
+        if not clauses:
+            return values
+        lit = clauses[0][0]
+        for choice in (lit, -lit):
+            found = search(assign(clauses, choice), {**values, abs(choice): choice > 0})
+            if found is not None:
+                return found
+        return None
+
+    values = search([list(clause) for clause in formula.clauses], {})
+    if values is None:
+        return None
+    return {v: values.get(v, False) for v in range(1, formula.num_vars + 1)}
+
+
 def reference_is_matching(graph: BipartiteGraph, edges) -> bool:
     """Reference for `is_matching`: every edge is in the set of all the
     graph's edges, and no two edges share an endpoint."""
@@ -260,6 +293,14 @@ def random_formula(rng: random.Random, max_vars=3, max_clauses=3) -> CnfFormula:
             clause.append(v if rng.random() < 0.5 else -v)
         clauses.append(clause)
     return CnfFormula.make(t, clauses)
+
+
+def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CnfFormula:
+    """A random 3-CNF: each clause takes 3 distinct variables of at least 3,
+    with random signs."""
+    return CnfFormula.make(num_vars, [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)])
 
 
 def reference_search(instance: SdmInstance, prune: bool, budget=None):

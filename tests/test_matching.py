@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from sdmatch import BipartiteGraph, max_matching
+from sdmatch import BipartiteGraph, konig_color, max_matching
+from sdmatch.flow import feasible_flow
 from sdmatch.graph import random_graph
 from sdmatch.matching import _hopcroft_karp
 from conftest import chain_graph, edge_subset_matchings, k22
@@ -55,6 +57,32 @@ def sparse_random_graphs(seed: int, count: int):
         degree = rng.choice((1, 2, 3, 5))
         edges = [(x, rng.randrange(ny)) for x in range(nx) for _ in range(degree)] if ny else []
         yield BipartiteGraph.from_edges(nx, ny, edges)
+
+
+MATCHING_DIGEST = "b7660830e33942cd3d16c6a09bcf013f3b244bd67454c2bbaf50914113e61210"
+
+
+def test_matching_digest_is_pinned():
+    # a pin on the kernel's choices: both greedy starts on sparse graphs, some
+    # deficient, so that the last BFS runs to the end, and konig_color on
+    # k = 3 factors, whose odd level runs the first-fit kernel on a padded graph
+    digest = hashlib.sha256()
+    deficient = 0
+    for g in sparse_random_graphs(40, 120):
+        for least_contested in (False, True):
+            match_x = _hopcroft_karp(g, least_contested)
+            digest.update(repr(match_x).encode())
+        deficient += -1 in match_x
+    rng = random.Random(40)
+    colored = 0
+    for _ in range(60):
+        n = rng.choice((30, 60, 120))
+        h, _ = feasible_flow(random_graph(rng, n, n, 8.5 / n), [3] * n, [3] * n)
+        if h is not None:
+            colored += 1
+            digest.update(repr(konig_color(h, 3)).encode())
+    assert deficient >= 20 and colored >= 20
+    assert digest.hexdigest() == MATCHING_DIGEST
 
 
 def test_max_matching_size_matches_networkx():

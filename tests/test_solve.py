@@ -20,13 +20,19 @@ from sdmatch.coloring import konig_color
 from sdmatch.flow import gf_factor
 from sdmatch.graph import random_graph
 from sdmatch.matching import max_matching
+from sdmatch.reductions import decode_spair_to_assignment, reduce_3sat_to_sdm
 from sdmatch.solve import DEFAULT_BOUNDED_S_CAP, SolveOutcome
 from conftest import (
     all_graphs_3x3,
     all_s_subsets,
+    brute_force_satisfiable,
     brute_force_spair_count,
     chain_graph,
+    dpll,
+    random_3cnf,
+    random_formula,
     k22,
+    satisfies,
     solve_dm_exact,
     spair_milp,
 )
@@ -338,3 +344,40 @@ def test_solve_agrees_with_the_milp_oracle_past_brute_force():
             verdicts["saturated no"] += len(max_matching(g)) == nx
     assert verdicts["out of budget"] <= 15
     assert verdicts["yes"] >= 30 and verdicts["saturated no"] >= 15
+
+
+def test_dpll_oracle_equals_brute_force_up_to_12_variables():
+    rng = random.Random(12)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        formula = random_formula(rng, max_vars=12, max_clauses=24)
+        values = dpll(formula)
+        assert (values is not None) == (brute_force_satisfiable(formula) is not None)
+        if values is not None:
+            assert sorted(values) == list(range(1, formula.num_vars + 1))
+            assert satisfies(formula, values)
+        verdicts[values is not None] += 1
+    # 108 satisfiable, 192 not
+    assert min(verdicts.values()) >= 80
+
+
+def test_solve_agrees_with_the_dpll_oracle_on_3sat_reductions():
+    rng = random.Random(21)
+    verdicts = {"yes": 0, "no": 0, "out of budget": 0}
+    for _ in range(120):
+        t = rng.randint(3, 5)
+        formula = random_3cnf(rng, t, rng.randint(2 * t, 5 * t + 2))
+        try:
+            spair = solve(reduce_3sat_to_sdm(formula), budget=20000).spair
+        except BudgetExhausted:
+            verdicts["out of budget"] += 1
+            continue
+        assert (spair is not None) == (dpll(formula) is not None)
+        if spair is not None:
+            verdicts["yes"] += 1
+            assert satisfies(formula, decode_spair_to_assignment(formula, spair))
+        else:
+            verdicts["no"] += 1
+    # 93 yes, 14 no and 13 out of budget
+    assert verdicts["out of budget"] <= 20
+    assert verdicts["yes"] >= 80 and verdicts["no"] >= 10
