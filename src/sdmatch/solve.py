@@ -11,13 +11,15 @@ Every smaller S takes one exact search, labelled BoundedS when |S| is within
 the cap and ExactBacktrack otherwise (the general case is NP-hard), with the
 same step budget under both labels. Before its first step it checks Hall's
 condition on X: fewer Y vertices with a neighbour than X vertices answers "no"
-in O(E), and only a graph that passes this count runs Hopcroft-Karp for the
-X-saturating matching the search starts from. It walks _matchings, the one
-depth-first enumerator of this module, which picks the M2 partner of each S
-vertex in turn with an explicit stack. The search keeps one X-saturating
-matching of the residual graph G - M2 and filters the picks with it: a pick
-that removes a matched edge is repaired by a single augmenting path, or
-refused when there is none, and a "yes" prints that repaired matching as M1.
+in O(E). So does an S vertex with fewer than two neighbours, since M1 and M2
+each take one of its edges. Only a graph that passes both counts runs
+Hopcroft-Karp for the X-saturating matching the search starts from. It walks
+_matchings, the one depth-first enumerator of this module, which picks the
+M2 partner of each S vertex in turn with an explicit stack. The search keeps
+one X-saturating matching of the residual graph G - M2 and filters the picks
+with it: a pick that removes a matched edge is repaired by a single
+augmenting path, or refused when there is none, and a "yes" prints that
+repaired matching as M1.
 An exhaustive pair counter, the oracle for cross-checks, walks the same
 enumerator for M1 and again, refusing M1's edges, for M2.
 """
@@ -80,18 +82,19 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
         raise ValueError("budget must be >= 0")
     g = instance.graph
     s = instance.s_set
-    # Hall pre-check: without an X-saturating matching of G there is no M1.
-    # First Hall's condition on W = X, counted in O(E): fewer Y vertices with
-    # a neighbour than X vertices. Then Hopcroft-Karp; with an empty S its
-    # matching is already the answer.
-    if len(set(chain.from_iterable(g.adj))) < g.nx:
+    adj = g.adj
+    # Pre-checks, before the root step. Hall's condition on W = X, counted in
+    # O(E): fewer Y vertices with a neighbour than X vertices leaves no
+    # X-saturating M1. An S vertex with fewer than two neighbours, one for M1
+    # and one for M2, counted in O(|S|). Then Hopcroft-Karp for M1; with an
+    # empty S its matching is already the answer.
+    if len(set(chain.from_iterable(adj))) < g.nx or any(len(adj[x]) < 2 for x in s):
         return None
     m1 = max_matching(g)
     if len(m1) < g.nx:
         return None
     if not s:
         return SPair(m1, Matching(()))
-    adj = g.adj
     match_x = [-1] * g.nx
     match_y = [-1] * g.ny
     for x, y in m1.edges:

@@ -307,11 +307,15 @@ def reference_search(instance: SdmInstance, prune: bool, budget=None):
     """Reference for the exact search: the recursive search that copies the
     residual graph and reruns a full matching at every node. With prune it
     checks every non-root node (ExactBacktrack), without it only the leaves
-    (BoundedS). Same step count per node and same budget rule."""
+    (BoundedS). Same pre-checks before the root step, same step count per
+    node and same budget rule."""
     g = instance.graph
     s = instance.s_set
     m1 = max_matching(g)
     if len(m1) < g.nx:
+        return None
+    # an S vertex needs one edge for M1 and another for M2, refuted before the root step
+    if any(len(g.adj[x]) < 2 for x in s):
         return None
     if not s:
         return SPair(m1, Matching(()))

@@ -10,8 +10,10 @@ never reach the line reader, must hand over every plain text that fails a
 check, and must peak well below the line reader's memory.
 """
 
+import importlib
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +201,76 @@ def test_plain_shuffled_and_duplicated_edges_are_read_in_bulk(line_reads):
         got = parse_instance(text)
         assert got == reference_parse_instance(text) == instance
     assert line_reads == []
+
+
+@pytest.fixture
+def row_sorts(monkeypatch):
+    """The size of each nonempty collection that `graph` sorts, through a
+    stand-in for `sorted` in its namespace: the fallback of the row rule
+    sorts one per X vertex with an edge, and an empty S sorts nothing."""
+    sizes = []
+
+    def recording(items):
+        if items:
+            sizes.append(len(items))
+        return sorted(items)
+
+    monkeypatch.setattr(graph, "sorted", recording, raising=False)
+    return sizes
+
+
+# plain texts at the edge of the bulk reader's ascending check, each with its
+# rows and the number of rows the bulk reader sorts: a row keeps its list as
+# read only while every row arrived strictly ascending, and otherwise every
+# row is deduplicated and sorted
+ASCENDING_CHECK = {
+    "duplicate-of-last": ("p sdm 2 3 4\ne 1 1\ne 1 3\ne 1 3\ne 2 2\n", ((0, 2), (1,)), 2),
+    "descending-last-row": ("p sdm 2 3 4\ne 1 1\ne 1 2\ne 2 3\ne 2 1\n", ((0, 1), (0, 2)), 2),
+    "interleaved-ascending": ("p sdm 3 3 6\ne 2 1\ne 1 2\ne 3 1\ne 2 3\ne 1 3\ne 3 2\n",
+                              ((1, 2), (0, 2), (0, 1)), 0),
+}
+
+
+@pytest.mark.parametrize("text, rows, sorts", ASCENDING_CHECK.values(), ids=ASCENDING_CHECK)
+def test_rows_at_the_edge_of_the_ascending_check(text, rows, sorts, line_reads, row_sorts):
+    got = parse_instance(text)
+    assert line_reads == []
+    assert len(row_sorts) == sorts
+    assert got == reference_parse_instance(text)
+    assert got.graph.adj == rows
+    assert graph._parse_lines("c via from_edges\n" + text).graph.adj == rows
+
+
+def test_only_a_text_out_of_order_builds_its_rows_through_sorted(row_sorts):
+    rng = random.Random(41)
+    instance = SdmInstance.make(random_graph(rng, 30, 30, 0.2), [])
+    with_edge = sum(1 for row in instance.graph.adj if row)
+    text = serialize_instance(instance)
+    # the bulk reader, the line reader through from_edges, and random_graph
+    assert parse_instance(text) == graph._parse_lines("c seed 41\n" + text) == instance
+    assert row_sorts == []
+    first, *edges = text.splitlines()
+    rng.shuffle(edges)
+    shuffled = "\n".join([first] + edges) + "\n"
+    assert parse_instance(shuffled) == instance
+    assert len(row_sorts) == with_edge
+    assert graph._parse_lines("c shuffled\n" + shuffled) == instance
+    assert len(row_sorts) == 2 * with_edge
+
+
+def test_every_benchmark_text_reads_the_same_in_bulk_and_by_line(monkeypatch, line_reads):
+    """Each seed-1 instance text of the benchmark's generator, which writes
+    every row ascending, read by the bulk reader, the line reader and the
+    reference. The generator is imported and run only."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    generate = importlib.import_module("perfbench.generate")
+    texts = [inst.text() for make in generate.GENERATORS.values() for inst in make(1)
+             if inst.kind != "sat"]
+    assert len(texts) > 100
+    for text in texts:
+        got = parse_instance(text)
+        assert got == graph._parse_lines(text) == reference_parse_instance(text)
+    assert len(line_reads) == len(texts)  # the calls above, none from parse_instance
 
 
 # plain-form texts that fail a check of the bulk reader, or that its pattern

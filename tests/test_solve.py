@@ -165,6 +165,40 @@ def test_hopcroft_karp_refutes_past_the_hall_count(matching_runs):
         matching_runs.clear()
 
 
+# the MILP oracle family's 27 x 28 instance (random.Random(3), 125 edges,
+# |S| = 21): S vertex 20 has the one neighbour 23, and before the degree count
+# the search took 58.9 s to answer "no" without a budget
+ONE_NEIGHBOUR_ADJ = (
+    (3, 7, 22), (2, 17, 18, 27), (4, 9, 13, 14, 17, 18, 19, 27), (2, 3, 7, 20, 26, 27),
+    (11, 14, 19, 21, 24), (2, 4, 8, 14, 16, 18, 21, 27), (3, 4, 13, 26), (4, 12, 24),
+    (12, 15, 22), (2, 8, 27), (2, 7, 9, 18, 25, 27), (2, 4, 15, 16, 25), (6, 11, 17, 19),
+    (0, 2, 3, 7, 10, 19, 25), (2, 8, 19, 27), (17, 23, 26), (8, 11, 21, 26, 27),
+    (0, 1, 7, 11, 17, 20), (1, 4, 11), (1, 12), (23,), (1, 7, 16, 20, 22, 25),
+    (6, 8, 11, 24), (1, 3, 12, 19, 23), (0, 5, 8, 9, 19, 20, 23), (4, 10, 14, 16, 26),
+    (1, 4, 6, 16, 24))
+ONE_NEIGHBOUR_S = (2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17, 19, 20, 21, 22, 23, 25, 26)
+
+
+def test_an_s_vertex_with_one_neighbour_refutes_before_any_step(matching_runs):
+    inst = SdmInstance.make(BipartiteGraph(27, 28, ONE_NEIGHBOUR_ADJ), ONE_NEIGHBOUR_S)
+    assert inst.graph.num_edges() == 125
+    assert solve(inst, budget=1) == SolveOutcome(None, Method.EXACT_BACKTRACK)
+    assert solve_exact(inst, budget=0) is None
+    assert matching_runs == []
+
+
+@pytest.mark.parametrize("adj", [((0,), (1, 2), (1, 2)), ((), (0, 1), (1, 2))],
+                         ids=["one", "none"])
+def test_s_degree_count_refutes_past_the_hall_count(adj, matching_runs):
+    # three Y vertices with a neighbour for three X vertices, but S vertex x0
+    # has fewer than the two edges that M1 and M2 each need one of
+    inst = SdmInstance.make(BipartiteGraph(3, 3, adj), [0])
+    for budget in (0, None):
+        assert solve_exact(inst, budget) is None
+        assert solve(inst, budget) == SolveOutcome(None, Method.BOUNDED_S)
+    assert matching_runs == []
+
+
 def test_negative_budget_rejected_on_every_route():
     g = BipartiteGraph.from_edges(12, 12, [(x, y) for x in range(12) for y in range(12)])
     # S empty, BoundedS, ExactBacktrack and PolyLargeS
@@ -342,7 +376,7 @@ def test_solve_agrees_with_the_milp_oracle_past_brute_force():
         else:
             # a "no" past the Hall pre-check, which the search or factor gave
             verdicts["saturated no"] += len(max_matching(g)) == nx
-    assert verdicts["out of budget"] <= 15
+    assert verdicts["out of budget"] == 0
     assert verdicts["yes"] >= 30 and verdicts["saturated no"] >= 15
 
 
