@@ -279,8 +279,13 @@ HANDED_OVER = [
     "p sdm 2 2 1\ne 1 1\ne 2 2\n",       # m one short
     "p sdm 2 2 3\ne 1 1\ne 2 2\n",       # m one over
     "p sdm 2 2 1\ne 3 1\n",               # x = nx + 1
+    "p sdm 3 3 4\ne 1 1\ne 1 2\ne 4 1\ne 3 3\n",  # x = nx + 1 on a middle line
+    "p sdm 2 2 2\ne 1 1\ne 99999999999999999999 1\n",  # x too big for a list index
     "p sdm 2 2 1\ne 1 3\n",               # y = ny + 1
+    "p sdm 2 2 3\ne 1 1\ne 1 3\ne 2 2\n",    # y = ny + 1 in the first of two rows
+    "p sdm 2 2 3\ne 2 1\ne 1 3\ne 1 1\n",    # y = ny + 1 not last as read: the rows are sorted
     "p sdm 2 2 1\ne 0 1\n",               # x = 0
+    "p sdm 2 2 1\ne 1 0\n",               # y = 0
     "p sdm 2 2 0\ns 0\n",                 # S member 0
     "p sdm 2 2 0\ns 1 3\n",               # S member nx + 1
     "p sdm 0 2 1\ne 1 1\n",               # nx = 0 with an edge
@@ -304,6 +309,42 @@ def test_an_s_line_with_no_member_is_read_in_bulk(line_reads):
     assert line_reads == []
 
 
+@pytest.mark.parametrize("text", ["p sdm 0 0 0\n", "p sdm 2 0 0\ns 2\n"])
+def test_a_text_with_no_edge_is_read_in_bulk(text, line_reads):
+    assert parse_instance(text) == reference_parse_instance(text)
+    assert line_reads == []
+
+
+def test_out_of_range_endpoints_in_plain_texts_go_to_the_line_reader(line_reads):
+    """One e line of a serialized instance gets x = nx + 1, y = ny + 1, or a
+    20-digit x or y, at a random line, and the e lines are shuffled half the
+    time: the bulk reader checks x by its list index and y at the end of each
+    row, and each text must reach the line reader once."""
+    rng = random.Random(42)
+    texts = []
+    while len(texts) < 300:
+        instance = random_instance(rng)
+        lines = serialize_instance(instance).splitlines()
+        s_line = lines[-1:] if lines[-1].startswith("s") else []
+        edges = lines[1:len(lines) - len(s_line)]
+        if not edges:
+            continue
+        i = rng.randrange(len(edges))
+        _, x, y = edges[i].split()
+        big = str(rng.randrange(10 ** 19, 10 ** 20))
+        x, y = rng.choice([(instance.graph.nx + 1, y), (x, instance.graph.ny + 1),
+                           (big, y), (x, big)])
+        edges[i] = f"e {x} {y}"
+        if rng.random() < 0.5:
+            rng.shuffle(edges)
+        text = "\n".join(lines[:1] + edges + s_line) + "\n"
+        want = outcome(reference_parse_instance, text)
+        assert phrase_of(want) == "endpoint out of range"
+        assert outcome(parse_instance, text) == want, text
+        texts.append(text)
+    assert line_reads == texts
+
+
 def peak_bytes(call, *args):
     tracemalloc.start()
     try:
@@ -314,7 +355,7 @@ def peak_bytes(call, *args):
 
 
 def test_bulk_reader_peak_is_well_below_the_line_readers():
-    """On the 10 000-link chain the bulk reader's traced peak is 0.72 of the
+    """On the 10 000-link chain the bulk reader's traced peak is 0.77 of the
     line reader's. Reading the numbers through a list of token strings takes
     it to 0.98, and a pattern with greedy in place of possessive quantifiers
     past 1, so the bound sits between."""
@@ -332,9 +373,10 @@ def test_bulk_reader_peak_is_well_below_the_line_readers():
 def test_an_x_vertex_with_no_edge_costs_only_its_row_slot(text, top_row):
     """A container per header vertex took the bulk reader's traced peak to
     29 MB and the line reader's to 93 MB here, and so did one edge at the top
-    X vertex in the bulk reader; the shared () keeps each near the 3.2 MB of
-    the row tuple, or 6.7 MB with a slot list beside it (the bulk reader's
-    when an edge follows, `BipartiteGraph.from_edges`'s in the line reader)."""
+    X vertex in the bulk reader; the shared () keeps each near 6.7 MB, the
+    3.2 MB row tuple and a slot list beside it. The bulk reader sizes its
+    slot list from the header, so it holds one with no edge too, and the
+    line reader's is `BipartiteGraph.from_edges`'s."""
     assert peak_bytes(parse_instance, text) < 8_000_000
     rows = ((),) * 399999 + (top_row,)
     assert parse_instance(text) == SdmInstance(BipartiteGraph(400000, 1, rows), ())
