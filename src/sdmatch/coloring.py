@@ -44,13 +44,9 @@ def konig_color(h: BipartiteGraph, k: int) -> tuple[Matching, ...]:
     """
     nx, ny = h.nx, h.ny
     n = nx + ny
-    edges = h.edges()
-    degree = [0] * n
-    for x, y in edges:
-        degree[x] += 1
-        degree[nx + y] += 1
-    if max(degree, default=0) > k:
+    if max(map(len, h.adj), default=0) > k or max(h.y_degrees(), default=0) > k:
         raise ValueError(f"a vertex has more than k = {k} of the edges")
+    edges = h.edges()
     # walked[i] is the number of the halving pass that walked edge i
     walked = [0] * len(edges)
     passes = 0

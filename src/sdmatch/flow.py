@@ -9,7 +9,7 @@ k-factor (k everywhere) are both this network. ``gf_factor`` is its
 validating front door, and two counts refute before the flow, each Hoffman's
 condition on one cut: an X vertex whose cap exceeds its degree (the cut
 around one vertex), and sum_x cap_x[x] > sum_y min(cap_y[y], deg y) (the cut
-W = X).
+W = X), with deg y from ``BipartiteGraph.y_degrees``.
 
 The network is a bipartite b-matching, so the engine is Hopcroft-Karp with
 per-vertex caps on the graph's adjacency lists: a greedy start, then phases
@@ -27,8 +27,6 @@ factor. A factor is a ``BipartiteGraph``, a subgraph on the graph's vertices.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
 from typing import Optional, Sequence
 
 from .graph import BipartiteGraph
@@ -158,7 +156,6 @@ def gf_factor(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[int]
     # Hoffman's condition on the cut around one vertex, then on W = X
     if any(len(graph.adj[x]) < c for x, c in enumerate(cap_x)):
         return None
-    degree_y = Counter(chain.from_iterable(graph.adj))
-    if sum(cap_x) > sum(min(c, degree_y[y]) for y, c in enumerate(cap_y)):
+    if sum(cap_x) > sum(map(min, cap_y, graph.y_degrees())):
         return None
     return feasible_flow(graph, cap_x, cap_y)[0]

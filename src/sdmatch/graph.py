@@ -87,6 +87,14 @@ class BipartiteGraph(NamedTuple):
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj)
 
+    def y_degrees(self) -> list[int]:
+        """Each Y vertex's number of neighbours, from one pass over the rows."""
+        degree = [0] * self.ny
+        for row in self.adj:
+            for y in row:
+                degree[y] += 1
+        return degree
+
 
 def random_graph(rng: random.Random, nx: int, ny: int, density: float) -> BipartiteGraph:
     """Each of the nx*ny edges independently with probability density, drawn

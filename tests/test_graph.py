@@ -63,6 +63,19 @@ def test_adjacency_sorted_and_symmetric():
     assert y_adj(g) == ((0,), (0, 1), (0,))
 
 
+def test_y_degrees_are_the_lengths_of_the_y_rows():
+    rng = random.Random(44)
+    graphs = [BipartiteGraph.from_edges(nx, ny, []) for nx, ny in ((0, 0), (0, 3), (3, 0))]
+    graphs += [random_graph(rng, rng.randint(1, 30), rng.randint(1, 30),
+                            rng.choice((0.05, 0.2, 0.5))) for _ in range(60)]
+    no_neighbour = 0
+    for g in graphs:
+        degrees = g.y_degrees()
+        assert degrees == list(map(len, y_adj(g)))
+        no_neighbour += degrees.count(0)
+    assert no_neighbour >= 10
+
+
 def test_is_matching_c8(c8_gadget):
     inst, gn = c8_gadget
     m1 = [gn.cycle_edge(1, j) for j in (1, 3, 5, 7)]

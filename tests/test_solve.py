@@ -374,7 +374,9 @@ def test_solve_agrees_with_the_milp_oracle_past_brute_force():
             verdicts["yes"] += 1
             assert verify_spair(inst, spair)[0]
         else:
-            # a "no" past the Hall pre-check, which the search or factor gave
+            # a "no" although G has an X-saturating matching; on this family
+            # each comes from an O(E) count, an S vertex of degree < 2 or, at
+            # |S| = |X|, the factor's W = X count, and none from the search
             verdicts["saturated no"] += len(max_matching(g)) == nx
     assert verdicts["out of budget"] == 0
     assert verdicts["yes"] >= 30 and verdicts["saturated no"] >= 15
@@ -401,8 +403,9 @@ def test_solve_agrees_with_the_dpll_oracle_on_3sat_reductions():
     for _ in range(120):
         t = rng.randint(3, 5)
         formula = random_3cnf(rng, t, rng.randint(2 * t, 5 * t + 2))
+        inst = reduce_3sat_to_sdm(formula)
         try:
-            spair = solve(reduce_3sat_to_sdm(formula), budget=20000).spair
+            spair = solve(inst, budget=20000).spair
         except BudgetExhausted:
             verdicts["out of budget"] += 1
             continue
@@ -412,6 +415,12 @@ def test_solve_agrees_with_the_dpll_oracle_on_3sat_reductions():
             assert satisfies(formula, decode_spair_to_assignment(formula, spair))
         else:
             verdicts["no"] += 1
+            # the exact route's counts pass, so the search itself said "no"
+            adj = inst.graph.adj
+            assert len(inst.s_set) < inst.graph.nx - 1
+            assert len(set(itertools.chain.from_iterable(adj))) >= inst.graph.nx
+            assert all(len(adj[x]) >= 2 for x in inst.s_set)
+            assert len(max_matching(inst.graph)) == inst.graph.nx
     # 93 yes, 14 no and 13 out of budget
     assert verdicts["out of budget"] <= 20
     assert verdicts["yes"] >= 80 and verdicts["no"] >= 10
