@@ -14,7 +14,7 @@ from typing import IO, Iterable, Optional, Sequence
 from . import graph as gmod
 from . import lebensold as lmod
 from . import reductions as rmod
-from .graph import FormatError, SdmInstance
+from .graph import SdmInstance
 from .solve import (
     DEFAULT_COUNT_EDGE_LIMIT,
     BudgetExhausted,
@@ -330,7 +330,7 @@ def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
     except _Help as request:
         out.write(_help_text(request.args[0]))
         return EXIT_YES
-    except (_CliError, FormatError, ValueError) as exc:
+    except (_CliError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
     except BrokenPipeError:  # the reader closed stdout, e.g. `| head`

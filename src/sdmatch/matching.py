@@ -12,15 +12,17 @@ instead of 62 388, in the same 214 phases. Nothing recurses, so path length
 is bounded by memory, not by the Python stack. Scan orders are fixed, so the
 matching is deterministic.
 
-`max_matching` starts from the least-contested greedy matching (Langguth,
-Manne and Sanders 2010): `graph.y_degrees()` counts Y degrees in one O(E)
-pass, then each X vertex in turn takes its free neighbour of least degree,
-the lowest on a tie. On the sparse graphs of the exact route it leaves fewer
-X vertices free than first-fit, so fewer phases run. `konig_color` keeps
-first-fit. On the 231 Lebensold factors of lebensold-k seeds 1-5 (|X| <= 14),
-whose 170 padded graphs all have mixed Y degrees, this start was 19 % slower
-(13.8 -> 16.5 ms) and changed 105 splits; caps-1 `feasible_flow` kept every
-split but was 26 % slower (14.1 -> 17.8 ms).
+The greedy start is one rule over a degree table: each X vertex in turn
+takes its free neighbour of least degree, the lowest on a tie, and stops
+its scan at degree 1, as no Y vertex is less contested than one with no
+other X neighbour. `max_matching` reads `graph.y_degrees()`, the
+least-contested start (Langguth, Manne and Sanders 2010), which leaves fewer
+X vertices free than first-fit on the exact route's sparse graphs.
+`konig_color` reads a flat table of 1s: first-fit. On the 231 Lebensold
+factors of lebensold-k seeds 1-5 (|X| <= 14), whose 170 padded graphs all
+have mixed Y degrees, real degrees made the split 19 % slower (13.8 -> 16.5
+ms) and changed 105 splits; caps-1 `feasible_flow` kept every split but was
+26 % slower (14.1 -> 17.8 ms).
 
 `rematch` is the incremental step of the exact search: after one matched
 edge leaves the graph, a single alternating BFS repairs the matching.
@@ -34,34 +36,28 @@ from .graph import BipartiteGraph, Matching
 def _hopcroft_karp(graph: BipartiteGraph, least_contested: bool = False) -> list[int]:
     """Maximum matching as match_x: the y index of each X vertex, or -1.
 
-    The greedy start gives each X vertex, in index order, its first free
-    neighbour, or with least_contested its free neighbour of least degree.
+    The greedy start gives each X vertex, in index order, its free neighbour
+    of least degree: Y degree with least_contested, else a flat table (first-fit).
     """
     adj = graph.adj
     nx = graph.nx
     match_x = [-1] * nx
     match_y = [-1] * graph.ny
-    if least_contested:
-        degree = graph.y_degrees()
-        # a matched Y vertex's degree becomes taken, above every real degree
-        taken = nx + 1
-        for x in range(nx):
-            low = taken
-            for y in adj[x]:
-                d = degree[y]
-                if d < low:
-                    low, best = d, y
-            if low < taken:
-                match_x[x] = best
-                match_y[best] = x
-                degree[best] = taken
-    else:
-        for x in range(nx):
-            for y in adj[x]:
-                if match_y[y] == -1:
-                    match_x[x] = y
-                    match_y[y] = x
+    degree = graph.y_degrees() if least_contested else [1] * graph.ny
+    # a matched Y vertex's degree becomes taken, above every real degree
+    taken = nx + 1
+    for x in range(nx):
+        low = taken
+        for y in adj[x]:
+            d = degree[y]
+            if d < low:
+                low, best = d, y
+                if d == 1:  # no other X neighbour: none is less contested
                     break
+        if low < taken:
+            match_x[x] = best
+            match_y[best] = x
+            degree[best] = taken
     free = [x for x in range(nx) if match_x[x] == -1]
     while free:
         # BFS: layer X by alternating distance from the free X vertices and

@@ -32,6 +32,20 @@ def test_start_gives_each_x_its_least_contested_free_neighbour():
     assert _hopcroft_karp(g) == [0, 1]
 
 
+def test_both_degree_tables_agree_when_y_is_regular():
+    # equal Y degrees tie every least-contested pick, and a tie goes to the
+    # first free neighbour, as on the flat table: circulants x -> x..x+d-1
+    # mod n, with X and Y relabelled
+    rng = random.Random(45)
+    for d in range(1, 5):
+        for n in range(d, 25):
+            px, py = rng.sample(range(n), n), rng.sample(range(n), n)
+            g = BipartiteGraph.from_edges(
+                n, n, [(px[x], py[(x + i) % n]) for x in range(n) for i in range(d)])
+            assert set(g.y_degrees()) == {d}
+            assert _hopcroft_karp(g, True) == _hopcroft_karp(g, False)
+
+
 def test_maximum_against_brute_force():
     rng = random.Random(5)
     for _ in range(150):
@@ -63,7 +77,7 @@ MATCHING_DIGEST = "b7660830e33942cd3d16c6a09bcf013f3b244bd67454c2bbaf50914113e61
 
 
 def test_matching_digest_is_pinned():
-    # a pin on the kernel's choices: both greedy starts on sparse graphs, some
+    # a pin on the kernel's choices: both degree tables on sparse graphs, some
     # deficient, so that the last BFS runs to the end, and konig_color on
     # k = 3 factors, whose odd level runs the first-fit kernel on a padded graph
     digest = hashlib.sha256()
