@@ -6,6 +6,7 @@ Exit codes: 0 = yes/valid/holds, 1 = no/invalid/violated, 2 = error,
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -321,7 +322,16 @@ def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
     without a parser (_parse_plain_argv); every other one goes to an
     argparse parser built from the table for that call, which gives
     argparse's error line. -h or --help prints usage to stdout and returns 0.
+
+    The cyclic garbage collector is paused while the command runs and put
+    back as run found it on every exit. Its passes find no garbage here:
+    the commands build no reference cycles (rows, tuples, pairs and
+    strings), so reference counting frees all they allocate. Only
+    argparse's help and error paths leave a few hundred cyclic objects,
+    which the first collection after run returns frees.
     """
+    collecting = gc.isenabled()
+    gc.disable()
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
@@ -340,6 +350,9 @@ def run(argv: Sequence[str], stdout: Optional[IO[str]] = None,
         import traceback  # here, so that only a crash pays for loading it
         traceback.print_exc(file=err)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:
