@@ -75,7 +75,7 @@ def konig_color(h: BipartiteGraph, k: int) -> tuple[Matching, ...]:
             for y in range(ny):
                 if len(padded[nx + y]) < d:
                     padded[nx + y].append(y)
-            match_x = _hopcroft_karp(BipartiteGraph(n, n, tuple(padded)))
+            match_x = _hopcroft_karp(BipartiteGraph(n, n, tuple(padded)), [1] * n)
             match_x = [y if y < ny else -1 for y in match_x[:nx]]
             classes[first] = Matching.from_match_x(match_x)
             rest = [i for i in level if match_x[edges[i][0]] != edges[i][1]]

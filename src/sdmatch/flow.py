@@ -12,9 +12,11 @@ around one vertex), and sum_x cap_x[x] > sum_y min(cap_y[y], deg y) (the cut
 W = X), with deg y from ``BipartiteGraph.y_degrees``.
 
 The network is a bipartite b-matching, so the engine is Hopcroft-Karp with
-per-vertex caps on the graph's adjacency lists: a greedy start, then phases
-of a BFS that layers X from the X vertices with room and a DFS with an
-explicit stack and one arc pointer per X vertex. Nothing recurses. The one
+per-vertex caps on the graph's adjacency lists: a greedy start, in which
+each X vertex in turn sends a unit to each neighbour with room and stops
+reading its row once it is full, then phases of a BFS that layers X from
+the X vertices with room and a DFS with an explicit stack and one arc
+pointer per X vertex. Nothing recurses. The one
 record of the flow is each Y vertex's list of holders, the X vertices that
 send it a unit. Each phase's BFS stops at the first Y vertex with room, since
 the DFS reads only the layers up to it; over the 45 factor flows of
@@ -47,13 +49,20 @@ def feasible_flow(graph: BipartiteGraph, cap_x: Sequence[int], cap_y: Sequence[i
     # the one record of the flow: x sends y a unit exactly when x is in
     # holders[y]
     holders: list[list[int]] = [[] for _ in range(graph.ny)]
+    free = []
     for x in range(nx):
-        for y in adj[x]:
-            if room_x[x] and room_y[y]:
-                holders[y].append(x)
-                room_x[x] -= 1
-                room_y[y] -= 1
-    free = [x for x in range(nx) if room_x[x]]
+        room = room_x[x]
+        if room:
+            for y in adj[x]:
+                if room_y[y]:
+                    holders[y].append(x)
+                    room_y[y] -= 1
+                    room -= 1
+                    if not room:
+                        break
+            room_x[x] = room
+            if room:
+                free.append(x)
     dist: list[int] = []
     while free:
         # BFS: layer X by alternating distance from the X vertices with room

@@ -14,22 +14,25 @@ the pattern's leading [1-9] keeps out x = 0 and y = 0, an x above nx fails
 the loop's list index, and a y above ny is the last entry of its ascending
 row, one compare per row. On the benchmark's seed-1 texts (Python 3.11.7, a
 shared 2-vCPU VM) that cut the bulk parse from 22.4-22.9 to 16.9-18.2 ms
-(poly-factor) and from 49.5-52.2 to 40.9-42.4 ms (small-s-matching).
+(poly-factor) and from 49.5-52.2 to 40.9-42.4 ms (small-s-matching). The S
+line is checked by its C-level min and max, and `SdmInstance.make` by the
+two ends of its sorted S.
 
 Both readers, and every other graph built from edges, keep one list per X
-vertex with an edge and one rule for its row: when every list arrived
-strictly ascending, as each writer of the plain form and `random_graph` give
-them, each row is its list as it stands; otherwise every row is deduplicated
-and sorted. The check is one compare per edge, and it holds for rows read
-interleaved. It cut the bulk parse by 16-21 % (poly-factor) and 24-30 %
-(small-s-matching); a text with its e lines shuffled reads 4-10 % slower
-for the compares.
+vertex with an edge, the shared () in every other slot, and one rule for
+its row: when every list arrived strictly ascending, as each writer of the
+plain form and `random_graph` give them, each row is its list as it
+stands; otherwise every row is deduplicated and sorted. The check is one
+compare per edge, and it holds for rows read interleaved. It cut the bulk
+parse by 16-21 % (poly-factor) and 24-30 % (small-s-matching); a text with
+its e lines shuffled reads 4-10 % slower for the compares.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from itertools import chain, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -65,14 +68,14 @@ class BipartiteGraph(NamedTuple):
         """
         if nx < 0 or ny < 0:
             raise ValueError(f"negative vertex count: nx={nx}, ny={ny}")
-        neigh: list[Optional[list[int]]] = [None] * nx
+        neigh: list[Sequence[int]] = [()] * nx
         ascending = True
         for x, y in edges:
             if not 0 <= x < nx:
                 raise ValueError(f"x-index out of range: {x} (nx={nx})")
             if not 0 <= y < ny:
                 raise ValueError(f"y-index out of range: {y} (ny={ny})")
-            if (row := neigh[x]) is None:
+            if not (row := neigh[x]):
                 neigh[x] = [y]
             else:
                 if row[-1] >= y:
@@ -120,10 +123,14 @@ class Matching(NamedTuple):
     @staticmethod
     def from_match_x(match_x: Sequence[int]) -> "Matching":
         """The pairs (x, match_x[x]) of every matched x (-1 means unmatched),
-        already sorted by x; only the Y vertices can clash."""
-        pairs = tuple([(x, y) for x, y in enumerate(match_x) if y != -1])
+        already sorted by x; only the Y vertices can clash. When every x is
+        matched, the pairs are enumerate(match_x) as it stands."""
         ys = set(match_x)
-        ys.discard(-1)
+        if -1 in ys:
+            ys.discard(-1)
+            pairs = tuple([(x, y) for x, y in enumerate(match_x) if y != -1])
+        else:
+            pairs = tuple(enumerate(match_x))
         if len(ys) != len(pairs):
             raise ValueError("edges share an endpoint; not a matching")
         return Matching(pairs)
@@ -160,9 +167,11 @@ class SdmInstance(NamedTuple):
     @staticmethod
     def make(graph: BipartiteGraph, s_set: Iterable[int]) -> "SdmInstance":
         s = sorted(set(s_set))
-        for x in s:
-            if not 0 <= x < graph.nx:
-                raise ValueError(f"S member out of range: {x}")
+        # S ascends, so its ends bound it; the error names its first member
+        # out of range
+        if s and not (0 <= s[0] and s[-1] < graph.nx):
+            bad = s[0] if s[0] < 0 else s[bisect_left(s, graph.nx)]
+            raise ValueError(f"S member out of range: {bad}")
         return SdmInstance(graph, tuple(s))
 
 
@@ -266,18 +275,18 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
     except ValueError:
         return None
     if (len(nums) != 2 * m + 1 or max(nx, ny) > MAX_VERTICES
-            or not all(1 <= x <= nx for x in s_line)):
+            or s_line and (min(s_line) < 1 or max(s_line) > nx)):
         return None
     # slot x for the 1-based X vertex x, a list only once it has an edge, and
     # every other row is the one (); _PLAIN's [1-9] keeps x = 0 out of slot 0
-    neigh: list[Optional[list[int]]] = [None] * (nx + 1)
+    neigh: list[Sequence[int]] = [()] * (nx + 1)
     ascending = True
     pairs = iter(nums)
     next(pairs)  # the leading 0
     try:
         for x, y in zip(pairs, pairs):
             y -= 1
-            if (row := neigh[x]) is None:
+            if not (row := neigh[x]):
                 neigh[x] = [y]
             else:
                 if row[-1] >= y:
@@ -294,14 +303,14 @@ def _parse_plain(text: str) -> Optional[SdmInstance]:
     return SdmInstance.make(BipartiteGraph(nx, ny, rows), [x - 1 for x in s_line])
 
 
-def _rows(neigh: list[Optional[list[int]]], ascending: bool) -> tuple[tuple[int, ...], ...]:
+def _rows(neigh: list[Sequence[int]], ascending: bool) -> tuple[tuple[int, ...], ...]:
     """The row tuple of both builders from one list per X vertex with an edge
-    (None for the rest, which all share the one ()). When every list arrived
-    strictly ascending, ``ascending``, each is its row as it stands; else
-    every list is deduplicated and sorted."""
+    (the one () for the rest, which tuple() returns as it is). When every
+    list arrived strictly ascending, ``ascending``, each is its row as it
+    stands; else every list is deduplicated and sorted."""
     if ascending:
-        return tuple(tuple(a) if a else () for a in neigh)
-    return tuple(tuple(sorted(set(a))) if a else () for a in neigh)
+        return tuple(map(tuple, neigh))
+    return tuple(tuple(sorted(set(a))) for a in neigh)
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -15,9 +15,11 @@ matching is deterministic.
 The greedy start is one rule over a degree table: each X vertex in turn
 takes its free neighbour of least degree, the lowest on a tie, and stops
 its scan at degree 1, as no Y vertex is less contested than one with no
-other X neighbour. `max_matching` reads `graph.y_degrees()`, the
-least-contested start (Langguth, Manne and Sanders 2010), which leaves fewer
-X vertices free than first-fit on the exact route's sparse graphs.
+other X neighbour. The X vertices it leaves free start the first phase.
+`max_matching` reads `graph.y_degrees()`, the least-contested start
+(Langguth, Manne and Sanders 2010), which leaves fewer X vertices free than
+first-fit on the exact route's sparse graphs; the exact route passes in the
+table it counted for Hall's condition, so that count is not made twice.
 `konig_color` reads a flat table of 1s: first-fit. On the 231 Lebensold
 factors of lebensold-k seeds 1-5 (|X| <= 14), whose 170 padded graphs all
 have mixed Y degrees, real degrees made the split 19 % slower (13.8 -> 16.5
@@ -30,22 +32,26 @@ edge leaves the graph, a single alternating BFS repairs the matching.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .graph import BipartiteGraph, Matching
 
 
-def _hopcroft_karp(graph: BipartiteGraph, least_contested: bool = False) -> list[int]:
+def _hopcroft_karp(graph: BipartiteGraph, degree: list[int]) -> list[int]:
     """Maximum matching as match_x: the y index of each X vertex, or -1.
 
     The greedy start gives each X vertex, in index order, its free neighbour
-    of least degree: Y degree with least_contested, else a flat table (first-fit).
+    of least degree[y]: ``graph.y_degrees()`` for the least-contested start,
+    ``[1] * graph.ny`` for first-fit. Each entry is at most |X|, and the start
+    overwrites the entries of the Y vertices it matches.
     """
     adj = graph.adj
     nx = graph.nx
     match_x = [-1] * nx
     match_y = [-1] * graph.ny
-    degree = graph.y_degrees() if least_contested else [1] * graph.ny
     # a matched Y vertex's degree becomes taken, above every real degree
     taken = nx + 1
+    free = []
     for x in range(nx):
         low = taken
         for y in adj[x]:
@@ -58,7 +64,8 @@ def _hopcroft_karp(graph: BipartiteGraph, least_contested: bool = False) -> list
             match_x[x] = best
             match_y[best] = x
             degree[best] = taken
-    free = [x for x in range(nx) if match_x[x] == -1]
+        else:
+            free.append(x)
     while free:
         # BFS: layer X by alternating distance from the free X vertices and
         # stop at the first free Y vertex; every label the DFS reads, those
@@ -155,6 +162,13 @@ def rematch(x0: int, adj: tuple[tuple[int, ...], ...], match_x: list[int],
     return False
 
 
-def max_matching(graph: BipartiteGraph) -> Matching:
-    """Deterministic maximum matching (ascending x, ascending neighbor scan)."""
-    return Matching.from_match_x(_hopcroft_karp(graph, least_contested=True))
+def max_matching(graph: BipartiteGraph, degree: Optional[list[int]] = None) -> Matching:
+    """Deterministic maximum matching (ascending x, ascending neighbor scan)
+    from the least-contested start.
+
+    degree is ``graph.y_degrees()`` when the caller has counted it already;
+    the start overwrites it. None counts it here.
+    """
+    if degree is None:
+        degree = graph.y_degrees()
+    return Matching.from_match_x(_hopcroft_karp(graph, degree))

@@ -10,16 +10,18 @@ that sum past what Y can take, answers "no" before any flow network is built.
 Every smaller S takes one exact search, labelled BoundedS when |S| is within
 the cap and ExactBacktrack otherwise (the general case is NP-hard), with the
 same step budget under both labels. Before its first step it checks Hall's
-condition on X: fewer Y vertices with a neighbour than X vertices answers "no"
-in O(E). So does an S vertex with fewer than two neighbours, since M1 and M2
+condition on X: fewer Y vertices than X vertices answers "no" in O(1), and
+fewer Y vertices with a neighbour, read off one count of the Y degrees, in
+O(E). So does an S vertex with fewer than two neighbours, since M1 and M2
 each take one of its edges. Only a graph that passes both counts runs
-Hopcroft-Karp for the X-saturating matching the search starts from. It walks
-_matchings, the one depth-first enumerator of this module, which picks the
-M2 partner of each S vertex in turn with an explicit stack. The search keeps
-one X-saturating matching of the residual graph G - M2 and filters the picks
-with it: a pick that removes a matched edge is repaired by a single
-augmenting path, or refused when there is none, and a "yes" prints that
-repaired matching as M1.
+Hopcroft-Karp for the X-saturating matching the search starts from, and its
+least-contested start reads the table of the Hall count, so an exact solve
+counts the Y degrees once at most. The search walks _matchings, the one
+depth-first enumerator of this module, which picks the M2 partner of each S
+vertex in turn with an explicit stack. It keeps one X-saturating matching
+of the residual graph G - M2 and filters the picks with it: a pick that
+removes a matched edge is repaired by a single augmenting path, or refused
+when there is none, and a "yes" prints that repaired matching as M1.
 An exhaustive pair counter, the oracle for cross-checks, walks the same
 enumerator for M1 and again, refusing M1's edges, for M2.
 """
@@ -27,7 +29,6 @@ enumerator for M1 and again, refusing M1's edges, for M2.
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coloring import konig_color
@@ -83,22 +84,27 @@ def solve_exact(instance: SdmInstance, budget: Optional[int] = None) -> Optional
     g = instance.graph
     s = instance.s_set
     adj = g.adj
-    # Pre-checks, before the root step. Hall's condition on W = X, counted in
-    # O(E): fewer Y vertices with a neighbour than X vertices leaves no
-    # X-saturating M1. An S vertex with fewer than two neighbours, one for M1
-    # and one for M2, counted in O(|S|). Then Hopcroft-Karp for M1; with an
-    # empty S its matching is already the answer.
-    if len(set(chain.from_iterable(adj))) < g.nx or any(len(adj[x]) < 2 for x in s):
+    # Pre-checks, before the root step. Hall's condition on W = X: fewer Y
+    # vertices than X vertices, in O(1), or fewer Y vertices with a neighbour,
+    # counted in O(E) from the Y degrees, leaves no X-saturating M1. An S
+    # vertex with fewer than two neighbours, one for M1 and one for M2,
+    # counted in O(|S|). Then Hopcroft-Karp for M1, from the least-contested
+    # start on the same degree table; with an empty S its matching is
+    # already the answer.
+    if g.ny < g.nx:
         return None
-    m1 = max_matching(g)
+    degree = g.y_degrees()
+    if g.ny - degree.count(0) < g.nx or any(len(adj[x]) < 2 for x in s):
+        return None
+    m1 = max_matching(g, degree)
     if len(m1) < g.nx:
         return None
     if not s:
         return SPair(m1, Matching(()))
-    match_x = [-1] * g.nx
+    # M1 saturates X, so its pairs are (x, match_x[x]) for every x in order
+    match_x = [y for _, y in m1.edges]
     match_y = [-1] * g.ny
-    for x, y in m1.edges:
-        match_x[x] = y
+    for x, y in enumerate(match_x):
         match_y[y] = x
     # Every search node costs one step: the root, counted here, then each
     # pick tried. match_x/match_y stays X-saturating in G - M2: a pick that

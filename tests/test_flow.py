@@ -45,7 +45,7 @@ def test_unit_bounds_match_saturating_matching():
     saturated = set()
     for g in graphs:
         factor = gf_factor(g, [1] * g.nx, [1] * g.ny)
-        first_fit = Matching.from_match_x(_hopcroft_karp(g))
+        first_fit = Matching.from_match_x(_hopcroft_karp(g, [1] * g.ny))
         assert len(max_matching(g)) == len(first_fit)
         assert (factor is not None) == (len(first_fit) == g.nx)
         violator = networkx_min_cut_x(g, [1] * g.nx, [1] * g.ny)

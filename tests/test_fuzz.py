@@ -134,9 +134,14 @@ def check_certificate(command, texts, options, out, work):
 @given(data=st.data())
 def test_mutated_inputs_never_crash_and_every_yes_checks(command, work, data):
     cases, files, option_sets = COMMANDS[command]
+    # every file is new, not rewritten in place: a small file's rewrite can
+    # cost tens of ms on some disks, and a stale output cannot pass a check
+    for name in ("out.map", "out.g1", "out.g2"):
+        (work / name).unlink(missing_ok=True)
     paths = []
     for n, text in enumerate(data.draw(st.sampled_from(cases))[:files]):
         path = work / f"in{n}"
+        path.unlink(missing_ok=True)
         path.write_text(data.draw(mutated(text)))
         paths.append(str(path))
     options = [opt.format(work=work) for opt in data.draw(st.sampled_from(option_sets))]

@@ -48,6 +48,14 @@ def test_sdm_instance_rejects_s_out_of_range(s_set):
     assert SdmInstance.make(g, [2, 0, 2]).s_set == (0, 2)
 
 
+@pytest.mark.parametrize("s_set, first", [([0, 3], 3), ([-1], -1), ([1, 7, 0], 7),
+                                          ([5, 4, 3, -2, -1], -2), ([9, 3, 4, 0], 3)])
+def test_s_out_of_range_names_its_first_member_in_sorted_order(s_set, first):
+    g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match=f"^S member out of range: {first}$"):
+        SdmInstance.make(g, s_set)
+
+
 @pytest.mark.parametrize("nx, ny", [(2, 3), (3, 2), (1, 1)])
 def test_dm_instance_requires_one_vertex_set(nx, ny):
     g = BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)])
@@ -135,14 +143,20 @@ def test_from_match_x_skips_unmatched_and_sorts_by_x():
     assert m.edges == ((0, 2), (2, 0), (4, 5))
     assert Matching.from_match_x([]).edges == ()
     assert Matching.from_match_x([-1, -1]).edges == ()
+    # a saturated array is paired as it stands, any other one filtered
+    assert Matching.from_match_x([3, 0, 2]).edges == ((0, 3), (1, 0), (2, 2))
+    assert Matching.from_match_x([3, 0, 2, -1]) == Matching.from_match_x([3, 0, 2])
+    assert Matching.from_match_x([-1, 3, 0, 2]).edges == ((1, 3), (2, 0), (3, 2))
 
 
 def test_from_match_x_rejects_shared_y():
-    with pytest.raises(ValueError) as got:
-        Matching.from_match_x([1, -1, 1])
     with pytest.raises(ValueError) as want:
         Matching.from_edges([(0, 1), (2, 1)])
-    assert str(got.value) == str(want.value)
+    # a clash beside an unmatched x, and one in a saturated array
+    for match_x in ([1, -1, 1], [1, 0, 1]):
+        with pytest.raises(ValueError) as got:
+            Matching.from_match_x(match_x)
+        assert str(got.value) == str(want.value)
 
 
 def test_from_match_x_equals_from_edges_on_mate_arrays():

@@ -145,7 +145,7 @@ def test_violator_deficiency_equals_matching_deficiency():
         verdict = lebensold_condition(g, 1)
         assert_verdict_certified(g, 1, verdict)
         # the degree engine shares Hopcroft-Karp's first-fit start
-        first_fit = Matching.from_match_x(_hopcroft_karp(g))
+        first_fit = Matching.from_match_x(_hopcroft_karp(g, [1] * g.ny))
         assert len(max_matching(g)) == len(first_fit)
         deficiency = g.nx - len(first_fit)
         if verdict.holds:

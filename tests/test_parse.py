@@ -288,6 +288,8 @@ HANDED_OVER = [
     "p sdm 2 2 1\ne 1 0\n",               # y = 0
     "p sdm 2 2 0\ns 0\n",                 # S member 0
     "p sdm 2 2 0\ns 1 3\n",               # S member nx + 1
+    "p sdm 2 2 0\ns 3 1\n",               # S member nx + 1 ahead of one in range
+    "p sdm 3 3 0\ns 2 0 1\n",             # S member 0 between two in range
     "p sdm 0 2 1\ne 1 1\n",               # nx = 0 with an edge
     "p sdm 1 1 1\ne 01 1\n",              # int reads 01, the pattern does not
     "p sdm 1 1 0\ns 01\n",                # the pattern takes 01, json does not

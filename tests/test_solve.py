@@ -135,9 +135,9 @@ def matching_runs(monkeypatch):
     """The graph of every max_matching call of the exact route, in call order."""
     runs = []
 
-    def recording(graph):
+    def recording(graph, degree=None):
         runs.append(graph)
-        return max_matching(graph)
+        return max_matching(graph, degree)
 
     # sdmatch.solve the module, not the function sdmatch exports by that name
     monkeypatch.setattr(importlib.import_module("sdmatch.solve"), "max_matching", recording)
@@ -163,6 +163,52 @@ def test_hopcroft_karp_refutes_past_the_hall_count(matching_runs):
         assert solve(inst, budget) == SolveOutcome(None, Method.BOUNDED_S)
         assert len(matching_runs) == 2
         matching_runs.clear()
+
+
+@pytest.fixture
+def degree_counts(monkeypatch):
+    """The graph of every BipartiteGraph.y_degrees call, in call order."""
+    counts = []
+    y_degrees = BipartiteGraph.y_degrees
+
+    def recording(graph):
+        counts.append(graph)
+        return y_degrees(graph)
+
+    monkeypatch.setattr(BipartiteGraph, "y_degrees", recording)
+    return counts
+
+
+def test_exact_route_counts_y_degrees_once(degree_counts, matching_runs):
+    # the Hall count and Hopcroft-Karp's least-contested start share one
+    # table: one count per solve that gets past |Y| < |X|, whichever check
+    # answers, and the same verdict as the exhaustive counter
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(300):
+        nx = rng.randint(1, 6)
+        g = random_graph(rng, nx, nx + rng.randint(0, 3), rng.uniform(0.1, 0.6))
+        inst = SdmInstance.make(g, rng.sample(range(nx), rng.randint(0, max(0, nx - 2))))
+        degree_counts.clear()
+        matching_runs.clear()
+        spair = solve_exact(inst)
+        assert degree_counts == [g]
+        assert len(matching_runs) <= 1
+        assert (spair is not None) == (count_spairs_exact(inst, size_limit=36) > 0)
+        verdicts.add((spair is not None, len(matching_runs)))
+    assert verdicts == {(False, 0), (False, 1), (True, 1)}
+
+
+def test_fewer_y_than_x_refutes_before_any_count(degree_counts, matching_runs):
+    # |Y| < |X| leaves no X-saturating M1, whatever the edges
+    g = BipartiteGraph.from_edges(3, 2, [(x, y) for x in range(3) for y in range(2)])
+    for s_set in ((), (0,)):
+        inst = SdmInstance.make(g, s_set)
+        for budget in (0, None):
+            assert solve_exact(inst, budget) is None
+            assert solve(inst, budget) == SolveOutcome(None, Method.BOUNDED_S)
+    assert degree_counts == []
+    assert matching_runs == []
 
 
 # the MILP oracle family's 27 x 28 instance (random.Random(3), 125 edges,
